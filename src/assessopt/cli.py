@@ -85,11 +85,24 @@ def _load_inputs(args):
 
 def _run_pipeline(args, tags: list[str]):
     corpus, profiles, library = _load_inputs(args)
-    scored = gev.score_corpus(corpus, profiles, library)
-    sets = selection.build_sets(corpus, scored)
-    errors = selection.error_metrics(corpus, scored, sets)
-    selections = {tag: selection.RUNNERS[tag](corpus, scored) for tag in tags}
-    return corpus, scored, sets, errors, selections
+    problem = selection.build_sets(corpus, gev.score_corpus(corpus, profiles, library))
+    errors = selection.error_metrics(problem)
+    selections = {tag: selection.RUNNERS[tag](problem) for tag in tags}
+    return problem, errors, selections
+
+
+def _write_report(outdir: Path, problem, errors, selections) -> None:
+    """Write report.md, plus report.csv when scenarios 1-3 all ran."""
+    averages = report.average_table(problem)
+    (outdir / "report.md").write_text(
+        report.render_report(problem.corpus, selections, errors, averages), encoding="utf-8"
+    )
+    if all(t in selections for t in (selection.SCENARIO1, selection.SCENARIO2,
+                                     selection.SCENARIO3)):
+        table = report.scenario_table(selections)
+        (outdir / "report.csv").write_text(
+            report.render_scenario_csv(table), encoding="utf-8"
+        )
 
 
 def cmd_validate(args) -> int:
@@ -114,10 +127,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_errors(args) -> int:
-    corpus, profiles, library = _load_inputs(args)
-    scored = gev.score_corpus(corpus, profiles, library)
-    sets = selection.build_sets(corpus, scored)
-    errors = selection.error_metrics(corpus, scored, sets)
+    _, errors, _ = _run_pipeline(args, [])
     selection.write_errors(errors, args.output)
     print(f"wrote error metrics for {len(errors)} researchers to {args.output}")
     return 0
@@ -126,21 +136,13 @@ def cmd_errors(args) -> int:
 def cmd_simulate(args) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    corpus, scored, sets, errors, selections = _run_pipeline(args, args.scenarios)
-
-    gev.write_scored(scored, outdir / "scored.csv")
-    selection.write_selections(list(selections.values()), scored, outdir / "selection.csv")
-    selection.write_errors(errors, outdir / "errors.csv")
-    averages = report.average_table(scored, sets)
-    (outdir / "report.md").write_text(
-        report.render_report(corpus, selections, errors, averages), encoding="utf-8"
+    problem, errors, selections = _run_pipeline(args, args.scenarios)
+    gev.write_scored(problem.scored, outdir / "scored.csv")
+    selection.write_selections(
+        list(selections.values()), problem.scored, outdir / "selection.csv"
     )
-    if all(t in selections for t in (selection.SCENARIO1, selection.SCENARIO2,
-                                     selection.SCENARIO3)):
-        table = report.scenario_table(selections)
-        (outdir / "report.csv").write_text(
-            report.render_scenario_csv(table), encoding="utf-8"
-        )
+    selection.write_errors(errors, outdir / "errors.csv")
+    _write_report(outdir, problem, errors, selections)
     for tag in args.scenarios:
         print(f"{tag}: total score {selections[tag].total_score:g}")
     print(f"outputs in {outdir}")
@@ -150,17 +152,7 @@ def cmd_simulate(args) -> int:
 def cmd_report(args) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    corpus, scored, sets, errors, selections = _run_pipeline(args, args.scenarios)
-    averages = report.average_table(scored, sets)
-    (outdir / "report.md").write_text(
-        report.render_report(corpus, selections, errors, averages), encoding="utf-8"
-    )
-    if all(t in selections for t in (selection.SCENARIO1, selection.SCENARIO2,
-                                     selection.SCENARIO3)):
-        table = report.scenario_table(selections)
-        (outdir / "report.csv").write_text(
-            report.render_scenario_csv(table), encoding="utf-8"
-        )
+    _write_report(outdir, *_run_pipeline(args, args.scenarios))
     print(f"report written to {outdir}")
     return 0
 

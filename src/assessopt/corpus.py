@@ -7,8 +7,7 @@ A corpus is immutable after loading. Authorships are normalized to
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from datetime import date
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
@@ -24,7 +23,6 @@ PRODUCT_KINDS = (
 )
 
 DEFAULT_WINDOW = (2004, 2010)
-DEFAULT_SNAPSHOT = date(2011, 12, 31)
 MAX_QUOTA = 6
 
 # Disciplinary areas evaluated bibliometrically; 10-14 are peer-review only.
@@ -118,16 +116,18 @@ class Corpus:
     researchers: dict[str, Researcher]
     products: dict[str, Product]
     authorships: list[Authorship]
-    snapshot_date: date = DEFAULT_SNAPSHOT
     evaluation_window: tuple[int, int] = DEFAULT_WINDOW
 
 
-def _read_rows(path: Path, columns: list[str]) -> list[tuple[int, dict[str, str]]]:
-    """Read a CSV into (line, row-dict) pairs, enforcing the exact header."""
+def read_rows(path: Path, columns: list[str]) -> list[tuple[int, dict[str, str]]]:
+    """Read a CSV into (line, row-dict) pairs, enforcing the exact header.
+
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
+    """
     if not path.exists():
         raise ParseError("file not found", file=str(path))
     rows: list[tuple[int, dict[str, str]]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -147,6 +147,17 @@ def _read_rows(path: Path, columns: list[str]) -> list[tuple[int, dict[str, str]
                 )
             rows.append((reader.line_num, dict(zip(columns, row))))
     return rows
+
+
+def format_number(value: float | int | None) -> str:
+    """The shortest text that reads back as the same number.
+
+    None is an empty field; an integral float is written without ".0".
+    """
+    if value is None:
+        return ""
+    text = repr(value)
+    return text[:-2] if text.endswith(".0") else text
 
 
 def _parse_int(value: str, what: str, file: str, line: int) -> int:
@@ -208,7 +219,6 @@ def load_corpus(
     products_path: str | Path,
     authorships_path: str | Path,
     *,
-    snapshot_date: date = DEFAULT_SNAPSHOT,
     window: tuple[int, int] = DEFAULT_WINDOW,
 ) -> Corpus:
     """Load and fully validate a corpus from its three CSV files.
@@ -222,7 +232,7 @@ def load_corpus(
     violations: list[str] = []
 
     researchers: dict[str, Researcher] = {}
-    for line, row in _read_rows(researchers_path, RESEARCHER_COLUMNS):
+    for line, row in read_rows(researchers_path, RESEARCHER_COLUMNS):
         where = f"{researchers_path}:{line}"
         r = Researcher(
             id=row["id"],
@@ -250,7 +260,7 @@ def load_corpus(
         researchers[r.id] = r
 
     products: dict[str, Product] = {}
-    for line, row in _read_rows(products_path, PRODUCT_COLUMNS):
+    for line, row in read_rows(products_path, PRODUCT_COLUMNS):
         where = f"{products_path}:{line}"
         if row["kind"] not in PRODUCT_KINDS:
             raise ParseError(
@@ -282,7 +292,7 @@ def load_corpus(
     authorships: list[Authorship] = []
     seen_pairs: set[tuple[str, str]] = set()
     priorities: dict[str, dict[int, str]] = {}
-    for line, row in _read_rows(authorships_path, AUTHORSHIP_COLUMNS):
+    for line, row in read_rows(authorships_path, AUTHORSHIP_COLUMNS):
         where = f"{authorships_path}:{line}"
         a = Authorship(
             researcher_id=row["researcher_id"],
@@ -325,7 +335,6 @@ def load_corpus(
         researchers=researchers,
         products=products,
         authorships=authorships,
-        snapshot_date=snapshot_date,
         evaluation_window=window,
     )
 
@@ -333,7 +342,6 @@ def load_corpus(
 def load_corpus_dir(
     directory: str | Path,
     *,
-    snapshot_date: date = DEFAULT_SNAPSHOT,
     window: tuple[int, int] = DEFAULT_WINDOW,
 ) -> Corpus:
     """Load a corpus from a directory holding the three conventionally named files."""
@@ -342,13 +350,8 @@ def load_corpus_dir(
         directory / "researchers.csv",
         directory / "products.csv",
         directory / "authorships.csv",
-        snapshot_date=snapshot_date,
         window=window,
     )
-
-
-def _fmt_opt(value) -> str:
-    return "" if value is None else format(value, "g") if isinstance(value, float) else str(value)
 
 
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:
@@ -375,7 +378,7 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
                 else:
                     row += [
                         ";".join(record.subject_categories),
-                        _fmt_opt(record.journal_metric),
+                        format_number(record.journal_metric),
                         record.citations,
                         record.journal_id or "",
                     ]
@@ -387,7 +390,7 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
         for a in sorted(corpus.authorships, key=lambda a: (a.researcher_id, a.product_id)):
             writer.writerow([
                 a.researcher_id, a.product_id,
-                _fmt_opt(a.declared_priority), _fmt_opt(a.gev_override),
+                format_number(a.declared_priority), format_number(a.gev_override),
             ])
 
 

@@ -57,10 +57,6 @@ class ClassificationMatrix:
         return self.cells[ic_class - 1][ir_class - 1]
 
 
-def matrix_lookup(matrix: ClassificationMatrix, ic_class: int, ir_class: int) -> str:
-    return matrix.lookup(ic_class, ir_class)
-
-
 # Merit grid favouring citations for mature products: high-citation rows keep
 # their grade across almost all journal classes, with peer-review routing
 # where the two indicators disagree strongly.

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
+from .corpus import format_number, read_rows
 from .errors import MissingDistributionError, ParseError
 
 JOURNAL_METRIC = "journal-metric"
@@ -100,32 +101,6 @@ class ReferenceLibrary:
             ) from None
 
 
-def _read_rows(path: Path, columns: list[str]) -> list[tuple[int, dict[str, str]]]:
-    if not path.exists():
-        raise ParseError("file not found", file=str(path))
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file, header row required", file=str(path)) from None
-        if header != columns:
-            raise ParseError(
-                f"bad header {header!r}, expected {columns!r}", file=str(path), line=1
-            )
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(columns):
-                raise ParseError(
-                    f"expected {len(columns)} fields, got {len(row)}",
-                    file=str(path), line=reader.line_num,
-                )
-            rows.append((reader.line_num, dict(zip(columns, row))))
-    return rows
-
-
 def _parse_key(row: dict[str, str], file: str, line: int) -> DistributionKey:
     if row["indicator"] not in INDICATORS:
         raise ParseError(f"unknown indicator {row['indicator']!r}", file=file, line=line)
@@ -143,7 +118,7 @@ def load_worldvalues(path: str | Path) -> dict[DistributionKey, ClassThresholds]
     """Read raw world values (one per row) and compute thresholds per key."""
     path = Path(path)
     values: dict[DistributionKey, list[float]] = {}
-    for line, row in _read_rows(path, WORLDVALUE_COLUMNS):
+    for line, row in read_rows(path, WORLDVALUE_COLUMNS):
         key = _parse_key(row, str(path), line)
         try:
             value = float(row["value"])
@@ -161,7 +136,7 @@ def load_thresholds(path: str | Path) -> dict[DistributionKey, ClassThresholds]:
     """Read precomputed thresholds; values are trusted but ordering is checked."""
     path = Path(path)
     thresholds: dict[DistributionKey, ClassThresholds] = {}
-    for line, row in _read_rows(path, THRESHOLD_COLUMNS):
+    for line, row in read_rows(path, THRESHOLD_COLUMNS):
         key = _parse_key(row, str(path), line)
         if key in thresholds:
             raise ParseError(f"duplicate distribution key {key}", file=str(path), line=line)
@@ -186,7 +161,7 @@ def load_thresholds(path: str | Path) -> dict[DistributionKey, ClassThresholds]:
 def load_mergemap(path: str | Path) -> dict[str, str]:
     path = Path(path)
     merge_map: dict[str, str] = {}
-    for line, row in _read_rows(path, MERGEMAP_COLUMNS):
+    for line, row in read_rows(path, MERGEMAP_COLUMNS):
         if row["category"] in merge_map:
             raise ParseError(
                 f"duplicate merge-map category {row['category']!r}", file=str(path), line=line
@@ -227,10 +202,6 @@ def load_reference_dir(directory: str | Path) -> ReferenceLibrary:
     return ReferenceLibrary(thresholds=thresholds, merge_map=merge_map)
 
 
-def _fmt(x: float) -> str:
-    return format(x, "g")
-
-
 def write_thresholds(
     thresholds: dict[DistributionKey, ClassThresholds], path: str | Path
 ) -> None:
@@ -245,5 +216,5 @@ def write_thresholds(
             t = thresholds[key]
             writer.writerow([
                 key.indicator, key.category_group, key.year, key.doc_split,
-                _fmt(t.p50), _fmt(t.p60), _fmt(t.p80), t.n,
+                format_number(t.p50), format_number(t.p60), format_number(t.p80), t.n,
             ])

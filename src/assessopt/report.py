@@ -21,11 +21,10 @@ from .selection import (
     SCENARIO1,
     SCENARIO2,
     SCENARIO3,
+    SCORE_SCALE,
     ResearcherErrors,
-    ResearcherPortfolio,
-    ScoredMap,
     Selection,
-    score_units,
+    SelectionProblem,
 )
 
 UNDEFINED = "—"
@@ -205,22 +204,20 @@ class AverageScoreTable:
     best_mean_definite: float | None
 
 
-def average_table(
-    scored: ScoredMap, sets: dict[str, ResearcherPortfolio]
-) -> AverageScoreTable:
+def average_table(problem: SelectionProblem) -> AverageScoreTable:
     def mean(pairs: list[tuple[str, str]], definite_only: bool) -> float | None:
         total = 0
         count = 0
-        for rid, pid in pairs:
-            sp = scored[(rid, pid)]
-            if definite_only and not sp.definite:
+        for pair in pairs:
+            if definite_only and not problem.scored[pair].definite:
                 continue
-            total += score_units(sp.score)
+            total += problem.units[pair]
             count += 1
-        return None if count == 0 else total / count / 10000.0
+        return None if count == 0 else total / count / SCORE_SCALE
 
-    declared = [(rid, pid) for rid, p in sorted(sets.items()) for pid in p.declared_pick]
-    best = [(rid, pid) for rid, p in sorted(sets.items()) for pid in p.best_pick]
+    sets = problem.portfolios
+    declared = [(rid, pid) for rid, p in sets.items() for pid in p.declared_pick]
+    best = [(rid, pid) for rid, p in sets.items() for pid in p.best_pick]
     return AverageScoreTable(
         declared_mean_all=mean(declared, False),
         best_mean_all=mean(best, False),

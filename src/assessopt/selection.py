@@ -1,9 +1,10 @@
 """Portfolio sets, selection-error taxonomy, scenario engines, exact optimizer.
 
-All engines are pure functions of (corpus, scored map). Researchers with a
-zero quota or an area outside 1-9 are carried in the corpus but never take
-part in a selection. Totals are computed in integer ten-thousandths of a
-point so that every engine and any enumeration oracle agree exactly.
+build_sets turns (corpus, scored map) into one SelectionProblem per run, and
+every engine is a pure function of it. Researchers with a zero quota or an
+area outside 1-9 are carried in the corpus but never take part in a
+selection. Totals are computed in integer ten-thousandths of a point so
+that every engine and any enumeration oracle agree exactly.
 
 A product co-authored within the institution can enter the final selection
 at most once; each unfilled slot costs half a point.
@@ -64,28 +65,45 @@ class ResearcherPortfolio:
     declared_pick: tuple[str, ...]
     best_pick: tuple[str, ...]
 
-    @property
-    def pool(self) -> frozenset[str]:
-        return frozenset(self.proposed) | frozenset(self.unproposed_indexed)
+
+@dataclass(frozen=True)
+class SelectionProblem:
+    """The model every engine shares, built once per run by build_sets.
+
+    units:       integer score units of every scored (researcher, product) pair
+    active:      researchers who take part in a selection, by id
+    portfolios:  every researcher's product sets, by id
+    pool_a:      candidate pool A, each researcher's proposed products
+    pool_c:      candidate pool C, pool A plus the indexed unproposed products
+    tiebreak:    each product's rank by citations desc, year asc, id asc;
+                 the canonical order is score desc, then this rank
+    """
+
+    corpus: Corpus
+    scored: ScoredMap
+    units: dict[tuple[str, str], int]
+    active: tuple[str, ...]
+    portfolios: dict[str, ResearcherPortfolio]
+    pool_a: dict[str, tuple[str, ...]]
+    pool_c: dict[str, tuple[str, ...]]
+    tiebreak: dict[str, int]
 
 
-def canonical_key(corpus: Corpus, scored: ScoredMap, researcher_id: str):
-    """Sort key for one researcher's products: score desc, citations desc,
-    year asc, product id asc."""
-
-    def key(product_id: str):
-        sp = scored[(researcher_id, product_id)]
-        product = corpus.products[product_id]
-        return (-score_units(sp.score), -product.max_citations, product.year, product_id)
-
-    return key
+def _canonical_order(
+    units: dict[tuple[str, str], int], tiebreak: dict[str, int], researcher_id: str, product_ids
+) -> list[str]:
+    """One researcher's products by score desc, citations desc, year asc, id asc."""
+    return sorted(product_ids, key=lambda pid: (-units[(researcher_id, pid)], tiebreak[pid]))
 
 
-def build_sets(corpus: Corpus, scored: ScoredMap) -> dict[str, ResearcherPortfolio]:
-    """Materialize the per-researcher portfolio sets.
+def build_sets(corpus: Corpus, scored: ScoredMap) -> SelectionProblem:
+    """Build the selection problem: score units, portfolio sets and pools.
 
     Every authorship must already be scored under the researcher's routing.
     """
+    units = {pair: score_units(sp.score) for pair, sp in scored.items()}
+    by_rank = sorted(corpus.products.values(), key=lambda p: (-p.max_citations, p.year, p.id))
+    tiebreak = {p.id: i for i, p in enumerate(by_rank)}
     by_researcher: dict[str, list] = {}
     for a in corpus.authorships:
         by_researcher.setdefault(a.researcher_id, []).append(a)
@@ -106,16 +124,25 @@ def build_sets(corpus: Corpus, scored: ScoredMap) -> dict[str, ResearcherPortfol
             for a in auths
             if a.declared_priority is None and corpus.products[a.product_id].indexed
         ))
-        pool = list(proposed) + list(unproposed)
-        best = tuple(sorted(pool, key=canonical_key(corpus, scored, rid))[: researcher.quota])
+        best = _canonical_order(units, tiebreak, rid, proposed + unproposed)[: researcher.quota]
         portfolios[rid] = ResearcherPortfolio(
             researcher_id=rid,
             proposed=proposed,
             unproposed_indexed=unproposed,
             declared_pick=proposed[: researcher.quota],
-            best_pick=best,
+            best_pick=tuple(best),
         )
-    return portfolios
+    return SelectionProblem(
+        corpus=corpus,
+        scored=scored,
+        units=units,
+        active=tuple(rid for rid, r in sorted(corpus.researchers.items())
+                     if r.quota > 0 and r.uda in BIBLIOMETRIC_UDAS),
+        portfolios=portfolios,
+        pool_a={rid: p.proposed for rid, p in portfolios.items()},
+        pool_c={rid: p.proposed + p.unproposed_indexed for rid, p in portfolios.items()},
+        tiebreak=tiebreak,
+    )
 
 
 # --- error taxonomy ---------------------------------------------------------
@@ -141,17 +168,15 @@ class ResearcherErrors:
     omitted: tuple[str, ...]
 
 
-def error_metrics(
-    corpus: Corpus, scored: ScoredMap, sets: dict[str, ResearcherPortfolio]
-) -> tuple[ResearcherErrors, ...]:
+def error_metrics(problem: SelectionProblem) -> tuple[ResearcherErrors, ...]:
     """Exact set-algebra error metrics per researcher.
 
     Aggregation over researchers counts authorships, so a co-authored
     product contributes once per author holding it in the relevant set.
     """
+    scored, units = problem.scored, problem.units
     out = []
-    for rid in sorted(sets):
-        p = sets[rid]
+    for rid, p in problem.portfolios.items():
         declared = set(p.declared_pick)
         best = set(p.best_pick)
         proposed = set(p.proposed)
@@ -160,11 +185,11 @@ def error_metrics(
         omitted = best - proposed
 
         def nil_count(pids) -> int:
-            return sum(1 for pid in pids if score_units(scored[(rid, pid)].score) == 0)
+            return sum(1 for pid in pids if units[(rid, pid)] == 0)
 
         out.append(ResearcherErrors(
             researcher_id=rid,
-            uda=corpus.researchers[rid].uda,
+            uda=problem.corpus.researchers[rid].uda,
             declared_count=len(declared),
             best_count=len(best),
             inadmissible_in_declared=sum(
@@ -193,28 +218,19 @@ class Selection:
     per_uda_due: dict[int, int]
 
 
-def _active_researchers(corpus: Corpus) -> list[str]:
-    return [
-        rid
-        for rid in sorted(corpus.researchers)
-        if corpus.researchers[rid].quota > 0
-        and corpus.researchers[rid].uda in BIBLIOMETRIC_UDAS
-    ]
-
-
 def _finalize(
-    tag: str, corpus: Corpus, scored: ScoredMap, assignment: dict[str, list[str]]
+    tag: str, problem: SelectionProblem, assignment: dict[str, list[str]]
 ) -> Selection:
     shortfall: dict[str, int] = {}
     per_uda_units: dict[int, int] = {}
     per_uda_due: dict[int, int] = {}
     total_units = 0
     final_assignment: dict[str, tuple[str, ...]] = {}
-    for rid in _active_researchers(corpus):
-        researcher = corpus.researchers[rid]
+    for rid in problem.active:
+        researcher = problem.corpus.researchers[rid]
         picked = assignment.get(rid, [])
         missing = researcher.quota - len(picked)
-        units = sum(score_units(scored[(rid, pid)].score) for pid in picked)
+        units = sum(problem.units[(rid, pid)] for pid in picked)
         units -= _SHORTFALL_UNITS * missing
         final_assignment[rid] = tuple(picked)
         shortfall[rid] = missing
@@ -231,7 +247,7 @@ def _finalize(
     )
 
 
-def scenario1(corpus: Corpus, scored: ScoredMap) -> Selection:
+def scenario1(problem: SelectionProblem) -> Selection:
     """Selection driven purely by the researchers' declared priorities.
 
     Proceeds in simultaneous rounds: every researcher with remaining
@@ -243,8 +259,7 @@ def scenario1(corpus: Corpus, scored: ScoredMap) -> Selection:
     priority order regardless of score, so penalized products do get
     submitted when researchers ranked them high.
     """
-    sets = build_sets(corpus, scored)
-    active = _active_researchers(corpus)
+    corpus, active, sets = problem.corpus, problem.active, problem.portfolios
     priority: dict[tuple[str, str], int] = {
         (a.researcher_id, a.product_id): a.declared_priority
         for a in corpus.authorships
@@ -282,11 +297,11 @@ def scenario1(corpus: Corpus, scored: ScoredMap) -> Selection:
             assignment[winner].append(pid)
             capacity[winner] -= 1
             consumed.add(pid)
-    return _finalize(SCENARIO1, corpus, scored, assignment)
+    return _finalize(SCENARIO1, problem, assignment)
 
 
 def _greedy_best_score(
-    tag: str, corpus: Corpus, scored: ScoredMap, candidates: dict[str, tuple[str, ...]]
+    tag: str, problem: SelectionProblem, candidates: dict[str, tuple[str, ...]]
 ) -> Selection:
     """Greedy selection over per-researcher candidate sets in score order.
 
@@ -296,10 +311,10 @@ def _greedy_best_score(
     (no alternative ranks lowest of all); remaining ties go to the smaller
     researcher id.
     """
-    active = _active_researchers(corpus)
+    active, units, tiebreak = problem.active, problem.units, problem.tiebreak
 
     def gain(rid: str, pid: str) -> int:
-        return score_units(scored[(rid, pid)].score) + _SHORTFALL_UNITS
+        return units[(rid, pid)] + _SHORTFALL_UNITS
 
     pairs = []
     holders: dict[str, list[str]] = {}
@@ -309,15 +324,9 @@ def _greedy_best_score(
                 pairs.append((rid, pid))
                 holders.setdefault(pid, []).append(rid)
 
-    def pair_key(pair: tuple[str, str]):
-        rid, pid = pair
-        sp = scored[(rid, pid)]
-        product = corpus.products[pid]
-        return (-score_units(sp.score), -product.max_citations, product.year, pid, rid)
+    pairs.sort(key=lambda pair: (-units[pair], tiebreak[pair[1]], pair[0]))
 
-    pairs.sort(key=pair_key)
-
-    capacity = {rid: corpus.researchers[rid].quota for rid in active}
+    capacity = {rid: problem.corpus.researchers[rid].quota for rid in active}
     consumed: set[str] = set()
     assignment: dict[str, list[str]] = {rid: [] for rid in active}
 
@@ -328,7 +337,7 @@ def _greedy_best_score(
                 continue
             g = gain(rid, pid)
             if g > 0:
-                best = max(best, score_units(scored[(rid, pid)].score))
+                best = max(best, units[(rid, pid)])
         return best
 
     for rid, pid in pairs:
@@ -339,25 +348,18 @@ def _greedy_best_score(
         assignment[winner].append(pid)
         capacity[winner] -= 1
         consumed.add(pid)
-    return _finalize(tag, corpus, scored, assignment)
+    return _finalize(tag, problem, assignment)
 
 
-def scenario2(corpus: Corpus, scored: ScoredMap) -> Selection:
+def scenario2(problem: SelectionProblem) -> Selection:
     """Greedy score-driven selection restricted to the proposed products."""
-    sets = build_sets(corpus, scored)
-    return _greedy_best_score(
-        SCENARIO2, corpus, scored, {rid: p.proposed for rid, p in sets.items()}
-    )
+    return _greedy_best_score(SCENARIO2, problem, problem.pool_a)
 
 
-def scenario3(corpus: Corpus, scored: ScoredMap) -> Selection:
+def scenario3(problem: SelectionProblem) -> Selection:
     """Greedy score-driven selection over the full pools (proposed plus
     indexed-but-unproposed products)."""
-    sets = build_sets(corpus, scored)
-    return _greedy_best_score(
-        SCENARIO3, corpus, scored,
-        {rid: p.proposed + p.unproposed_indexed for rid, p in sets.items()},
-    )
+    return _greedy_best_score(SCENARIO3, problem, problem.pool_c)
 
 
 # --- exact optimizer --------------------------------------------------------
@@ -442,10 +444,7 @@ def _max_weight_assignment(
 
 
 def optimize_exact(
-    corpus: Corpus,
-    scored: ScoredMap,
-    candidates: dict[str, tuple[str, ...]],
-    tag: str,
+    problem: SelectionProblem, candidates: dict[str, tuple[str, ...]], tag: str
 ) -> Selection:
     """Provably optimal selection over the given candidate sets.
 
@@ -453,31 +452,29 @@ def optimize_exact(
     slot) subject to product uniqueness and per-researcher quotas. A slot is
     filled only when the product's score beats the shortfall penalty.
     """
-    active = _active_researchers(corpus)
+    active, units, tiebreak = problem.active, problem.units, problem.tiebreak
     agent_index = {rid: i for i, rid in enumerate(active)}
-    capacities = [corpus.researchers[rid].quota for rid in active]
+    capacities = [problem.corpus.researchers[rid].quota for rid in active]
 
-    product_ids = sorted({pid for rid in active for pid in candidates.get(rid, ())})
+    # Items and each agent's edges go by the product's best units over its
+    # holders, then the tiebreak rank; this order fixes which of several tied
+    # optima the solver returns.
+    best_units: dict[str, int] = {}
+    for rid in active:
+        for pid in candidates.get(rid, ()):
+            if pid not in best_units or units[(rid, pid)] > best_units[pid]:
+                best_units[pid] = units[(rid, pid)]
 
     def item_key(pid: str):
-        best_units = max(
-            (
-                score_units(scored[(rid, pid)].score)
-                for rid in active
-                if pid in candidates.get(rid, ())
-            ),
-            default=0,
-        )
-        product = corpus.products[pid]
-        return (-best_units, -product.max_citations, product.year, pid)
+        return (-best_units[pid], tiebreak[pid])
 
-    product_ids.sort(key=item_key)
+    product_ids = sorted(best_units, key=item_key)
     item_index = {pid: j for j, pid in enumerate(product_ids)}
 
     edges = []
     for rid in active:
         for pid in sorted(set(candidates.get(rid, ())), key=item_key):
-            weight = score_units(scored[(rid, pid)].score) + _SHORTFALL_UNITS
+            weight = units[(rid, pid)] + _SHORTFALL_UNITS
             if weight > 0:
                 edges.append((agent_index[rid], item_index[pid], weight))
 
@@ -486,24 +483,16 @@ def optimize_exact(
     for agent, item in chosen:
         assignment[active[agent]].append(product_ids[item])
     for rid in active:
-        assignment[rid].sort(key=canonical_key(corpus, scored, rid))
-    return _finalize(tag, corpus, scored, assignment)
+        assignment[rid] = _canonical_order(units, tiebreak, rid, assignment[rid])
+    return _finalize(tag, problem, assignment)
 
 
-def exact_over_proposed(corpus: Corpus, scored: ScoredMap) -> Selection:
-    sets = build_sets(corpus, scored)
-    return optimize_exact(
-        corpus, scored, {rid: p.proposed for rid, p in sets.items()}, EXACT_PROPOSED
-    )
+def exact_over_proposed(problem: SelectionProblem) -> Selection:
+    return optimize_exact(problem, problem.pool_a, EXACT_PROPOSED)
 
 
-def exact_over_full(corpus: Corpus, scored: ScoredMap) -> Selection:
-    sets = build_sets(corpus, scored)
-    return optimize_exact(
-        corpus, scored,
-        {rid: p.proposed + p.unproposed_indexed for rid, p in sets.items()},
-        EXACT_FULL,
-    )
+def exact_over_full(problem: SelectionProblem) -> Selection:
+    return optimize_exact(problem, problem.pool_c, EXACT_FULL)
 
 
 RUNNERS = {

@@ -19,7 +19,6 @@ from assessopt.gev import (
     RECENT_PRODUCTS_MATRIX,
     default_profiles,
     load_profiles,
-    matrix_lookup,
     score_corpus,
     score_product,
 )
@@ -65,14 +64,14 @@ def test_criterion_1_matrix_fidelity():
         (4, 1): "IR", (4, 2): "IR", (4, 3): "IR", (4, 4): "D",
     }
     for key, expected in mature.items():
-        assert matrix_lookup(MATURE_PRODUCTS_MATRIX, *key) == expected
+        assert MATURE_PRODUCTS_MATRIX.lookup(*key) == expected
     for key, expected in recent.items():
-        assert matrix_lookup(RECENT_PRODUCTS_MATRIX, *key) == expected
+        assert RECENT_PRODUCTS_MATRIX.lookup(*key) == expected
 
     profile = default_profiles()[3]
-    assert matrix_lookup(profile.matrix_for_year(2006), 1, 3) == "A"
-    assert matrix_lookup(profile.matrix_for_year(2006), 4, 1) == "IR"
-    assert matrix_lookup(profile.matrix_for_year(2010), 2, 1) == "A"
+    assert profile.matrix_for_year(2006).lookup(1, 3) == "A"
+    assert profile.matrix_for_year(2006).lookup(4, 1) == "IR"
+    assert profile.matrix_for_year(2010).lookup(2, 1) == "A"
     report(1, "all 32 published matrix cells reproduced exactly", started, 1.0)
 
 
@@ -112,19 +111,20 @@ def test_criteria_4_and_5_oracle_equivalence_and_monotonicity():
     instances = 0
     while instances < 200:
         corpus, scored = random_instance(rng)
-        sets = build_sets(corpus, scored)
+        problem = build_sets(corpus, scored)
+        sets = problem.portfolios
         proposed = {r: p.proposed for r, p in sets.items()}
         full = {r: p.proposed + p.unproposed_indexed for r, p in sets.items()}
 
-        exact_a = optimize_exact(corpus, scored, proposed, "exact-A")
-        exact_c = optimize_exact(corpus, scored, full, "exact-C")
+        exact_a = optimize_exact(problem, proposed, "exact-A")
+        exact_c = optimize_exact(problem, full, "exact-C")
         assert exact_a.total_score == best_total_score(corpus, scored, proposed)
         assert exact_c.total_score == best_total_score(corpus, scored, full)
 
         assert exact_c.total_score >= exact_a.total_score
-        assert exact_a.total_score >= scenario1(corpus, scored).total_score
-        assert exact_a.total_score >= scenario2(corpus, scored).total_score
-        assert exact_c.total_score >= scenario3(corpus, scored).total_score
+        assert exact_a.total_score >= scenario1(problem).total_score
+        assert exact_a.total_score >= scenario2(problem).total_score
+        assert exact_c.total_score >= scenario3(problem).total_score
         instances += 1
     report(4, f"optimizer equals exhaustive enumeration on {instances} instances",
            started, 60.0)
@@ -140,15 +140,15 @@ def test_criterion_6_greedy_non_monotonicity_witness():
     library = load_reference_dir(base / "ref")
     scored = score_corpus(corpus, profiles, library)
 
-    s2 = scenario2(corpus, scored)
-    s3 = scenario3(corpus, scored)
+    s2 = scenario2(build_sets(corpus, scored))
+    s3 = scenario3(build_sets(corpus, scored))
     assert s3.total_score < s2.total_score, "greedy must lose ground on the larger pool"
     assert (s2.total_score, s3.total_score) == (2.3, 1.3)
 
-    exact_a = exact_over_proposed(corpus, scored)
-    exact_c = exact_over_full(corpus, scored)
+    exact_a = exact_over_proposed(build_sets(corpus, scored))
+    exact_c = exact_over_full(build_sets(corpus, scored))
     assert exact_c.total_score >= exact_a.total_score
-    sets = build_sets(corpus, scored)
+    sets = build_sets(corpus, scored).portfolios
     assert exact_a.total_score == best_total_score(
         corpus, scored, {r: p.proposed for r, p in sets.items()}
     )
@@ -164,8 +164,9 @@ def test_criterion_7_error_taxonomy_identities():
     rng = random.Random(777)
     for _ in range(200):
         corpus, scored = random_instance(rng)
-        sets = build_sets(corpus, scored)
-        for e in error_metrics(corpus, scored, sets):
+        problem = build_sets(corpus, scored)
+        sets = problem.portfolios
+        for e in error_metrics(problem):
             p = sets[e.researcher_id]
             declared, best = set(p.declared_pick), set(p.best_pick)
             proposed = set(p.proposed)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import shutil
 from pathlib import Path
 
+from assessopt import selection
 from assessopt.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -23,6 +24,17 @@ OUTPUT_FILES = ["scored.csv", "selection.csv", "errors.csv", "report.md", "repor
 def test_validate_clean_fixture(capsys):
     assert main(["validate", *MINI_ARGS]) == 0
     assert "OK" in capsys.readouterr().out
+
+
+def test_validate_accepts_byte_order_mark(tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(MINI, corpus)
+    researchers = corpus / "researchers.csv"
+    researchers.write_bytes(b"\xef\xbb\xbf" + researchers.read_bytes())
+    assert main([
+        "validate", "--corpus", str(corpus),
+        "--profiles", str(MINI / "profiles.json"), "--ref", str(MINI / "ref"),
+    ]) == 0
 
 
 def test_validate_dangling_reference(tmp_path, capsys):
@@ -102,6 +114,22 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
         ]) == 0
     for name in OUTPUT_FILES:
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_simulate_builds_the_problem_once(tmp_path, monkeypatch):
+    calls = []
+    build_sets = selection.build_sets
+
+    def counting(*args):
+        calls.append(args)
+        return build_sets(*args)
+
+    monkeypatch.setattr(selection, "build_sets", counting)
+    assert main([
+        "simulate", *MINI_ARGS,
+        "--scenarios", "1,2,3,exact-A,exact-C", "-o", str(tmp_path / "out"),
+    ]) == 0
+    assert len(calls) == 1
 
 
 def test_simulate_exact_only(tmp_path):

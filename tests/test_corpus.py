@@ -5,14 +5,18 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from assessopt.corpus import (
+    IndexRecord,
     admissibility,
     load_corpus,
     load_corpus_dir,
     save_corpus,
 )
 from assessopt.errors import ParseError, ValidationError
+
+import support
 
 RESEARCHERS = """\
 id,sds,uda,quota
@@ -114,6 +118,28 @@ def test_round_trip(tmp_path):
     save_corpus(loaded, tmp_path / "out")
     reloaded = load_corpus_dir(tmp_path / "out")
     assert reloaded == loaded
+
+
+metrics = st.none() | st.floats(min_value=0, allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(metrics, metrics), min_size=1, max_size=5))
+def test_round_trip_keeps_every_metric_exactly(tmp_path_factory, metric_pairs):
+    products = [
+        support.product(
+            f"P{i}", citations=i, metric=wos,
+            scopus=IndexRecord(subject_categories=("S",), citations=i, journal_metric=scopus),
+        )
+        for i, (wos, scopus) in enumerate(metric_pairs)
+    ]
+    corpus = support.corpus(
+        [support.researcher("R1")],
+        products,
+        [support.authored("R1", p.id, priority=i + 1) for i, p in enumerate(products)],
+    )
+    out = tmp_path_factory.mktemp("corpus")
+    save_corpus(corpus, out)
+    assert load_corpus_dir(out) == corpus
 
 
 def test_missing_file(tmp_path):

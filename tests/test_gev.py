@@ -19,7 +19,6 @@ from assessopt.gev import (
     default_profiles,
     dump_profiles,
     load_profiles,
-    matrix_lookup,
     multi_category_class,
     score_corpus,
     score_product,
@@ -48,9 +47,9 @@ RECENT_EXPECTED = {
 
 def test_matrix_cells_match_published_grids():
     for (ic, ir), expected in MATURE_EXPECTED.items():
-        assert matrix_lookup(MATURE_PRODUCTS_MATRIX, ic, ir) == expected
+        assert MATURE_PRODUCTS_MATRIX.lookup(ic, ir) == expected
     for (ic, ir), expected in RECENT_EXPECTED.items():
-        assert matrix_lookup(RECENT_PRODUCTS_MATRIX, ic, ir) == expected
+        assert RECENT_PRODUCTS_MATRIX.lookup(ic, ir) == expected
 
 
 def test_score_map():

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from assessopt.errors import MissingDistributionError, ParseError
 from assessopt.reference import (
+    DOC_SPLITS,
+    INDICATORS,
     ClassThresholds,
     DistributionKey,
     ReferenceLibrary,
@@ -151,6 +153,23 @@ def test_threshold_round_trip(tmp_path):
     src.write_text(WORLDVALUES, encoding="utf-8")
     thresholds = load_worldvalues(src)
     out = tmp_path / "thresholds.csv"
+    write_thresholds(thresholds, out)
+    assert load_thresholds(out) == thresholds
+
+
+@given(st.dictionaries(
+    st.builds(DistributionKey, st.sampled_from(INDICATORS), st.sampled_from(["X", "Y Z"]),
+              st.integers(2004, 2010), st.sampled_from(DOC_SPLITS)),
+    st.builds(
+        lambda cuts, n: ClassThresholds(*sorted(cuts), n),
+        st.lists(st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+                 min_size=3, max_size=3),
+        st.integers(min_value=1, max_value=10**9),
+    ),
+    max_size=6,
+))
+def test_threshold_round_trip_is_lossless(tmp_path_factory, thresholds):
+    out = tmp_path_factory.mktemp("thresholds") / "thresholds.csv"
     write_thresholds(thresholds, out)
     assert load_thresholds(out) == thresholds
 

@@ -65,10 +65,11 @@ def test_delta_zero_base_guard():
 
 def three_scenarios():
     corpus, scored = mini_instance()
+    problem = build_sets(corpus, scored)
     return corpus, scored, {
-        SCENARIO1: scenario1(corpus, scored),
-        SCENARIO2: scenario2(corpus, scored),
-        SCENARIO3: scenario3(corpus, scored),
+        SCENARIO1: scenario1(problem),
+        SCENARIO2: scenario2(problem),
+        SCENARIO3: scenario3(problem),
     }
 
 
@@ -119,7 +120,7 @@ def test_mismatched_corpus_detected():
         [support.authored("R9", "Q1", priority=1)],
     )
     other_scored = support.synth_scored(other_corpus, {("R9", "Q1"): 1.0})
-    selections[SCENARIO3] = scenario3(other_corpus, other_scored)
+    selections[SCENARIO3] = scenario3(build_sets(other_corpus, other_scored))
     with pytest.raises(MismatchedCorpusError):
         scenario_table(selections)
 
@@ -132,7 +133,7 @@ def test_share_cell():
 
 def test_error_table_aggregates_by_area():
     corpus, scored = mini_instance()
-    errors = error_metrics(corpus, scored, build_sets(corpus, scored))
+    errors = error_metrics(build_sets(corpus, scored))
     rows = error_table(errors, corpus)
     assert [r.label for r in rows] == ["3", "5", "TOTAL"]
     total = rows[-1]
@@ -145,8 +146,7 @@ def test_error_table_aggregates_by_area():
 
 def test_average_table():
     corpus, scored = mini_instance()
-    sets = build_sets(corpus, scored)
-    table = average_table(scored, sets)
+    table = average_table(build_sets(corpus, scored))
     # declared picks: 0.5, 1.0, 0.0 -> 0.5; best picks: 0.5, 1.0, 0.8 -> ~0.7667
     assert table.declared_mean_all == pytest.approx(0.5)
     assert table.best_mean_all == pytest.approx(2.3 / 3)
@@ -169,8 +169,8 @@ def test_average_render_percent():
 
 def test_rendering_is_deterministic():
     corpus, scored, selections = three_scenarios()
-    errors = error_metrics(corpus, scored, build_sets(corpus, scored))
-    averages = average_table(scored, build_sets(corpus, scored))
+    errors = error_metrics(build_sets(corpus, scored))
+    averages = average_table(build_sets(corpus, scored))
     first = render_report(corpus, selections, errors, averages)
     second = render_report(corpus, selections, errors, averages)
     assert first == second
@@ -213,7 +213,7 @@ def test_markdown_table_shape():
 
 def test_error_markdown_includes_shares():
     corpus, scored = mini_instance()
-    errors = error_metrics(corpus, scored, build_sets(corpus, scored))
+    errors = error_metrics(build_sets(corpus, scored))
     text = render_error_markdown(error_table(errors, corpus))
     assert "1 (100.0%)" in text  # area 5: one overvalued pick of one declared
     assert "1 (33.3%)" in text   # institution total: one of three

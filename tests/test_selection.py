@@ -49,14 +49,14 @@ def test_declared_pick_truncates_by_priority():
         ["R1"],
         {("R1", f"P{i}"): (i, 0.5) for i in range(1, 6)},
     )
-    sets = build_sets(corpus, scored)
+    sets = build_sets(corpus, scored).portfolios
     assert sets["R1"].declared_pick == ("P1", "P2", "P3")
     assert sets["R1"].proposed == ("P1", "P2", "P3", "P4", "P5")
 
 
 def test_boycott_case():
     corpus, scored = simple_corpus(["R1"], {("R1", "P1"): (None, 0.8)})
-    sets = build_sets(corpus, scored)
+    sets = build_sets(corpus, scored).portfolios
     assert sets["R1"].declared_pick == ()
     assert sets["R1"].best_pick == ("P1",)
     assert sets["R1"].unproposed_indexed == ("P1",)
@@ -72,13 +72,13 @@ def test_best_pick_ranks_pool_by_score():
         },
         quotas={"R1": 2},
     )
-    sets = build_sets(corpus, scored)
+    sets = build_sets(corpus, scored).portfolios
     assert sets["R1"].best_pick == ("P3", "P2")
 
 
 def test_best_pick_is_maximal_even_with_penalties():
     corpus, scored = simple_corpus(["R1"], {("R1", "P1"): (1, -1.0)})
-    sets = build_sets(corpus, scored)
+    sets = build_sets(corpus, scored).portfolios
     assert sets["R1"].best_pick == ("P1",)
 
 
@@ -90,9 +90,9 @@ def test_unproposed_non_indexed_products_are_invisible():
         [support.authored("R1", "P1", priority=1), support.authored("R1", "P2")],
     )
     scored = support.synth_scored(corpus, {("R1", "P1"): 0.8, ("R1", "P2"): 0.25})
-    sets = build_sets(corpus, scored)
+    sets = build_sets(corpus, scored).portfolios
     assert sets["R1"].unproposed_indexed == ()
-    assert sets["R1"].pool == {"P1"}
+    assert sets["R1"].proposed == ("P1",)
 
 
 # --- error taxonomy ----------------------------------------------------------
@@ -103,7 +103,7 @@ def test_errors_perfect_selection():
         {("R1", "P1"): (1, 1.0), ("R1", "P2"): (2, 0.8)},
         quotas={"R1": 2},
     )
-    (e,) = error_metrics(corpus, scored, build_sets(corpus, scored))
+    (e,) = error_metrics(build_sets(corpus, scored))
     assert e.overvalued == e.undervalued == e.omitted == ()
     assert (e.declared_count, e.best_count) == (2, 2)
 
@@ -115,7 +115,7 @@ def test_errors_undervalued_within_proposed():
         {("R1", "P1"): (1, 1.0), ("R1", "P2"): (2, 0.5), ("R1", "P3"): (3, 0.8)},
         quotas={"R1": 2},
     )
-    (e,) = error_metrics(corpus, scored, build_sets(corpus, scored))
+    (e,) = error_metrics(build_sets(corpus, scored))
     assert e.overvalued == ("P2",)
     assert e.undervalued == ("P3",)
     assert e.omitted == ()
@@ -127,7 +127,7 @@ def test_errors_omitted_from_outside_proposed():
         {("R1", "P1"): (1, 0.5), ("R1", "P2"): (None, 1.0)},
         quotas={"R1": 1},
     )
-    (e,) = error_metrics(corpus, scored, build_sets(corpus, scored))
+    (e,) = error_metrics(build_sets(corpus, scored))
     assert e.overvalued == ("P1",)
     assert e.undervalued == ()
     assert e.omitted == ("P2",)
@@ -138,7 +138,7 @@ def test_errors_nil_and_inadmissible_counts():
         ["R1"],
         {("R1", "P1"): (1, -1.0), ("R1", "P2"): (2, 0.0), ("R1", "P3"): (3, 0.8)},
     )
-    (e,) = error_metrics(corpus, scored, build_sets(corpus, scored))
+    (e,) = error_metrics(build_sets(corpus, scored))
     assert e.inadmissible_in_declared == 1
     assert e.nil_in_declared == 1
     assert e.nil_in_best == 1  # the same three products form the best pick
@@ -148,8 +148,9 @@ def test_error_identities_randomized():
     rng = random.Random(2024)
     for _ in range(150):
         corpus, scored = random_instance(rng)
-        sets = build_sets(corpus, scored)
-        for e in error_metrics(corpus, scored, sets):
+        problem = build_sets(corpus, scored)
+        sets = problem.portfolios
+        for e in error_metrics(problem):
             p = sets[e.researcher_id]
             declared, best = set(p.declared_pick), set(p.best_pick)
             proposed = set(p.proposed)
@@ -173,7 +174,7 @@ def test_scenario1_priority_conflict():
         },
         quotas={"R1": 1, "R2": 2},
     )
-    s = scenario1(corpus, scored)
+    s = scenario1(build_sets(corpus, scored))
     assert s.assignment["R1"] == ("PX",)
     assert s.assignment["R2"] == ("PY",)
     assert s.shortfall == {"R1": 0, "R2": 1}
@@ -185,7 +186,7 @@ def test_scenario1_shortfall_penalty():
         ["R1"],
         {("R1", "P1"): (1, 1.0), ("R1", "P2"): (2, 0.8)},
     )
-    s = scenario1(corpus, scored)
+    s = scenario1(build_sets(corpus, scored))
     assert s.shortfall["R1"] == 1
     assert s.total_score == 1.8 - 0.5
 
@@ -201,7 +202,7 @@ def test_scenario1_equal_priority_tiebreaks():
         },
         quotas={"R1": 1, "R2": 1},
     )
-    s = scenario1(corpus, scored)
+    s = scenario1(build_sets(corpus, scored))
     assert s.assignment["R1"] == ("PX",)
     assert s.assignment["R2"] == ("PY",)
 
@@ -211,7 +212,7 @@ def test_scenario1_equal_priority_tiebreaks():
         {("RA", "PX"): (1, 1.0), ("RB", "PX"): (1, 1.0)},
         quotas={"RA": 1, "RB": 1},
     )
-    s = scenario1(corpus, scored)
+    s = scenario1(build_sets(corpus, scored))
     assert s.assignment["RA"] == ("PX",)
     assert s.assignment["RB"] == ()
 
@@ -222,7 +223,7 @@ def test_scenario1_submits_penalized_products():
         {("R1", "P1"): (1, -1.0), ("R1", "P2"): (2, 0.8)},
         quotas={"R1": 2},
     )
-    s = scenario1(corpus, scored)
+    s = scenario1(build_sets(corpus, scored))
     assert s.assignment["R1"] == ("P1", "P2")
     assert s.total_score == -0.2  # exact: -1.0 + 0.8 in quantized units
 
@@ -244,7 +245,7 @@ def shared_product_instance():
 
 def test_scenario2_conflict_favors_weaker_alternative():
     corpus, scored = shared_product_instance()
-    s = scenario2(corpus, scored)
+    s = scenario2(build_sets(corpus, scored))
     assert s.assignment["R2"] == ("PS",)
     assert s.assignment["R1"] == ("PA",)
     assert s.total_score == 1.8
@@ -259,7 +260,7 @@ def test_scenario2_no_conflicts_reduces_to_truncation():
         {("R1", "P1"): (1, 0.5), ("R1", "P2"): (2, 1.0), ("R1", "P3"): (3, 0.8)},
         quotas={"R1": 2},
     )
-    s = scenario2(corpus, scored)
+    s = scenario2(build_sets(corpus, scored))
     assert set(s.assignment["R1"]) == {"P2", "P3"}
     assert s.total_score == 1.8
 
@@ -270,7 +271,7 @@ def test_scenario2_skips_penalized_products():
         {("R1", "P1"): (1, -1.0)},
         quotas={"R1": 1},
     )
-    s = scenario2(corpus, scored)
+    s = scenario2(build_sets(corpus, scored))
     assert s.assignment["R1"] == ()
     assert s.total_score == -0.5
 
@@ -279,7 +280,7 @@ def test_scenario2_assigns_nil_scores_over_shortfall():
     corpus, scored = simple_corpus(
         ["R1"], {("R1", "P1"): (1, 0.0)}, quotas={"R1": 1}
     )
-    s = scenario2(corpus, scored)
+    s = scenario2(build_sets(corpus, scored))
     assert s.assignment["R1"] == ("P1",)
     assert s.total_score == 0.0
 
@@ -290,8 +291,8 @@ def test_scenario3_pulls_from_unproposed():
         {("R1", "P1"): (1, 0.5), ("R1", "P2"): (None, 1.0)},
         quotas={"R1": 1},
     )
-    assert scenario2(corpus, scored).total_score == 0.5
-    s3 = scenario3(corpus, scored)
+    assert scenario2(build_sets(corpus, scored)).total_score == 0.5
+    s3 = scenario3(build_sets(corpus, scored))
     assert s3.assignment["R1"] == ("P2",)
     assert s3.total_score == 1.0
 
@@ -302,8 +303,9 @@ def test_quota_zero_researcher_excluded():
         {("R1", "P1"): (1, 1.0), ("R2", "P2"): (1, 1.0)},
         quotas={"R1": 0, "R2": 1},
     )
+    problem = build_sets(corpus, scored)
     for engine in (scenario1, scenario2, scenario3, exact_over_proposed):
-        s = engine(corpus, scored)
+        s = engine(problem)
         assert "R1" not in s.assignment
         assert s.total_score == 1.0
 
@@ -315,16 +317,16 @@ def test_exact_single_researcher():
         ["R1"],
         {("R1", "P1"): (1, 1.0), ("R1", "P2"): (2, 0.8)},
     )
-    s = exact_over_proposed(corpus, scored)
+    s = exact_over_proposed(build_sets(corpus, scored))
     assert s.total_score == 1.8 - 0.5
     assert s.tag == EXACT_PROPOSED
 
 
 def test_exact_shared_product():
     corpus, scored = shared_product_instance()
-    s = exact_over_proposed(corpus, scored)
+    s = exact_over_proposed(build_sets(corpus, scored))
     assert s.total_score == 1.8
-    sets = build_sets(corpus, scored)
+    sets = build_sets(corpus, scored).portfolios
     oracle = best_total_score(corpus, scored, {r: p.proposed for r, p in sets.items()})
     assert s.total_score == oracle
 
@@ -333,7 +335,7 @@ def test_exact_leaves_slot_empty_over_penalized_product():
     corpus, scored = simple_corpus(
         ["R1"], {("R1", "P1"): (1, -1.0)}, quotas={"R1": 1}
     )
-    s = exact_over_proposed(corpus, scored)
+    s = exact_over_proposed(build_sets(corpus, scored))
     assert s.assignment["R1"] == ()
     assert s.total_score == -0.5
 
@@ -342,11 +344,12 @@ def test_exact_matches_oracle_randomized():
     rng = random.Random(99)
     for _ in range(60):
         corpus, scored = random_instance(rng)
-        sets = build_sets(corpus, scored)
+        problem = build_sets(corpus, scored)
+        sets = problem.portfolios
         proposed = {r: p.proposed for r, p in sets.items()}
         full = {r: p.proposed + p.unproposed_indexed for r, p in sets.items()}
-        got_a = optimize_exact(corpus, scored, proposed, EXACT_PROPOSED)
-        got_c = optimize_exact(corpus, scored, full, EXACT_FULL)
+        got_a = optimize_exact(problem, proposed, EXACT_PROPOSED)
+        got_c = optimize_exact(problem, full, EXACT_FULL)
         assert got_a.total_score == best_total_score(corpus, scored, proposed)
         assert got_c.total_score == best_total_score(corpus, scored, full)
 
@@ -355,8 +358,9 @@ def test_selection_feasibility_randomized():
     rng = random.Random(123)
     for _ in range(80):
         corpus, scored = random_instance(rng)
+        problem = build_sets(corpus, scored)
         for engine in (scenario1, scenario2, scenario3, exact_over_proposed, exact_over_full):
-            s = engine(corpus, scored)
+            s = engine(problem)
             seen = []
             for rid, picked in s.assignment.items():
                 quota = corpus.researchers[rid].quota
@@ -375,20 +379,20 @@ def test_selection_feasibility_randomized():
 def test_monotonicity_randomized():
     rng = random.Random(321)
     for _ in range(80):
-        corpus, scored = random_instance(rng)
-        exact_a = exact_over_proposed(corpus, scored).total_score
-        exact_c = exact_over_full(corpus, scored).total_score
+        problem = build_sets(*random_instance(rng))
+        exact_a = exact_over_proposed(problem).total_score
+        exact_c = exact_over_full(problem).total_score
         assert exact_c >= exact_a
-        assert exact_a >= scenario1(corpus, scored).total_score
-        assert exact_a >= scenario2(corpus, scored).total_score
-        assert exact_c >= scenario3(corpus, scored).total_score
+        assert exact_a >= scenario1(problem).total_score
+        assert exact_a >= scenario2(problem).total_score
+        assert exact_c >= scenario3(problem).total_score
 
 
 def test_determinism():
     rng = random.Random(55)
     corpus, scored = random_instance(rng)
     for engine in (scenario1, scenario2, scenario3, exact_over_full):
-        assert engine(corpus, scored) == engine(corpus, scored)
+        assert engine(build_sets(corpus, scored)) == engine(build_sets(corpus, scored))
 
 
 # --- greedy non-monotonicity witness -----------------------------------------
@@ -428,16 +432,16 @@ def witness_instance():
 
 def test_witness_greedy_regression():
     corpus, scored = witness_instance()
-    s2 = scenario2(corpus, scored)
-    s3 = scenario3(corpus, scored)
+    s2 = scenario2(build_sets(corpus, scored))
+    s3 = scenario3(build_sets(corpus, scored))
     assert s2.total_score == 2.3
     assert s3.total_score == 1.3
     assert s3.total_score < s2.total_score  # larger pool, worse greedy outcome
 
-    exact_a = exact_over_proposed(corpus, scored)
-    exact_c = exact_over_full(corpus, scored)
+    exact_a = exact_over_proposed(build_sets(corpus, scored))
+    exact_c = exact_over_full(build_sets(corpus, scored))
     assert exact_c.total_score >= exact_a.total_score  # the optimizer is monotone
-    sets = build_sets(corpus, scored)
+    sets = build_sets(corpus, scored).portfolios
     assert exact_a.total_score == best_total_score(
         corpus, scored, {r: p.proposed for r, p in sets.items()}
     )

@@ -75,6 +75,8 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
 
 def _load_inputs(args):
     corpus = load_corpus_dir(args.corpus, window=args.window)
+    log.info("corpus: %d researchers, %d products, %d authorships",
+             len(corpus.researchers), len(corpus.products), len(corpus.authorships))
     profiles = gev.load_profiles(args.profiles)
     problems = gev.validate_profiles(profiles, args.window)
     if problems:
@@ -85,21 +87,32 @@ def _load_inputs(args):
 
 def _run_pipeline(args, tags: list[str]):
     corpus, profiles, library = _load_inputs(args)
-    problem = selection.build_sets(corpus, gev.score_corpus(corpus, profiles, library))
+    scored = gev.score_corpus(corpus, profiles, library)
+    log.info("scored %d authorships", len(scored))
+    problem = selection.build_sets(corpus, scored)
+    log.info("%d active researchers; candidate pairs: pool A %d, pool C %d",
+             len(problem.active), sum(len(problem.pool_a[rid]) for rid in problem.active),
+             sum(len(problem.pool_c[rid]) for rid in problem.active))
     errors = selection.error_metrics(problem)
-    selections = {tag: selection.RUNNERS[tag](problem) for tag in tags}
+    selections = {}
+    for tag in tags:
+        selections[tag] = selection.RUNNERS[tag](problem)
+        log.info("%s: total score %g", tag, selections[tag].total_score)
     return problem, errors, selections
 
 
 def _write_report(outdir: Path, problem, errors, selections) -> None:
     """Write report.md, plus report.csv when scenarios 1-3 all ran."""
-    averages = report.average_table(problem)
-    (outdir / "report.md").write_text(
-        report.render_report(problem.corpus, selections, errors, averages), encoding="utf-8"
-    )
+    table = None
     if all(t in selections for t in (selection.SCENARIO1, selection.SCENARIO2,
                                      selection.SCENARIO3)):
         table = report.scenario_table(selections)
+    averages = report.average_table(problem)
+    (outdir / "report.md").write_text(
+        report.render_report(problem.corpus, selections, errors, averages, table),
+        encoding="utf-8",
+    )
+    if table is not None:
         (outdir / "report.csv").write_text(
             report.render_scenario_csv(table), encoding="utf-8"
         )
@@ -134,9 +147,9 @@ def cmd_errors(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    problem, errors, selections = _run_pipeline(args, args.scenarios)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    problem, errors, selections = _run_pipeline(args, args.scenarios)
     gev.write_scored(problem.scored, outdir / "scored.csv")
     selection.write_selections(
         list(selections.values()), problem.scored, outdir / "selection.csv"
@@ -150,9 +163,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    results = _run_pipeline(args, args.scenarios)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_report(outdir, *_run_pipeline(args, args.scenarios))
+    _write_report(outdir, *results)
     print(f"report written to {outdir}")
     return 0
 

@@ -402,6 +402,18 @@ def dump_profiles(profiles: dict[int, GevProfile], path: str | Path) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+# Profile keys a pack may omit, so that the GevProfile default applies.
+_OPTIONAL_PROFILE_KEYS = {
+    "source_policy": str,
+    "split_citation_doctype": bool,
+    "ir_journal_class_list": lambda classes: {str(k): int(v) for k, v in classes.items()},
+    "forced_ir_journals": frozenset,
+    "no_metric_score": float,
+    "non_indexed_score": float,
+    "ir_assumed_score": float,
+}
+
+
 def load_profiles(path: str | Path) -> dict[int, GevProfile]:
     """Read a profile pack from JSON; structural problems raise ParseError."""
     path = Path(path)
@@ -428,16 +440,8 @@ def load_profiles(path: str | Path) -> dict[int, GevProfile]:
                 name=entry.get("name", f"GEV {entry['gev_id']}"),
                 allowed_kinds=frozenset(entry["allowed_kinds"]),
                 age_bands=bands,
-                source_policy=entry.get("source_policy", BEST_OF_BOTH),
-                split_citation_doctype=bool(entry.get("split_citation_doctype", False)),
-                ir_journal_class_list={
-                    str(k): int(v)
-                    for k, v in entry.get("ir_journal_class_list", {}).items()
-                },
-                forced_ir_journals=frozenset(entry.get("forced_ir_journals", [])),
-                no_metric_score=float(entry.get("no_metric_score", 0.25)),
-                non_indexed_score=float(entry.get("non_indexed_score", 0.25)),
-                ir_assumed_score=float(entry.get("ir_assumed_score", 0.5)),
+                **{key: parse(entry[key]) for key, parse in _OPTIONAL_PROFILE_KEYS.items()
+                   if key in entry},
             )
             if profile.gev_id in profiles:
                 raise ParseError(

@@ -337,12 +337,13 @@ def render_report(
     selections: dict[str, Selection],
     errors: tuple[ResearcherErrors, ...],
     averages: AverageScoreTable,
+    table: ScenarioTable | None,
 ) -> str:
-    """Assemble the full markdown report."""
+    """Assemble the full markdown report; table is the scenario table, or
+    None when scenarios 1-3 did not all run."""
     parts = ["# Product selection report", ""]
     parts += ["## Selection totals", "", render_totals_markdown(selections).rstrip("\n"), ""]
-    if all(tag in selections for tag in (SCENARIO1, SCENARIO2, SCENARIO3)):
-        table = scenario_table(selections)
+    if table is not None:
         parts += ["## Scenario comparison by area", "",
                   render_scenario_markdown(table).rstrip("\n"), ""]
     parts += ["## Selection errors", "",

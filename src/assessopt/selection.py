@@ -7,18 +7,23 @@ selection. Totals are computed in integer ten-thousandths of a point so
 that every engine and any enumeration oracle agree exactly.
 
 A product co-authored within the institution can enter the final selection
-at most once; each unfilled slot costs half a point.
+at most once; each unfilled slot costs half a point. The exact optimizer
+solves this as a bipartite b-matching by augmenting paths over researchers,
+and a stated tie rule (see optimize_exact) fixes which optimum it reports.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import BIBLIOMETRIC_UDAS, Corpus
 from .gev import ScoredProduct
+
+log = logging.getLogger(__name__)
 
 SCORE_SCALE = 10000
 SHORTFALL_PENALTY = -0.5
@@ -364,126 +369,71 @@ def scenario3(problem: SelectionProblem) -> Selection:
 
 # --- exact optimizer --------------------------------------------------------
 
-def _max_weight_assignment(
-    capacities: list[int], num_items: int, edges: list[tuple[int, int, int]]
-) -> list[tuple[int, int]]:
-    """Maximum-weight capacitated assignment of items to agents.
-
-    Each item may serve at most one agent; agent i takes at most
-    capacities[i] items; all edge weights are positive integers. Solved as a
-    min-cost flow by successive shortest augmenting paths, stopping when no
-    augmenting path improves the total. Node ordering is fixed by the
-    caller's edge order, which makes the solution deterministic.
-    """
-    num_agents = len(capacities)
-    source = 0
-    first_item = 1 + num_agents
-    sink = first_item + num_items
-    n = sink + 1
-
-    graph: list[list[list[int]]] = [[] for _ in range(n)]  # arcs as [to, cap, cost, rev]
-
-    def add_arc(u: int, v: int, cap: int, cost: int) -> None:
-        graph[u].append([v, cap, cost, len(graph[v])])
-        graph[v].append([u, 0, -cost, len(graph[u]) - 1])
-
-    for i, cap in enumerate(capacities):
-        if cap > 0:
-            add_arc(source, 1 + i, cap, 0)
-    item_arcs_added: set[int] = set()
-    agent_item_arcs: list[tuple[int, int, int, int]] = []  # (agent, item, node, arc idx)
-    for agent, item, weight in edges:
-        if weight <= 0:
-            raise ValueError("edge weights must be positive")
-        node = 1 + agent
-        agent_item_arcs.append((agent, item, node, len(graph[node])))
-        add_arc(node, first_item + item, 1, -weight)
-        if item not in item_arcs_added:
-            add_arc(first_item + item, sink, 1, 0)
-            item_arcs_added.add(item)
-
-    INF = float("inf")
-    while True:
-        dist = [INF] * n
-        parent: list[tuple[int, int] | None] = [None] * n
-        in_queue = [False] * n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            in_queue[u] = False
-            for idx, arc in enumerate(graph[u]):
-                v, cap, cost, _ = arc
-                if cap > 0 and dist[u] + cost < dist[v]:
-                    dist[v] = dist[u] + cost
-                    parent[v] = (u, idx)
-                    if not in_queue[v]:
-                        queue.append(v)
-                        in_queue[v] = True
-        if dist[sink] >= 0:
-            break
-        bottleneck = INF
-        v = sink
-        while v != source:
-            u, idx = parent[v]
-            bottleneck = min(bottleneck, graph[u][idx][1])
-            v = u
-        v = sink
-        while v != source:
-            u, idx = parent[v]
-            arc = graph[u][idx]
-            arc[1] -= bottleneck
-            graph[arc[0]][arc[3]][1] += bottleneck
-            v = u
-
-    chosen = []
-    for agent, item, node, idx in agent_item_arcs:
-        if graph[node][idx][1] == 0:  # unit capacity fully used
-            chosen.append((agent, item))
-    return chosen
-
-
 def optimize_exact(
     problem: SelectionProblem, candidates: dict[str, tuple[str, ...]], tag: str
 ) -> Selection:
     """Provably optimal selection over the given candidate sets.
 
     Maximizes total score (assigned scores minus half a point per unfilled
-    slot) subject to product uniqueness and per-researcher quotas. A slot is
-    filled only when the product's score beats the shortfall penalty.
+    slot) subject to product uniqueness and per-researcher quotas; a pair is
+    eligible only when its score beats the shortfall penalty. Solved by
+    successive longest augmenting paths, searched over researchers only.
+
+    Tie rule: number the E eligible pairs by researcher id, then by that
+    researcher's canonical order; pair k weighs (gain << E) | (1 << (E-1-k)).
+    Among the maximum-total selections this reports the one whose set of
+    (researcher, product) picks is lexicographically first in that order.
     """
     active, units, tiebreak = problem.active, problem.units, problem.tiebreak
-    agent_index = {rid: i for i, rid in enumerate(active)}
-    capacities = [problem.corpus.researchers[rid].quota for rid in active]
+    pairs = [
+        (rid, pid)
+        for rid in active
+        for pid in _canonical_order(units, tiebreak, rid, set(candidates.get(rid, ())))
+        if units[(rid, pid)] + _SHORTFALL_UNITS > 0
+    ]
+    size = len(pairs)
+    weights: dict[str, dict[str, int]] = {rid: {} for rid in active}
+    for k, (rid, pid) in enumerate(pairs):
+        gain = units[(rid, pid)] + _SHORTFALL_UNITS
+        weights[rid][pid] = (gain << size) | (1 << (size - 1 - k))
 
-    # Items and each agent's edges go by the product's best units over its
-    # holders, then the tiebreak rank; this order fixes which of several tied
-    # optima the solver returns.
-    best_units: dict[str, int] = {}
-    for rid in active:
-        for pid in candidates.get(rid, ()):
-            if pid not in best_units or units[(rid, pid)] > best_units[pid]:
-                best_units[pid] = units[(rid, pid)]
+    room = {rid: problem.corpus.researchers[rid].quota for rid in active}
+    owner: dict[str, str] = {}  # product -> the researcher it is assigned to
+    while True:
+        best = {rid: 0 for rid in active if room[rid] > 0}
+        via: dict[str, tuple[str, str]] = {}  # researcher -> (previous, product)
+        queue = deque((rid, 0) for rid in best)
+        end_gain, end = 0, None
+        while queue:
+            rid, gain = queue.popleft()
+            if gain < best[rid]:
+                continue  # a later entry carries this researcher's better gain
+            for pid, weight in weights[rid].items():
+                holder = owner.get(pid)
+                if holder is None:
+                    if gain + weight > end_gain:
+                        end_gain, end = gain + weight, (rid, pid)
+                elif holder != rid:
+                    relaxed = gain + weight - weights[holder][pid]
+                    if holder not in best or relaxed > best[holder]:
+                        best[holder] = relaxed
+                        via[holder] = (rid, pid)
+                        queue.append((holder, relaxed))
+        if end is None:
+            break
+        rid, pid = end
+        while rid in via:
+            owner[pid] = rid
+            rid, pid = via[rid]
+        owner[pid] = rid
+        room[rid] -= 1
 
-    def item_key(pid: str):
-        return (-best_units[pid], tiebreak[pid])
-
-    product_ids = sorted(best_units, key=item_key)
-    item_index = {pid: j for j, pid in enumerate(product_ids)}
-
-    edges = []
-    for rid in active:
-        for pid in sorted(set(candidates.get(rid, ())), key=item_key):
-            weight = units[(rid, pid)] + _SHORTFALL_UNITS
-            if weight > 0:
-                edges.append((agent_index[rid], item_index[pid], weight))
-
-    chosen = _max_weight_assignment(capacities, len(product_ids), edges)
+    # Each augmenting path assigns one more product.
+    log.debug("%s: %d eligible pairs, %d augmenting paths", tag, size, len(owner))
     assignment: dict[str, list[str]] = {rid: [] for rid in active}
-    for agent, item in chosen:
-        assignment[active[agent]].append(product_ids[item])
-    for rid in active:
-        assignment[rid] = _canonical_order(units, tiebreak, rid, assignment[rid])
+    for rid, pid in pairs:
+        if owner.get(pid) == rid:
+            assignment[rid].append(pid)
     return _finalize(tag, problem, assignment)
 
 

@@ -1,8 +1,8 @@
-"""Exhaustive assignment oracle and randomized instance generator.
+"""Exhaustive assignment oracles and randomized instance generator.
 
-The oracle enumerates every feasible assignment (memoized over remaining
+The oracles enumerate every feasible assignment (memoized over remaining
 capacities, which prunes nothing from the search space, only repeated
-subproblems) and is independent of the flow-based optimizer it checks.
+subproblems) and are independent of the augmenting-path optimizer they check.
 """
 
 from __future__ import annotations
@@ -64,6 +64,65 @@ def best_total_score(corpus: Corpus, scored, candidates: dict[str, tuple[str, ..
     return total_units / SCALE
 
 
+def canonical_assignment(
+    corpus: Corpus, scored, candidates: dict[str, tuple[str, ...]]
+) -> dict[str, frozenset[str]]:
+    """The maximum-total assignment that the exact engines' tie rule names.
+
+    Eligible pairs (score beats the shortfall penalty) are numbered by
+    researcher id, then by score desc, citations desc, year asc, product id
+    asc; pair k of E weighs (gain << E) | (1 << (E - 1 - k)). The picks that
+    maximize the summed weight are the maximum-total selection whose pick set
+    is lexicographically first in that order.
+    """
+    active = [
+        rid for rid in sorted(corpus.researchers)
+        if corpus.researchers[rid].quota > 0 and 1 <= corpus.researchers[rid].uda <= 9
+    ]
+    pairs = []
+    for rid in active:
+        eligible = []
+        for pid in set(candidates.get(rid, ())):
+            gain = round(scored[(rid, pid)].score * SCALE) + SHORT_UNITS
+            if gain > 0:
+                product = corpus.products[pid]
+                eligible.append((-gain, -product.max_citations, product.year, pid))
+        pairs += [(rid, pid, -neg_gain) for neg_gain, _, _, pid in sorted(eligible)]
+    size = len(pairs)
+
+    product_ids = sorted({pid for _, pid, _ in pairs})
+    holders: dict[str, list[tuple[int, int]]] = {pid: [] for pid in product_ids}
+    for k, (rid, pid, gain) in enumerate(pairs):
+        holders[pid].append((active.index(rid), (gain << size) | (1 << (size - 1 - k))))
+
+    memo: dict[tuple[int, tuple[int, ...]], tuple[int, int | None]] = {}
+
+    def best(idx: int, caps: tuple[int, ...]) -> tuple[int, int | None]:
+        """(best weight from product idx on, agent taking product idx or None)."""
+        if idx == len(product_ids):
+            return 0, None
+        key = (idx, caps)
+        if key not in memo:
+            choice = (best(idx + 1, caps)[0], None)
+            for agent, weight in holders[product_ids[idx]]:
+                if caps[agent] > 0:
+                    reduced = caps[:agent] + (caps[agent] - 1,) + caps[agent + 1:]
+                    value = weight + best(idx + 1, reduced)[0]
+                    if value > choice[0]:
+                        choice = (value, agent)
+            memo[key] = choice
+        return memo[key]
+
+    picks: dict[str, set[str]] = {rid: set() for rid in active}
+    caps = tuple(corpus.researchers[rid].quota for rid in active)
+    for idx, pid in enumerate(product_ids):
+        agent = best(idx, caps)[1]
+        if agent is not None:
+            picks[active[agent]].add(pid)
+            caps = caps[:agent] + (caps[agent] - 1,) + caps[agent + 1:]
+    return {rid: frozenset(p) for rid, p in picks.items()}
+
+
 SCORE_CHOICES = [1.0, 1.0, 0.8, 0.8, 0.5, 0.5, 0.25, 0.0, -1.0, -2.0]
 
 _OUTCOMES = {
@@ -74,14 +133,19 @@ _OUTCOMES = {
 
 
 def random_instance(rng: random.Random) -> tuple[Corpus, dict]:
-    """Small random corpus plus a synthetic scored map.
+    """Small random corpus plus a synthetic scored map: up to 6 researchers
+    and 10 products."""
+    return sized_instance(rng, rng.randint(1, 6), rng.randint(1, 10))
 
-    Up to 6 researchers and 10 products, quotas up to 3, random
-    co-authorship, random proposal priorities (researchers may propose
-    nothing at all), mixed indexed/non-indexed products.
+
+def sized_instance(rng: random.Random, n_res: int, n_prod: int) -> tuple[Corpus, dict]:
+    """Random corpus of n_res researchers and n_prod products, with a
+    synthetic scored map.
+
+    Quotas up to 3, one to three co-authors per product, random proposal
+    priorities (researchers may propose nothing at all), mixed
+    indexed/non-indexed products.
     """
-    n_res = rng.randint(1, 6)
-    n_prod = rng.randint(1, 10)
     researchers = [
         Researcher(id=f"R{i}", sds="", uda=rng.randint(1, 9),
                    quota=rng.choice([0, 1, 1, 2, 2, 3, 3]))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import shutil
 from pathlib import Path
 
@@ -130,6 +131,33 @@ def test_simulate_builds_the_problem_once(tmp_path, monkeypatch):
         "--scenarios", "1,2,3,exact-A,exact-C", "-o", str(tmp_path / "out"),
     ]) == 0
     assert len(calls) == 1
+
+
+def test_failed_run_leaves_no_output_directory(tmp_path):
+    for command in ("simulate", "report"):
+        outdir = tmp_path / command / "out"
+        assert main([
+            command, "--corpus", str(tmp_path / "nonexistent"),
+            "--profiles", str(MINI / "profiles.json"), "--ref", str(MINI / "ref"),
+            "-o", str(outdir),
+        ]) == 2
+        assert not outdir.parent.exists()
+
+
+def test_simulate_logs_each_stage(tmp_path, caplog, capsys):
+    caplog.set_level(logging.DEBUG, logger="assessopt")
+    assert main(["simulate", *MINI_ARGS, "-o", str(tmp_path / "out")]) == 0
+    stdout = capsys.readouterr().out
+    messages = [r.getMessage() for r in caplog.records]
+    assert any(m.startswith("corpus: ") for m in messages)
+    assert any(m.startswith("scored ") for m in messages)
+    assert any("active researchers" in m for m in messages)
+    for tag in selection.SCENARIO_TAGS:
+        assert f"{tag}: total score" in stdout
+        assert any(m.startswith(f"{tag}: total score") for m in messages)
+    assert any(m.startswith("exact-C: ") and "augmenting paths" in m for m in messages)
+    for name in OUTPUT_FILES:
+        assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_simulate_exact_only(tmp_path):

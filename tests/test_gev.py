@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from assessopt.gev import (
     MERIT_SCORES,
     RECENT_PRODUCTS_MATRIX,
     WOS_ONLY,
+    GevProfile,
     default_profiles,
     dump_profiles,
     load_profiles,
@@ -308,6 +310,18 @@ def test_profiles_json_round_trip(tmp_path):
     profiles = default_profiles()
     dump_profiles(profiles, path)
     assert load_profiles(path) == profiles
+
+
+def test_profiles_json_omitted_keys_take_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "profiles.json"
+    full = support.profile()
+    dump_profiles({3: full}, path)
+    (entry,) = json.loads(path.read_text(encoding="utf-8"))["profiles"]
+    minimal = {key: entry[key] for key in ("gev_id", "allowed_kinds", "age_bands")}
+    path.write_text(json.dumps({"profiles": [minimal]}), encoding="utf-8")
+    assert load_profiles(path) == {3: GevProfile(
+        gev_id=3, name="GEV 3", allowed_kinds=full.allowed_kinds, age_bands=full.age_bands,
+    )}
 
 
 def test_profiles_json_rejects_bad_matrix(tmp_path):

@@ -171,8 +171,9 @@ def test_rendering_is_deterministic():
     corpus, scored, selections = three_scenarios()
     errors = error_metrics(build_sets(corpus, scored))
     averages = average_table(build_sets(corpus, scored))
-    first = render_report(corpus, selections, errors, averages)
-    second = render_report(corpus, selections, errors, averages)
+    table = scenario_table(selections)
+    first = render_report(corpus, selections, errors, averages, table)
+    second = render_report(corpus, selections, errors, averages, table)
     assert first == second
     assert "## Scenario comparison by area" in first
     assert "## Selection errors" in first

@@ -19,7 +19,7 @@ from assessopt.selection import (
 )
 
 import support
-from bruteforce import best_total_score, random_instance
+from bruteforce import best_total_score, canonical_assignment, random_instance, sized_instance
 
 
 def simple_corpus(researchers, authorship_scores, quotas=None, products_extra=None):
@@ -352,6 +352,42 @@ def test_exact_matches_oracle_randomized():
         got_c = optimize_exact(problem, full, EXACT_FULL)
         assert got_a.total_score == best_total_score(corpus, scored, proposed)
         assert got_c.total_score == best_total_score(corpus, scored, full)
+
+
+def test_exact_reports_the_canonical_optimum_randomized():
+    # Seed 7 draws instances with tied optima where an order-dependent
+    # solver reports a different pick set than the stated tie rule.
+    rng = random.Random(7)
+    for _ in range(400):
+        corpus, scored = random_instance(rng)
+        problem = build_sets(corpus, scored)
+        for pool, tag in ((problem.pool_a, EXACT_PROPOSED), (problem.pool_c, EXACT_FULL)):
+            got = optimize_exact(problem, pool, tag).assignment
+            assert {rid: frozenset(p) for rid, p in got.items()} == canonical_assignment(
+                corpus, scored, pool
+            )
+
+
+def test_exact_matches_linear_sum_assignment_at_scale():
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
+    rng = random.Random(11)
+    corpus, scored = sized_instance(rng, 240, 1600)
+    problem = build_sets(corpus, scored)
+    assert len(problem.active) >= 200
+    for pool, tag in ((problem.pool_a, EXACT_PROPOSED), (problem.pool_c, EXACT_FULL)):
+        # One row per quota slot; a slot takes a product or its own empty column.
+        slots = [rid for rid in problem.active for _ in range(corpus.researchers[rid].quota)]
+        products = sorted({pid for rid in problem.active for pid in pool[rid]})
+        column = {pid: j for j, pid in enumerate(products)}
+        gains = np.zeros((len(slots), len(products) + len(slots)), dtype=np.int64)
+        for i, rid in enumerate(slots):
+            for pid in pool[rid]:
+                gains[i, column[pid]] = max(0, score_units(scored[(rid, pid)].score) + 5000)
+        rows, cols = linear_sum_assignment(gains, maximize=True)
+        optimum = int(gains[rows, cols].sum()) - 5000 * len(slots)
+        assert optimize_exact(problem, pool, tag).total_score == optimum / 10000
 
 
 def test_selection_feasibility_randomized():

@@ -1,9 +1,9 @@
 """Command-line front end wiring ingestion, scoring, simulation and reporting.
 
 Exit codes: 0 success, 1 validation failure (integrity violations, missing
-distributions, peer-review-only areas), 2 IO or parse failure. Set
-ASSESS_OPT_LOG=DEBUG|INFO|... for diagnostics on stderr. Reruns on identical
-inputs produce byte-identical output files.
+distributions, peer-review-only areas), 2 IO or parse failure or an unknown
+ASSESS_OPT_LOG level. Set ASSESS_OPT_LOG=DEBUG|INFO|... for diagnostics on
+stderr. Reruns on identical inputs produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -90,9 +90,9 @@ def _run_pipeline(args, tags: list[str]):
     scored = gev.score_corpus(corpus, profiles, library)
     log.info("scored %d authorships", len(scored))
     problem = selection.build_sets(corpus, scored)
-    log.info("%d active researchers; candidate pairs: pool A %d, pool C %d",
-             len(problem.active), sum(len(problem.pool_a[rid]) for rid in problem.active),
-             sum(len(problem.pool_c[rid]) for rid in problem.active))
+    log.info("%d active researchers; eligible pairs: pool A %d, pool C %d",
+             len(problem.active), sum(map(len, problem.pool_a.values())),
+             sum(map(len, problem.pool_c.values())))
     errors = selection.error_metrics(problem)
     selections = {}
     for tag in tags:
@@ -218,9 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    level = os.environ.get("ASSESS_OPT_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"error: ASSESS_OPT_LOG: unknown level {level!r}", file=sys.stderr)
+        return 2
     logging.basicConfig(
         stream=sys.stderr,
-        level=os.environ.get("ASSESS_OPT_LOG", "WARNING").upper(),
+        level=level.upper(),
         format="%(levelname)s %(name)s: %(message)s",
     )
     parser = build_parser()

@@ -127,25 +127,30 @@ def read_rows(path: Path, columns: list[str]) -> list[tuple[int, dict[str, str]]
     if not path.exists():
         raise ParseError("file not found", file=str(path))
     rows: list[tuple[int, dict[str, str]]] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file, header row required", file=str(path)) from None
-        if header != columns:
-            raise ParseError(
-                f"bad header {header!r}, expected {columns!r}", file=str(path), line=1
-            )
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(columns):
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise ParseError("empty file, header row required", file=str(path)) from None
+            if header != columns:
                 raise ParseError(
-                    f"expected {len(columns)} fields, got {len(row)}",
-                    file=str(path), line=reader.line_num,
+                    f"bad header {header!r}, expected {columns!r}", file=str(path), line=1
                 )
-            rows.append((reader.line_num, dict(zip(columns, row))))
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(columns):
+                    raise ParseError(
+                        f"expected {len(columns)} fields, got {len(row)}",
+                        file=str(path), line=reader.line_num,
+                    )
+                rows.append((reader.line_num, dict(zip(columns, row))))
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})", file=str(path)
+        ) from None
     return rows
 
 

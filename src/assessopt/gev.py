@@ -402,15 +402,46 @@ def dump_profiles(profiles: dict[int, GevProfile], path: str | Path) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-# Profile keys a pack may omit, so that the GevProfile default applies.
+_JSON_TYPE_NAMES = {bool: "true or false", str: "a string", int: "an integer",
+                    (int, float): "a number", list: "a list", dict: "an object"}
+
+
+def _typed(value, kind, key: str):
+    """value itself if it has the JSON type kind; true and false are no numbers."""
+    if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
+        return value
+    raise TypeError(f"{key} must be {_JSON_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+
+
+def _year_span(value) -> tuple[int, int]:
+    years = _typed(value, list, "age_bands years")
+    if len(years) != 2:
+        raise ValueError(f"age_bands years must be [first, last], got {json.dumps(years)}")
+    return _typed(years[0], int, "age_bands years"), _typed(years[1], int, "age_bands years")
+
+
+def _number(value, key: str) -> float:
+    return float(_typed(value, (int, float), key))
+
+
+def _string_set(value, key: str) -> frozenset[str]:
+    items = _typed(value, list, key)
+    return frozenset(_typed(item, str, f"{key}[{i}]") for i, item in enumerate(items))
+
+
+# Profile keys a pack may omit, so that the GevProfile default applies. Each
+# parser takes the JSON value and its key, and rejects a wrong JSON type.
 _OPTIONAL_PROFILE_KEYS = {
-    "source_policy": str,
-    "split_citation_doctype": bool,
-    "ir_journal_class_list": lambda classes: {str(k): int(v) for k, v in classes.items()},
-    "forced_ir_journals": frozenset,
-    "no_metric_score": float,
-    "non_indexed_score": float,
-    "ir_assumed_score": float,
+    "source_policy": lambda v, key: _typed(v, str, key),
+    "split_citation_doctype": lambda v, key: _typed(v, bool, key),
+    "ir_journal_class_list": lambda v, key: {
+        journal: _typed(cls, int, f"{key}[{json.dumps(journal)}]")
+        for journal, cls in _typed(v, dict, key).items()
+    },
+    "forced_ir_journals": _string_set,
+    "no_metric_score": _number,
+    "non_indexed_score": _number,
+    "ir_assumed_score": _number,
 }
 
 
@@ -421,6 +452,11 @@ def load_profiles(path: str | Path) -> dict[int, GevProfile]:
         raise ParseError("file not found", file=str(path))
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x} at offset {exc.start})",
+            file=str(path),
+        ) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", file=str(path)) from None
 
@@ -430,17 +466,17 @@ def load_profiles(path: str | Path) -> dict[int, GevProfile]:
         for entry in entries:
             bands = tuple(
                 (
-                    (int(band["years"][0]), int(band["years"][1])),
+                    _year_span(band["years"]),
                     ClassificationMatrix.from_rows(band["matrix"]),
                 )
                 for band in entry["age_bands"]
             )
             profile = GevProfile(
-                gev_id=int(entry["gev_id"]),
-                name=entry.get("name", f"GEV {entry['gev_id']}"),
-                allowed_kinds=frozenset(entry["allowed_kinds"]),
+                gev_id=_typed(entry["gev_id"], int, "gev_id"),
+                name=_typed(entry.get("name", f"GEV {entry['gev_id']}"), str, "name"),
+                allowed_kinds=_string_set(entry["allowed_kinds"], "allowed_kinds"),
                 age_bands=bands,
-                **{key: parse(entry[key]) for key, parse in _OPTIONAL_PROFILE_KEYS.items()
+                **{key: parse(entry[key], key) for key, parse in _OPTIONAL_PROFILE_KEYS.items()
                    if key in entry},
             )
             if profile.gev_id in profiles:

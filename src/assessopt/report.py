@@ -21,6 +21,7 @@ from .selection import (
     SCENARIO1,
     SCENARIO2,
     SCENARIO3,
+    SCENARIO_TAGS,
     SCORE_SCALE,
     ResearcherErrors,
     Selection,
@@ -317,7 +318,6 @@ def render_average_markdown(table: AverageScoreTable) -> str:
 
 
 def render_totals_markdown(selections: dict[str, Selection]) -> str:
-    order = [SCENARIO1, SCENARIO2, SCENARIO3, EXACT_PROPOSED, EXACT_FULL]
     labels = {
         SCENARIO1: "Scenario 1 (declared priorities)",
         SCENARIO2: "Scenario 2 (best scores, proposed products)",
@@ -326,7 +326,7 @@ def render_totals_markdown(selections: dict[str, Selection]) -> str:
         EXACT_FULL: "Exact optimum, full pool",
     }
     lines = ["| Selection | Total score |", "| --- | ---: |"]
-    for tag in order:
+    for tag in SCENARIO_TAGS:
         if tag in selections:
             lines.append(f"| {labels[tag]} | {_fmt_score(selections[tag].total_score)} |")
     return "\n".join(lines) + "\n"

@@ -78,10 +78,14 @@ class SelectionProblem:
     units:       integer score units of every scored (researcher, product) pair
     active:      researchers who take part in a selection, by id
     portfolios:  every researcher's product sets, by id
-    pool_a:      candidate pool A, each researcher's proposed products
-    pool_c:      candidate pool C, pool A plus the indexed unproposed products
+    pool_c:      candidate pool C, the proposed plus the indexed unproposed
+                 products: eligible candidates (score beats the empty-slot
+                 penalty), canonical order, active researchers
+    pool_a:      candidate pool A, the proposed products of pool C, same order
     tiebreak:    each product's rank by citations desc, year asc, id asc;
                  the canonical order is score desc, then this rank
+
+    Every score-driven engine (scenarios 2-3, exact-A/C) reads the pools as given.
     """
 
     corpus: Corpus
@@ -92,13 +96,6 @@ class SelectionProblem:
     pool_a: dict[str, tuple[str, ...]]
     pool_c: dict[str, tuple[str, ...]]
     tiebreak: dict[str, int]
-
-
-def _canonical_order(
-    units: dict[tuple[str, str], int], tiebreak: dict[str, int], researcher_id: str, product_ids
-) -> list[str]:
-    """One researcher's products by score desc, citations desc, year asc, id asc."""
-    return sorted(product_ids, key=lambda pid: (-units[(researcher_id, pid)], tiebreak[pid]))
 
 
 def build_sets(corpus: Corpus, scored: ScoredMap) -> SelectionProblem:
@@ -114,6 +111,8 @@ def build_sets(corpus: Corpus, scored: ScoredMap) -> SelectionProblem:
         by_researcher.setdefault(a.researcher_id, []).append(a)
 
     portfolios: dict[str, ResearcherPortfolio] = {}
+    pool_a: dict[str, tuple[str, ...]] = {}
+    pool_c: dict[str, tuple[str, ...]] = {}
     for rid in sorted(corpus.researchers):
         researcher = corpus.researchers[rid]
         auths = by_researcher.get(rid, [])
@@ -129,23 +128,26 @@ def build_sets(corpus: Corpus, scored: ScoredMap) -> SelectionProblem:
             for a in auths
             if a.declared_priority is None and corpus.products[a.product_id].indexed
         ))
-        best = _canonical_order(units, tiebreak, rid, proposed + unproposed)[: researcher.quota]
+        ranked = sorted(proposed + unproposed,
+                        key=lambda pid: (-units[(rid, pid)], tiebreak[pid]))
         portfolios[rid] = ResearcherPortfolio(
             researcher_id=rid,
             proposed=proposed,
             unproposed_indexed=unproposed,
             declared_pick=proposed[: researcher.quota],
-            best_pick=tuple(best),
+            best_pick=tuple(ranked[: researcher.quota]),
         )
+        if researcher.quota > 0 and researcher.uda in BIBLIOMETRIC_UDAS:
+            pool_c[rid] = tuple(pid for pid in ranked if units[(rid, pid)] + _SHORTFALL_UNITS > 0)
+            pool_a[rid] = tuple(pid for pid in pool_c[rid] if pid in proposed)
     return SelectionProblem(
         corpus=corpus,
         scored=scored,
         units=units,
-        active=tuple(rid for rid, r in sorted(corpus.researchers.items())
-                     if r.quota > 0 and r.uda in BIBLIOMETRIC_UDAS),
+        active=tuple(pool_c),
         portfolios=portfolios,
-        pool_a={rid: p.proposed for rid, p in portfolios.items()},
-        pool_c={rid: p.proposed + p.unproposed_indexed for rid, p in portfolios.items()},
+        pool_a=pool_a,
+        pool_c=pool_c,
         tiebreak=tiebreak,
     )
 
@@ -308,27 +310,17 @@ def scenario1(problem: SelectionProblem) -> Selection:
 def _greedy_best_score(
     tag: str, problem: SelectionProblem, candidates: dict[str, tuple[str, ...]]
 ) -> Selection:
-    """Greedy selection over per-researcher candidate sets in score order.
+    """Greedy selection over one of the problem's pools, in score order.
 
-    Only candidates whose score beats the shortfall penalty are ever
-    assigned. A product wanted by several capacity-holding researchers is
-    granted to the claimant whose best remaining alternative scores lower
-    (no alternative ranks lowest of all); remaining ties go to the smaller
-    researcher id.
+    A product wanted by several capacity-holding researchers goes to the
+    claimant whose best remaining alternative scores lower (no alternative
+    ranks lowest of all); remaining ties go to the smaller researcher id.
     """
     active, units, tiebreak = problem.active, problem.units, problem.tiebreak
-
-    def gain(rid: str, pid: str) -> int:
-        return units[(rid, pid)] + _SHORTFALL_UNITS
-
-    pairs = []
+    pairs = [(rid, pid) for rid in active for pid in candidates[rid]]
     holders: dict[str, list[str]] = {}
-    for rid in active:
-        for pid in candidates.get(rid, ()):
-            if gain(rid, pid) > 0:
-                pairs.append((rid, pid))
-                holders.setdefault(pid, []).append(rid)
-
+    for rid, pid in pairs:
+        holders.setdefault(pid, []).append(rid)
     pairs.sort(key=lambda pair: (-units[pair], tiebreak[pair[1]], pair[0]))
 
     capacity = {rid: problem.corpus.researchers[rid].quota for rid in active}
@@ -336,14 +328,11 @@ def _greedy_best_score(
     assignment: dict[str, list[str]] = {rid: [] for rid in active}
 
     def best_alternative_units(rid: str, excluding: str) -> float:
-        best = float("-inf")
-        for pid in candidates.get(rid, ()):
-            if pid == excluding or pid in consumed:
-                continue
-            g = gain(rid, pid)
-            if g > 0:
-                best = max(best, units[(rid, pid)])
-        return best
+        # The pool is ranked by score, so the first free entry is the best.
+        for pid in candidates[rid]:
+            if pid != excluding and pid not in consumed:
+                return units[(rid, pid)]
+        return float("-inf")
 
     for rid, pid in pairs:
         if pid in consumed or capacity[rid] == 0:
@@ -372,25 +361,19 @@ def scenario3(problem: SelectionProblem) -> Selection:
 def optimize_exact(
     problem: SelectionProblem, candidates: dict[str, tuple[str, ...]], tag: str
 ) -> Selection:
-    """Provably optimal selection over the given candidate sets.
+    """Provably optimal selection over one of the problem's pools.
 
     Maximizes total score (assigned scores minus half a point per unfilled
-    slot) subject to product uniqueness and per-researcher quotas; a pair is
-    eligible only when its score beats the shortfall penalty. Solved by
+    slot) subject to product uniqueness and per-researcher quotas. Solved by
     successive longest augmenting paths, searched over researchers only.
 
-    Tie rule: number the E eligible pairs by researcher id, then by that
-    researcher's canonical order; pair k weighs (gain << E) | (1 << (E-1-k)).
+    Tie rule: number the E pool entries (the eligible pairs) by researcher id,
+    then pool order; pair k weighs (gain << E) | (1 << (E-1-k)).
     Among the maximum-total selections this reports the one whose set of
     (researcher, product) picks is lexicographically first in that order.
     """
-    active, units, tiebreak = problem.active, problem.units, problem.tiebreak
-    pairs = [
-        (rid, pid)
-        for rid in active
-        for pid in _canonical_order(units, tiebreak, rid, set(candidates.get(rid, ())))
-        if units[(rid, pid)] + _SHORTFALL_UNITS > 0
-    ]
+    active, units = problem.active, problem.units
+    pairs = [(rid, pid) for rid in active for pid in candidates[rid]]
     size = len(pairs)
     weights: dict[str, dict[str, int]] = {rid: {} for rid in active}
     for k, (rid, pid) in enumerate(pairs):

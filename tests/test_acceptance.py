@@ -116,8 +116,8 @@ def test_criteria_4_and_5_oracle_equivalence_and_monotonicity():
         proposed = {r: p.proposed for r, p in sets.items()}
         full = {r: p.proposed + p.unproposed_indexed for r, p in sets.items()}
 
-        exact_a = optimize_exact(problem, proposed, "exact-A")
-        exact_c = optimize_exact(problem, full, "exact-C")
+        exact_a = optimize_exact(problem, problem.pool_a, "exact-A")
+        exact_c = optimize_exact(problem, problem.pool_c, "exact-C")
         assert exact_a.total_score == best_total_score(corpus, scored, proposed)
         assert exact_c.total_score == best_total_score(corpus, scored, full)
 

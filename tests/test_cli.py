@@ -6,6 +6,8 @@ import logging
 import shutil
 from pathlib import Path
 
+import pytest
+
 from assessopt import selection
 from assessopt.cli import main
 
@@ -36,6 +38,27 @@ def test_validate_accepts_byte_order_mark(tmp_path):
         "validate", "--corpus", str(corpus),
         "--profiles", str(MINI / "profiles.json"), "--ref", str(MINI / "ref"),
     ]) == 0
+
+
+@pytest.mark.parametrize("name", ["researchers.csv", "profiles.json"])
+def test_validate_rejects_non_utf8_input(tmp_path, capsys, name):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(MINI, corpus)
+    path = corpus / name
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xe9", 1))
+    assert main([
+        "validate", "--corpus", str(corpus),
+        "--profiles", str(corpus / "profiles.json"), "--ref", str(MINI / "ref"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not UTF-8 text (byte 0xe9")
+    assert err.count("\n") == 1  # one message line, no traceback
+
+
+def test_unknown_log_level_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("ASSESS_OPT_LOG", "verbose")
+    assert main(["validate", *MINI_ARGS]) == 2
+    assert capsys.readouterr().err == "error: ASSESS_OPT_LOG: unknown level 'verbose'\n"
 
 
 def test_validate_dangling_reference(tmp_path, capsys):

@@ -335,6 +335,34 @@ def test_profiles_json_rejects_bad_matrix(tmp_path):
         load_profiles(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("split_citation_doctype", "false"),
+    ("forced_ir_journals", "J12345"),
+    ("forced_ir_journals", [5]),
+    ("ir_journal_class_list", [["J1", 1]]),
+    ("ir_journal_class_list", {"J1": "1"}),
+    ("allowed_kinds", "review"),
+    ("source_policy", 5),
+    ("no_metric_score", "0.5"),
+    ("ir_assumed_score", True),
+    ("gev_id", 3.7),
+    ("name", 5),
+    ("age_bands years", [2004.5, 2010]),
+    ("age_bands years", [2004]),
+])
+def test_profiles_json_rejects_wrong_json_types(tmp_path, key, value):
+    path = tmp_path / "profiles.json"
+    dump_profiles({3: support.profile()}, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    if key == "age_bands years":
+        payload["profiles"][0]["age_bands"][0]["years"] = value
+    else:
+        payload["profiles"][0][key] = value
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ParseError, match=f"malformed profile entry: {key}"):
+        load_profiles(path)
+
+
 def test_validate_profiles_band_coverage():
     gappy = support.profile(age_bands=(((2004, 2008), MATURE_PRODUCTS_MATRIX),))
     problems = validate_profiles({3: gappy})

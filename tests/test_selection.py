@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 
+from assessopt.corpus import BIBLIOMETRIC_UDAS
 from assessopt.selection import (
     EXACT_FULL,
     EXACT_PROPOSED,
+    SHORTFALL_PENALTY,
     build_sets,
     error_metrics,
     exact_over_full,
@@ -93,6 +95,31 @@ def test_unproposed_non_indexed_products_are_invisible():
     sets = build_sets(corpus, scored).portfolios
     assert sets["R1"].unproposed_indexed == ()
     assert sets["R1"].proposed == ("P1",)
+
+
+def test_pools_hold_eligible_candidates_best_first_randomized():
+    rng = random.Random(31)
+    for _ in range(200):
+        corpus, scored = random_instance(rng)
+        problem = build_sets(corpus, scored)
+        active = [rid for rid, r in sorted(corpus.researchers.items())
+                  if r.quota > 0 and r.uda in BIBLIOMETRIC_UDAS]
+        assert sorted(problem.pool_a) == sorted(problem.pool_c) == active
+        for rid in active:
+            proposed = {a.product_id for a in corpus.authorships
+                        if a.researcher_id == rid and a.declared_priority is not None}
+            eligible = [
+                a.product_id for a in corpus.authorships
+                if a.researcher_id == rid
+                and (a.product_id in proposed or corpus.products[a.product_id].indexed)
+                and scored[(rid, a.product_id)].score > SHORTFALL_PENALTY
+            ]
+            expected_c = tuple(sorted(eligible, key=lambda pid: (
+                -scored[(rid, pid)].score, -corpus.products[pid].max_citations,
+                corpus.products[pid].year, pid,
+            )))
+            assert problem.pool_c[rid] == expected_c
+            assert problem.pool_a[rid] == tuple(pid for pid in expected_c if pid in proposed)
 
 
 # --- error taxonomy ----------------------------------------------------------
@@ -348,8 +375,8 @@ def test_exact_matches_oracle_randomized():
         sets = problem.portfolios
         proposed = {r: p.proposed for r, p in sets.items()}
         full = {r: p.proposed + p.unproposed_indexed for r, p in sets.items()}
-        got_a = optimize_exact(problem, proposed, EXACT_PROPOSED)
-        got_c = optimize_exact(problem, full, EXACT_FULL)
+        got_a = optimize_exact(problem, problem.pool_a, EXACT_PROPOSED)
+        got_c = optimize_exact(problem, problem.pool_c, EXACT_FULL)
         assert got_a.total_score == best_total_score(corpus, scored, proposed)
         assert got_c.total_score == best_total_score(corpus, scored, full)
 

@@ -1,4 +1,6 @@
-"""Institutional corpus: roster, products, authorships, CSV ingestion and validation.
+"""Institutional corpus: roster, products, authorships, validation, and the CSV layer.
+
+Every CSV file the program reads or writes goes through read_rows and write_rows.
 
 A corpus is immutable after loading. Authorships are normalized to
 (researcher_id, product_id) order so that save/load round-trips are exact.
@@ -7,8 +9,10 @@ A corpus is immutable after loading. Authorships are normalized to
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 from pathlib import Path
+from typing import Callable, Iterable, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -46,14 +50,6 @@ SDS_AREA_BY_PREFIX = {
     "SECS-P": 13, "SECS-S": 13,
     "SPS": 14,
 }
-
-RESEARCHER_COLUMNS = ["id", "sds", "uda", "quota"]
-PRODUCT_COLUMNS = [
-    "id", "kind", "year", "fraud_flag",
-    "wos_categories", "wos_metric", "wos_citations", "wos_journal_id",
-    "scopus_categories", "scopus_metric", "scopus_citations", "scopus_journal_id",
-]
-AUTHORSHIP_COLUMNS = ["researcher_id", "product_id", "declared_priority", "gev_override"]
 
 
 @dataclass(frozen=True)
@@ -119,14 +115,54 @@ class Corpus:
     evaluation_window: tuple[int, int] = DEFAULT_WINDOW
 
 
-def read_rows(path: Path, columns: list[str]) -> list[tuple[int, dict[str, str]]]:
-    """Read a CSV into (line, row-dict) pairs, enforcing the exact header.
+# --- CSV layer ---------------------------------------------------------------
+# A schema maps each column of a file to the parser of its fields, which returns
+# the field's value or raises ValueError. str marks a text column and costs no
+# call. float accepts nan and inf: a column parsed by it needs a range check.
+
+
+def optional_int(text: str) -> int | None:
+    return int(text) if text else None
+
+
+def number(text: str) -> float:
+    """A finite float: nan and inf are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def optional_number(text: str) -> float | None:
+    return number(text) if text else None
+
+
+def boolean(text: str) -> bool:
+    token = text.strip().lower()
+    if token in ("", "false", "0"):
+        return False
+    if token in ("true", "1"):
+        return True
+    raise ValueError(text)
+
+
+# What each parser expects, for the message when it raises ValueError.
+_EXPECTED = {int: "an integer", optional_int: "an integer", float: "a number",
+             number: "a finite number", optional_number: "a finite number", boolean: "a boolean"}
+
+
+def read_rows(path: Path, schema: dict[str, Callable[[str], object]]) -> list[tuple[int, dict]]:
+    """Read a CSV into (line, row-dict) pairs of parsed fields, enforcing the
+    schema's exact header.
 
     A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
+    A field its parser rejects is a ParseError naming the file, line and column.
     """
     if not path.exists():
         raise ParseError("file not found", file=str(path))
-    rows: list[tuple[int, dict[str, str]]] = []
+    columns = list(schema)
+    typed = [(i, parse) for i, parse in enumerate(schema.values()) if parse is not str]
+    rows: list[tuple[int, dict]] = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -146,12 +182,29 @@ def read_rows(path: Path, columns: list[str]) -> list[tuple[int, dict[str, str]]
                         f"expected {len(columns)} fields, got {len(row)}",
                         file=str(path), line=reader.line_num,
                     )
+                for i, parse in typed:
+                    try:
+                        row[i] = parse(row[i])
+                    except ValueError:
+                        raise ParseError(f"{columns[i]} is not {_EXPECTED[parse]}: {row[i]!r}",
+                                         file=str(path), line=reader.line_num) from None
                 rows.append((reader.line_num, dict(zip(columns, row))))
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})", file=str(path)
         ) from None
     return rows
+
+
+def write_rows(path: str | Path, schema: dict, rows: Iterable[Sequence]) -> None:
+    """Write a UTF-8 CSV with "\\n" line ends: the schema's header, then the rows.
+
+    None is written as an empty field.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(schema)
+        writer.writerows(rows)
 
 
 def format_number(value: float | int | None) -> str:
@@ -165,58 +218,45 @@ def format_number(value: float | int | None) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
-def _parse_int(value: str, what: str, file: str, line: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(f"{what} is not an integer: {value!r}", file=file, line=line) from None
+RESEARCHER_COLUMNS = {"id": str, "sds": str, "uda": int, "quota": optional_int}
+PRODUCT_COLUMNS = {
+    "id": str, "kind": str, "year": int, "fraud_flag": boolean,
+    "wos_categories": str, "wos_metric": optional_number,
+    "wos_citations": optional_int, "wos_journal_id": str,
+    "scopus_categories": str, "scopus_metric": optional_number,
+    "scopus_citations": optional_int, "scopus_journal_id": str,
+}
+AUTHORSHIP_COLUMNS = {
+    "researcher_id": str, "product_id": str,
+    "declared_priority": optional_int, "gev_override": optional_int,
+}
 
 
-def _parse_opt_int(value: str, what: str, file: str, line: int) -> int | None:
-    return None if value == "" else _parse_int(value, what, file, line)
-
-
-def _parse_opt_float(value: str, what: str, file: str, line: int) -> float | None:
-    if value == "":
+def _record(row: dict, prefix: str, file: str, line: int) -> IndexRecord | None:
+    """The index record in a product row's four prefix_ columns; all empty means absent."""
+    text, metric, citations, journal_id = (
+        row[f"{prefix}_{name}"] for name in ("categories", "metric", "citations", "journal_id")
+    )
+    if text == "" and metric is None and citations is None and journal_id == "":
         return None
-    try:
-        return float(value)
-    except ValueError:
-        raise ParseError(f"{what} is not a number: {value!r}", file=file, line=line) from None
-
-
-def _parse_bool(value: str, what: str, file: str, line: int) -> bool:
-    token = value.strip().lower()
-    if token in ("", "false", "0"):
-        return False
-    if token in ("true", "1"):
-        return True
-    raise ParseError(f"{what} is not a boolean: {value!r}", file=file, line=line)
-
-
-def _parse_record(
-    row: dict[str, str], prefix: str, file: str, line: int
-) -> IndexRecord | None:
-    """Build one index record from its four columns; all-empty means absent."""
-    fields = [row[f"{prefix}_categories"], row[f"{prefix}_metric"],
-              row[f"{prefix}_citations"], row[f"{prefix}_journal_id"]]
-    if all(f == "" for f in fields):
-        return None
-    categories = tuple(c for c in row[f"{prefix}_categories"].split(";") if c)
+    categories = tuple(c for c in text.split(";") if c)
     if not categories:
         raise ParseError(
             f"{prefix} record present but has no subject categories", file=file, line=line
         )
-    if row[f"{prefix}_citations"] == "":
+    if citations is None:
         raise ParseError(
             f"{prefix} record present but has no citation count", file=file, line=line
         )
-    return IndexRecord(
-        subject_categories=categories,
-        citations=_parse_int(row[f"{prefix}_citations"], f"{prefix}_citations", file, line),
-        journal_metric=_parse_opt_float(row[f"{prefix}_metric"], f"{prefix}_metric", file, line),
-        journal_id=row[f"{prefix}_journal_id"] or None,
-    )
+    return IndexRecord(categories, citations, metric, journal_id or None)
+
+
+def _record_fields(record: IndexRecord | None) -> tuple:
+    """The four prefix_ fields of a record, as _record reads them back."""
+    if record is None:
+        return ("", "", "", "")
+    return (";".join(record.subject_categories), format_number(record.journal_metric),
+            record.citations, record.journal_id)
 
 
 def load_corpus(
@@ -239,13 +279,8 @@ def load_corpus(
     researchers: dict[str, Researcher] = {}
     for line, row in read_rows(researchers_path, RESEARCHER_COLUMNS):
         where = f"{researchers_path}:{line}"
-        r = Researcher(
-            id=row["id"],
-            sds=row["sds"],
-            uda=_parse_int(row["uda"], "uda", str(researchers_path), line),
-            quota=_parse_int(row["quota"], "quota", str(researchers_path), line)
-            if row["quota"] != "" else 3,
-        )
+        # An empty quota field takes the dataclass default.
+        r = Researcher(**{k: v for k, v in row.items() if v is not None})
         if not r.id:
             violations.append(f"{where}: empty researcher id")
             continue
@@ -271,14 +306,9 @@ def load_corpus(
             raise ParseError(
                 f"unknown product kind {row['kind']!r}", file=str(products_path), line=line
             )
-        p = Product(
-            id=row["id"],
-            kind=row["kind"],
-            year=_parse_int(row["year"], "year", str(products_path), line),
-            fraud_flag=_parse_bool(row["fraud_flag"], "fraud_flag", str(products_path), line),
-            wos_record=_parse_record(row, "wos", str(products_path), line),
-            scopus_record=_parse_record(row, "scopus", str(products_path), line),
-        )
+        p = Product(row["id"], row["kind"], row["year"], row["fraud_flag"],
+                    _record(row, "wos", str(products_path), line),
+                    _record(row, "scopus", str(products_path), line))
         if not p.id:
             violations.append(f"{where}: empty product id")
             continue
@@ -299,16 +329,7 @@ def load_corpus(
     priorities: dict[str, dict[int, str]] = {}
     for line, row in read_rows(authorships_path, AUTHORSHIP_COLUMNS):
         where = f"{authorships_path}:{line}"
-        a = Authorship(
-            researcher_id=row["researcher_id"],
-            product_id=row["product_id"],
-            declared_priority=_parse_opt_int(
-                row["declared_priority"], "declared_priority", str(authorships_path), line
-            ),
-            gev_override=_parse_opt_int(
-                row["gev_override"], "gev_override", str(authorships_path), line
-            ),
-        )
+        a = Authorship(**row)
         if a.researcher_id not in researchers:
             violations.append(f"{where}: unknown researcher id {a.researcher_id!r}")
         if a.product_id not in products:
@@ -363,40 +384,16 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     """Write the corpus back to the three CSV files in deterministic order."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-
-    with open(directory / "researchers.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESEARCHER_COLUMNS)
-        for rid in sorted(corpus.researchers):
-            r = corpus.researchers[rid]
-            writer.writerow([r.id, r.sds, r.uda, r.quota])
-
-    with open(directory / "products.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PRODUCT_COLUMNS)
-        for pid in sorted(corpus.products):
-            p = corpus.products[pid]
-            row = [p.id, p.kind, p.year, "true" if p.fraud_flag else "false"]
-            for record in (p.wos_record, p.scopus_record):
-                if record is None:
-                    row += ["", "", "", ""]
-                else:
-                    row += [
-                        ";".join(record.subject_categories),
-                        format_number(record.journal_metric),
-                        record.citations,
-                        record.journal_id or "",
-                    ]
-            writer.writerow(row)
-
-    with open(directory / "authorships.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(AUTHORSHIP_COLUMNS)
-        for a in sorted(corpus.authorships, key=lambda a: (a.researcher_id, a.product_id)):
-            writer.writerow([
-                a.researcher_id, a.product_id,
-                format_number(a.declared_priority), format_number(a.gev_override),
-            ])
+    # Both dataclasses list their fields in the order of their files' columns.
+    write_rows(directory / "researchers.csv", RESEARCHER_COLUMNS,
+               [astuple(r) for _, r in sorted(corpus.researchers.items())])
+    write_rows(directory / "products.csv", PRODUCT_COLUMNS, [
+        (p.id, p.kind, p.year, "true" if p.fraud_flag else "false",
+         *_record_fields(p.wos_record), *_record_fields(p.scopus_record))
+        for _, p in sorted(corpus.products.items())
+    ])
+    write_rows(directory / "authorships.csv", AUTHORSHIP_COLUMNS,
+               sorted(map(astuple, corpus.authorships), key=lambda row: row[:2]))
 
 
 def admissibility(product: Product, profile, window: tuple[int, int]) -> str | None:

@@ -8,13 +8,13 @@ product is a pure function of (product, profile, reference library, window).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import reference
 from .corpus import BIBLIOMETRIC_UDAS, DEFAULT_WINDOW, PRODUCT_KINDS, Corpus, IndexRecord, Product, admissibility
+from .corpus import boolean, write_rows
 from .errors import MissingDistributionError, ParseError, PeerReviewOnlyUdaError, ValidationError
 from .reference import DistributionKey, ReferenceLibrary, classify
 
@@ -29,7 +29,8 @@ WOS_ONLY = "wos-only"
 BEST_OF_BOTH = "best-of-both"
 SOURCE_POLICIES = (WOS_ONLY, BEST_OF_BOTH)
 
-SCORED_COLUMNS = ["product_id", "researcher_id", "routing_gev", "outcome", "score", "definite"]
+SCORED_COLUMNS = {"product_id": str, "researcher_id": str, "routing_gev": int, "outcome": str,
+                  "score": float, "definite": boolean}
 
 
 @dataclass(frozen=True)
@@ -311,16 +312,11 @@ def score_corpus(
 def write_scored(
     scored: dict[tuple[str, str], ScoredProduct], path: str | Path
 ) -> None:
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCORED_COLUMNS)
-        for rid, pid in sorted(scored, key=lambda k: (k[1], k[0])):
-            sp = scored[(rid, pid)]
-            writer.writerow([
-                pid, rid, sp.routing_gev, sp.outcome,
-                format(sp.score, "g"), "true" if sp.definite else "false",
-            ])
+    write_rows(path, SCORED_COLUMNS, [
+        (pid, rid, sp.routing_gev, sp.outcome, format(sp.score, "g"),
+         "true" if sp.definite else "false")
+        for (rid, pid), sp in sorted(scored.items(), key=lambda item: (item[0][1], item[0][0]))
+    ])
 
 
 # --- profile configuration -------------------------------------------------
@@ -424,9 +420,20 @@ def _number(value, key: str) -> float:
     return float(_typed(value, (int, float), key))
 
 
+def _strings(value, key: str) -> list[str]:
+    return [_typed(item, str, f"{key}[{i}]") for i, item in enumerate(_typed(value, list, key))]
+
+
 def _string_set(value, key: str) -> frozenset[str]:
-    items = _typed(value, list, key)
-    return frozenset(_typed(item, str, f"{key}[{i}]") for i, item in enumerate(items))
+    return frozenset(_strings(value, key))
+
+
+def _matrix(value) -> ClassificationMatrix:
+    """A list of row lists; a row written as one string would read as its characters."""
+    rows = _typed(value, list, "age_bands matrix")
+    return ClassificationMatrix.from_rows(
+        [_strings(row, f"age_bands matrix[{i}]") for i, row in enumerate(rows)]
+    )
 
 
 # Profile keys a pack may omit, so that the GevProfile default applies. Each
@@ -465,10 +472,7 @@ def load_profiles(path: str | Path) -> dict[int, GevProfile]:
         entries = payload["profiles"]
         for entry in entries:
             bands = tuple(
-                (
-                    _year_span(band["years"]),
-                    ClassificationMatrix.from_rows(band["matrix"]),
-                )
+                (_year_span(band["years"]), _matrix(band["matrix"]))
                 for band in entry["age_bands"]
             )
             profile = GevProfile(

@@ -8,13 +8,12 @@ a boundary fall into the lower (worse-numbered) class.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .corpus import format_number, read_rows
+from .corpus import format_number, number, read_rows, write_rows
 from .errors import MissingDistributionError, ParseError
 
 JOURNAL_METRIC = "journal-metric"
@@ -22,9 +21,16 @@ CITATIONS = "citations"
 INDICATORS = (JOURNAL_METRIC, CITATIONS)
 DOC_SPLITS = ("any", "article", "review")
 
-WORLDVALUE_COLUMNS = ["indicator", "category_group", "year", "doc_split", "value"]
-THRESHOLD_COLUMNS = ["indicator", "category_group", "year", "doc_split", "p50", "p60", "p80", "n"]
-MERGEMAP_COLUMNS = ["category", "category_group"]
+# worldvalues.csv is read in bulk, so its value column is a bare float whose
+# range load_worldvalues checks.
+WORLDVALUE_COLUMNS = {
+    "indicator": str, "category_group": str, "year": int, "doc_split": str, "value": float,
+}
+THRESHOLD_COLUMNS = {
+    "indicator": str, "category_group": str, "year": int, "doc_split": str,
+    "p50": number, "p60": number, "p80": number, "n": int,
+}
+MERGEMAP_COLUMNS = {"category": str, "category_group": str}
 
 
 @dataclass(frozen=True)
@@ -101,34 +107,33 @@ class ReferenceLibrary:
             ) from None
 
 
-def _parse_key(row: dict[str, str], file: str, line: int) -> DistributionKey:
+def _distribution_key(row: dict, file: str, line: int) -> DistributionKey:
     if row["indicator"] not in INDICATORS:
         raise ParseError(f"unknown indicator {row['indicator']!r}", file=file, line=line)
     doc_split = row["doc_split"] or "any"
     if doc_split not in DOC_SPLITS:
         raise ParseError(f"unknown doc_split {doc_split!r}", file=file, line=line)
-    try:
-        year = int(row["year"])
-    except ValueError:
-        raise ParseError(f"year is not an integer: {row['year']!r}", file=file, line=line) from None
-    return DistributionKey(row["indicator"], row["category_group"], year, doc_split)
+    return DistributionKey(row["indicator"], row["category_group"], row["year"], doc_split)
 
 
 def load_worldvalues(path: str | Path) -> dict[DistributionKey, ClassThresholds]:
     """Read raw world values (one per row) and compute thresholds per key."""
     path = Path(path)
     values: dict[DistributionKey, list[float]] = {}
+    # Many rows share a key: each distinct key field tuple is checked once.
+    buckets: dict[tuple, list[float]] = {}
     for line, row in read_rows(path, WORLDVALUE_COLUMNS):
-        key = _parse_key(row, str(path), line)
-        try:
-            value = float(row["value"])
-        except ValueError:
+        fields = (row["indicator"], row["category_group"], row["year"], row["doc_split"])
+        bucket = buckets.get(fields)
+        if bucket is None:
+            key = _distribution_key(row, str(path), line)
+            bucket = buckets[fields] = values.setdefault(key, [])
+        value = row["value"]
+        if not 0 <= value < math.inf:
             raise ParseError(
-                f"value is not a number: {row['value']!r}", file=str(path), line=line
-            ) from None
-        if value < 0:
-            raise ParseError(f"negative value {value}", file=str(path), line=line)
-        values.setdefault(key, []).append(value)
+                f"value is not a finite non-negative number: {value}", file=str(path), line=line
+            )
+        bucket.append(value)
     return {key: build_thresholds(vals) for key, vals in values.items()}
 
 
@@ -137,16 +142,10 @@ def load_thresholds(path: str | Path) -> dict[DistributionKey, ClassThresholds]:
     path = Path(path)
     thresholds: dict[DistributionKey, ClassThresholds] = {}
     for line, row in read_rows(path, THRESHOLD_COLUMNS):
-        key = _parse_key(row, str(path), line)
+        key = _distribution_key(row, str(path), line)
         if key in thresholds:
             raise ParseError(f"duplicate distribution key {key}", file=str(path), line=line)
-        try:
-            t = ClassThresholds(
-                p50=float(row["p50"]), p60=float(row["p60"]),
-                p80=float(row["p80"]), n=int(row["n"]),
-            )
-        except ValueError:
-            raise ParseError("malformed threshold row", file=str(path), line=line) from None
+        t = ClassThresholds(p50=row["p50"], p60=row["p60"], p80=row["p80"], n=row["n"])
         if not t.p50 <= t.p60 <= t.p80:
             raise ParseError(
                 f"thresholds out of order: {t.p50} / {t.p60} / {t.p80}",
@@ -206,15 +205,6 @@ def write_thresholds(
     thresholds: dict[DistributionKey, ClassThresholds], path: str | Path
 ) -> None:
     """Write thresholds in deterministic key order."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(THRESHOLD_COLUMNS)
-        for key in sorted(
-            thresholds, key=lambda k: (k.indicator, k.category_group, k.year, k.doc_split)
-        ):
-            t = thresholds[key]
-            writer.writerow([
-                key.indicator, key.category_group, key.year, key.doc_split,
-                format_number(t.p50), format_number(t.p60), format_number(t.p80), t.n,
-            ])
+    write_rows(path, THRESHOLD_COLUMNS, sorted(
+        (*astuple(key), *map(format_number, astuple(t))) for key, t in thresholds.items()
+    ))

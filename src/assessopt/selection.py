@@ -14,13 +14,12 @@ and a stated tie rule (see optimize_exact) fixes which optimum it reports.
 
 from __future__ import annotations
 
-import csv
 import logging
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import BIBLIOMETRIC_UDAS, Corpus
+from .corpus import BIBLIOMETRIC_UDAS, Corpus, write_rows
 from .gev import ScoredProduct
 
 log = logging.getLogger(__name__)
@@ -36,11 +35,14 @@ EXACT_PROPOSED = "exact-A"
 EXACT_FULL = "exact-C"
 SCENARIO_TAGS = (SCENARIO1, SCENARIO2, SCENARIO3, EXACT_PROPOSED, EXACT_FULL)
 
-SELECTION_COLUMNS = ["scenario", "researcher_id", "slot", "product_id_or_EMPTY", "score_or_penalty"]
-ERRORS_COLUMNS = [
-    "researcher_id", "uda", "inadmissible_in_D", "nil_in_D",
-    "overvalued", "undervalued", "omitted",
-]
+SELECTION_COLUMNS = {
+    "scenario": str, "researcher_id": str, "slot": int, "product_id_or_EMPTY": str,
+    "score_or_penalty": float,
+}
+ERRORS_COLUMNS = {
+    "researcher_id": str, "uda": int, "inadmissible_in_D": int, "nil_in_D": int,
+    "overvalued": int, "undervalued": int, "omitted": int,
+}
 
 ScoredMap = dict[tuple[str, str], ScoredProduct]
 
@@ -441,34 +443,20 @@ RUNNERS = {
 
 def write_selections(selections: list[Selection], scored: ScoredMap, path: str | Path) -> None:
     """Write all selections to one CSV; unfilled slots carry the penalty."""
-    path = Path(path)
-    order = {tag: i for i, tag in enumerate(SCENARIO_TAGS)}
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SELECTION_COLUMNS)
-        for selection in sorted(selections, key=lambda s: order[s.tag]):
+    def rows():
+        for selection in sorted(selections, key=lambda s: SCENARIO_TAGS.index(s.tag)):
             for rid in sorted(selection.assignment):
-                slot = 0
-                for pid in selection.assignment[rid]:
-                    slot += 1
-                    writer.writerow([
-                        selection.tag, rid, slot, pid,
-                        format(scored[(rid, pid)].score, "g"),
-                    ])
-                for _ in range(selection.shortfall[rid]):
-                    slot += 1
-                    writer.writerow([
-                        selection.tag, rid, slot, "EMPTY", format(SHORTFALL_PENALTY, "g"),
-                    ])
+                slots = [(pid, scored[(rid, pid)].score) for pid in selection.assignment[rid]]
+                slots += [("EMPTY", SHORTFALL_PENALTY)] * selection.shortfall[rid]
+                for slot, (pid, value) in enumerate(slots, 1):
+                    yield selection.tag, rid, slot, pid, format(value, "g")
+
+    write_rows(path, SELECTION_COLUMNS, rows())
 
 
 def write_errors(errors: tuple[ResearcherErrors, ...], path: str | Path) -> None:
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(ERRORS_COLUMNS)
-        for e in errors:
-            writer.writerow([
-                e.researcher_id, e.uda, e.inadmissible_in_declared, e.nil_in_declared,
-                len(e.overvalued), len(e.undervalued), len(e.omitted),
-            ])
+    write_rows(path, ERRORS_COLUMNS, [
+        (e.researcher_id, e.uda, e.inadmissible_in_declared, e.nil_in_declared,
+         len(e.overvalued), len(e.undervalued), len(e.omitted))
+        for e in errors
+    ])

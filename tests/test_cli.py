@@ -10,6 +10,14 @@ import pytest
 
 from assessopt import selection
 from assessopt.cli import main
+from assessopt.corpus import (
+    AUTHORSHIP_COLUMNS,
+    PRODUCT_COLUMNS,
+    RESEARCHER_COLUMNS,
+    load_corpus_dir,
+)
+from assessopt.errors import ParseError
+from assessopt.reference import THRESHOLD_COLUMNS, WORLDVALUE_COLUMNS, load_reference_dir
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MINI = FIXTURES / "mini_university"
@@ -74,6 +82,74 @@ def test_validate_dangling_reference(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "P99" in err
     assert "authorships.csv:45" in err
+
+
+def _inputs(tmp_path) -> Path:
+    """A copy of mini_university whose ref directory also holds raw world values."""
+    root = tmp_path / "in"
+    shutil.copytree(MINI, root)
+    (root / "ref" / "worldvalues.csv").write_text(
+        "indicator,category_group,year,doc_split,value\n"
+        "citations,EXTRA,2006,any,3\n"
+        "citations,EXTRA,2006,any,1\n",
+        encoding="utf-8",
+    )
+    return root
+
+
+def _set_field(path: Path, column: str, text: str) -> None:
+    """Put text into one column of the first data row (line 2)."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    fields = lines[1].split(",")
+    fields[lines[0].split(",").index(column)] = text
+    lines[1] = ",".join(fields)
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+TYPED_COLUMNS = [
+    (name, column)
+    for name, schema in (
+        ("researchers.csv", RESEARCHER_COLUMNS),
+        ("products.csv", PRODUCT_COLUMNS),
+        ("authorships.csv", AUTHORSHIP_COLUMNS),
+        ("ref/worldvalues.csv", WORLDVALUE_COLUMNS),
+        ("ref/thresholds.csv", THRESHOLD_COLUMNS),
+    )
+    for column, parse in schema.items()
+    if parse is not str
+]
+
+
+@pytest.mark.parametrize("name, column", TYPED_COLUMNS)
+def test_bad_field_names_file_line_column_and_text(tmp_path, name, column):
+    root = _inputs(tmp_path)
+    path = root / name
+    _set_field(path, column, ";")  # no column parser accepts it
+    with pytest.raises(ParseError) as exc:
+        load_corpus_dir(root)
+        load_reference_dir(root / "ref")
+    assert (exc.value.file, exc.value.line) == (str(path), 2)
+    assert f"{column} is not " in str(exc.value)
+    assert "';'" in str(exc.value)
+
+
+@pytest.mark.parametrize("name, column, text", [
+    ("products.csv", "wos_metric", "nan"),
+    ("products.csv", "wos_metric", "inf"),
+    ("ref/thresholds.csv", "p80", "inf"),
+    ("ref/thresholds.csv", "p50", "nan"),
+    ("ref/worldvalues.csv", "value", "nan"),
+    ("ref/worldvalues.csv", "value", "inf"),
+])
+def test_validate_rejects_non_finite_numbers(tmp_path, capsys, name, column, text):
+    root = _inputs(tmp_path)
+    path = root / name
+    _set_field(path, column, text)
+    assert main([
+        "validate", "--corpus", str(root),
+        "--profiles", str(root / "profiles.json"), "--ref", str(root / "ref"),
+    ]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:2: {column} ")
 
 
 def test_validate_missing_file(tmp_path):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +18,8 @@ from assessopt.corpus import (
 from assessopt.errors import ParseError, ValidationError
 
 import support
+
+MINI = Path(__file__).parent / "fixtures" / "mini_university"
 
 RESEARCHERS = """\
 id,sds,uda,quota
@@ -118,6 +121,12 @@ def test_round_trip(tmp_path):
     save_corpus(loaded, tmp_path / "out")
     reloaded = load_corpus_dir(tmp_path / "out")
     assert reloaded == loaded
+
+
+def test_save_corpus_writes_the_fixture_bytes(tmp_path):
+    save_corpus(load_corpus_dir(MINI), tmp_path)
+    for name in ("researchers.csv", "products.csv", "authorships.csv"):
+        assert (tmp_path / name).read_bytes() == (MINI / name).read_bytes(), name
 
 
 metrics = st.none() | st.floats(min_value=0, allow_nan=False, allow_infinity=False)

@@ -6,17 +6,21 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from assessopt.corpus import IndexRecord
+from assessopt.corpus import PRODUCT_KINDS, IndexRecord
 from assessopt.errors import MissingDistributionError, ParseError, PeerReviewOnlyUdaError
 from assessopt.gev import (
     BEST_OF_BOTH,
     FRAUD_SCORE,
     INADMISSIBLE_SCORE,
+    MATRIX_OUTCOMES,
     MATURE_PRODUCTS_MATRIX,
     MERIT_SCORES,
     RECENT_PRODUCTS_MATRIX,
+    SOURCE_POLICIES,
     WOS_ONLY,
+    ClassificationMatrix,
     GevProfile,
     default_profiles,
     dump_profiles,
@@ -312,6 +316,36 @@ def test_profiles_json_round_trip(tmp_path):
     assert load_profiles(path) == profiles
 
 
+_scores = st.floats(min_value=-2, max_value=1)
+_journals = st.text(max_size=8)
+_profiles = st.builds(
+    GevProfile,
+    gev_id=st.integers(1, 9),
+    name=st.text(max_size=20),
+    allowed_kinds=st.frozensets(st.sampled_from(PRODUCT_KINDS)),
+    age_bands=st.lists(st.tuples(
+        st.tuples(st.integers(1990, 2030), st.integers(1990, 2030)).map(sorted).map(tuple),
+        st.lists(st.lists(st.sampled_from(MATRIX_OUTCOMES), min_size=4, max_size=4),
+                 min_size=4, max_size=4).map(ClassificationMatrix.from_rows),
+    ), max_size=3).map(tuple),
+    source_policy=st.sampled_from(SOURCE_POLICIES),
+    split_citation_doctype=st.booleans(),
+    ir_journal_class_list=st.dictionaries(_journals, st.integers(1, 4), max_size=3),
+    forced_ir_journals=st.frozensets(_journals, max_size=3),
+    no_metric_score=_scores,
+    non_indexed_score=_scores,
+    ir_assumed_score=_scores,
+)
+
+
+@given(st.lists(_profiles, max_size=3, unique_by=lambda p: p.gev_id))
+def test_profiles_json_round_trip_is_lossless(tmp_path_factory, profiles):
+    path = tmp_path_factory.mktemp("profiles") / "profiles.json"
+    pack = {p.gev_id: p for p in profiles}
+    dump_profiles(pack, path)
+    assert load_profiles(path) == pack
+
+
 def test_profiles_json_omitted_keys_take_the_dataclass_defaults(tmp_path):
     path = tmp_path / "profiles.json"
     full = support.profile()
@@ -349,13 +383,15 @@ def test_profiles_json_rejects_bad_matrix(tmp_path):
     ("name", 5),
     ("age_bands years", [2004.5, 2010]),
     ("age_bands years", [2004]),
+    ("age_bands matrix", ["ABCD", "ABCD", "ABCD", "ABCD"]),
+    ("age_bands matrix", "AAAA"),
 ])
 def test_profiles_json_rejects_wrong_json_types(tmp_path, key, value):
     path = tmp_path / "profiles.json"
     dump_profiles({3: support.profile()}, path)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    if key == "age_bands years":
-        payload["profiles"][0]["age_bands"][0]["years"] = value
+    if key.startswith("age_bands "):
+        payload["profiles"][0]["age_bands"][0][key.split()[1]] = value
     else:
         payload["profiles"][0][key] = value
     path.write_text(json.dumps(payload), encoding="utf-8")

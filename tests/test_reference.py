@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -172,6 +174,12 @@ def test_threshold_round_trip_is_lossless(tmp_path_factory, thresholds):
     out = tmp_path_factory.mktemp("thresholds") / "thresholds.csv"
     write_thresholds(thresholds, out)
     assert load_thresholds(out) == thresholds
+
+
+def test_write_thresholds_writes_the_fixture_bytes(tmp_path):
+    fixture = Path(__file__).parent / "fixtures" / "witness" / "ref" / "thresholds.csv"
+    write_thresholds(load_thresholds(fixture), tmp_path / "thresholds.csv")
+    assert (tmp_path / "thresholds.csv").read_bytes() == fixture.read_bytes()
 
 
 def test_duplicate_threshold_key(tmp_path):

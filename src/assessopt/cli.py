@@ -16,13 +16,7 @@ from pathlib import Path
 
 from . import gev, reference, report, selection
 from .corpus import DEFAULT_WINDOW, load_corpus_dir
-from .errors import (
-    MismatchedCorpusError,
-    MissingDistributionError,
-    ParseError,
-    PeerReviewOnlyUdaError,
-    ValidationError,
-)
+from .errors import MissingDistributionError, ParseError, PeerReviewOnlyUdaError, ValidationError
 
 log = logging.getLogger("assessopt")
 
@@ -59,8 +53,6 @@ def _parse_scenarios(text: str) -> list[str]:
         tag = SCENARIO_FLAGS[token]
         if tag not in tags:
             tags.append(tag)
-    if not tags:
-        raise argparse.ArgumentTypeError("scenario list is empty")
     return tags
 
 
@@ -85,11 +77,15 @@ def _load_inputs(args):
     return corpus, profiles, library
 
 
-def _run_pipeline(args, tags: list[str]):
+def _load_and_score(args):
     corpus, profiles, library = _load_inputs(args)
     scored = gev.score_corpus(corpus, profiles, library)
     log.info("scored %d authorships", len(scored))
-    problem = selection.build_sets(corpus, scored)
+    return corpus, scored
+
+
+def _run_pipeline(args, tags: list[str]):
+    problem = selection.build_sets(*_load_and_score(args))
     log.info("%d active researchers; eligible pairs: pool A %d, pool C %d",
              len(problem.active), sum(map(len, problem.pool_a.values())),
              sum(map(len, problem.pool_c.values())))
@@ -99,23 +95,6 @@ def _run_pipeline(args, tags: list[str]):
         selections[tag] = selection.RUNNERS[tag](problem)
         log.info("%s: total score %g", tag, selections[tag].total_score)
     return problem, errors, selections
-
-
-def _write_report(outdir: Path, problem, errors, selections) -> None:
-    """Write report.md, plus report.csv when scenarios 1-3 all ran."""
-    table = None
-    if all(t in selections for t in (selection.SCENARIO1, selection.SCENARIO2,
-                                     selection.SCENARIO3)):
-        table = report.scenario_table(selections)
-    averages = report.average_table(problem)
-    (outdir / "report.md").write_text(
-        report.render_report(problem.corpus, selections, errors, averages, table),
-        encoding="utf-8",
-    )
-    if table is not None:
-        (outdir / "report.csv").write_text(
-            report.render_scenario_csv(table), encoding="utf-8"
-        )
 
 
 def cmd_validate(args) -> int:
@@ -132,8 +111,7 @@ def cmd_build_dist(args) -> int:
 
 
 def cmd_score(args) -> int:
-    corpus, profiles, library = _load_inputs(args)
-    scored = gev.score_corpus(corpus, profiles, library)
+    _, scored = _load_and_score(args)
     gev.write_scored(scored, args.output)
     print(f"scored {len(scored)} authorships to {args.output}")
     return 0
@@ -147,27 +125,32 @@ def cmd_errors(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    """simulate and report: write report.md, plus report.csv when scenarios 1-3
+    all ran; simulate also writes scored.csv, selection.csv and errors.csv."""
     problem, errors, selections = _run_pipeline(args, args.scenarios)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
+    table = report.scenario_table(selections)
+    averages = report.average_table(problem)
+    (outdir / "report.md").write_text(
+        report.render_report(problem.corpus, selections, errors, averages, table),
+        encoding="utf-8",
+    )
+    if table is not None:
+        (outdir / "report.csv").write_text(
+            report.render_scenario_csv(table), encoding="utf-8"
+        )
+    if args.command == "report":
+        print(f"report written to {outdir}")
+        return 0
     gev.write_scored(problem.scored, outdir / "scored.csv")
     selection.write_selections(
         list(selections.values()), problem.scored, outdir / "selection.csv"
     )
     selection.write_errors(errors, outdir / "errors.csv")
-    _write_report(outdir, problem, errors, selections)
     for tag in args.scenarios:
         print(f"{tag}: total score {selections[tag].total_score:g}")
     print(f"outputs in {outdir}")
-    return 0
-
-
-def cmd_report(args) -> int:
-    results = _run_pipeline(args, args.scenarios)
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    _write_report(outdir, *results)
-    print(f"report written to {outdir}")
     return 0
 
 
@@ -198,21 +181,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="errors.csv path")
     p.set_defaults(func=cmd_errors)
 
-    p = sub.add_parser("simulate", help="run selection scenarios and write all outputs")
-    _add_input_args(p)
-    p.add_argument("--scenarios", type=_parse_scenarios,
-                   default=list(SCENARIO_FLAGS.values()),
-                   help="comma list from: 1,2,3,exact-A,exact-C")
-    p.add_argument("-o", "--output", required=True, help="output directory")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("report", help="render the analysis report only")
-    _add_input_args(p)
-    p.add_argument("--scenarios", type=_parse_scenarios,
-                   default=list(SCENARIO_FLAGS.values()),
-                   help="comma list from: 1,2,3,exact-A,exact-C")
-    p.add_argument("-o", "--output", required=True, help="output directory")
-    p.set_defaults(func=cmd_report)
+    for name, text in (("simulate", "run selection scenarios and write all outputs"),
+                       ("report", "render the analysis report only")):
+        p = sub.add_parser(name, help=text)
+        _add_input_args(p)
+        p.add_argument("--scenarios", type=_parse_scenarios,
+                       default=list(SCENARIO_FLAGS.values()),
+                       help="comma list from: 1,2,3,exact-A,exact-C")
+        p.add_argument("-o", "--output", required=True, help="output directory")
+        p.set_defaults(func=cmd_simulate)
 
     return parser
 
@@ -235,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
         for violation in exc.violations:
             print(f"validation: {violation}", file=sys.stderr)
         return 1
-    except (MissingDistributionError, PeerReviewOnlyUdaError, MismatchedCorpusError) as exc:
+    except (MissingDistributionError, PeerReviewOnlyUdaError) as exc:
         print(f"validation: {exc}", file=sys.stderr)
         return 1
     except ParseError as exc:

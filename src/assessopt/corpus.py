@@ -1,6 +1,7 @@
 """Institutional corpus: roster, products, authorships, validation, and the CSV layer.
 
-Every CSV file the program reads or writes goes through read_rows and write_rows.
+Every CSV file the program reads or writes goes through read_rows and write_rows,
+except report.csv, which report.render_scenario_csv renders to text.
 
 A corpus is immutable after loading. Authorships are normalized to
 (researcher_id, product_id) order so that save/load round-trips are exact.
@@ -12,7 +13,7 @@ import csv
 import math
 from dataclasses import astuple, dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -151,9 +152,11 @@ _EXPECTED = {int: "an integer", optional_int: "an integer", float: "a number",
              number: "a finite number", optional_number: "a finite number", boolean: "a boolean"}
 
 
-def read_rows(path: Path, schema: dict[str, Callable[[str], object]]) -> list[tuple[int, dict]]:
-    """Read a CSV into (line, row-dict) pairs of parsed fields, enforcing the
-    schema's exact header.
+def read_rows(
+    path: Path, schema: dict[str, Callable[[str], object]]
+) -> Iterator[tuple[int, dict]]:
+    """Yield a CSV's rows as (line, row-dict) pairs of parsed fields, one at a
+    time, enforcing the schema's exact header.
 
     A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
     A field its parser rejects is a ParseError naming the file, line and column.
@@ -162,7 +165,6 @@ def read_rows(path: Path, schema: dict[str, Callable[[str], object]]) -> list[tu
         raise ParseError("file not found", file=str(path))
     columns = list(schema)
     typed = [(i, parse) for i, parse in enumerate(schema.values()) if parse is not str]
-    rows: list[tuple[int, dict]] = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
@@ -188,12 +190,11 @@ def read_rows(path: Path, schema: dict[str, Callable[[str], object]]) -> list[tu
                     except ValueError:
                         raise ParseError(f"{columns[i]} is not {_EXPECTED[parse]}: {row[i]!r}",
                                          file=str(path), line=reader.line_num) from None
-                rows.append((reader.line_num, dict(zip(columns, row))))
+                yield reader.line_num, dict(zip(columns, row))
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})", file=str(path)
         ) from None
-    return rows
 
 
 def write_rows(path: str | Path, schema: dict, rows: Iterable[Sequence]) -> None:

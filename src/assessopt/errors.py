@@ -30,7 +30,3 @@ class MissingDistributionError(LookupError):
 
 class PeerReviewOnlyUdaError(Exception):
     """Scoring was requested for a disciplinary area outside the bibliometric range 1-9."""
-
-
-class MismatchedCorpusError(Exception):
-    """Report inputs were computed on different corpora."""

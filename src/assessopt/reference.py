@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import format_number, number, read_rows, write_rows
 from .errors import MissingDistributionError, ParseError
@@ -33,8 +33,7 @@ THRESHOLD_COLUMNS = {
 MERGEMAP_COLUMNS = {"category": str, "category_group": str}
 
 
-@dataclass(frozen=True)
-class DistributionKey:
+class DistributionKey(NamedTuple):
     indicator: str
     category_group: str
     year: int
@@ -206,5 +205,5 @@ def write_thresholds(
 ) -> None:
     """Write thresholds in deterministic key order."""
     write_rows(path, THRESHOLD_COLUMNS, sorted(
-        (*astuple(key), *map(format_number, astuple(t))) for key, t in thresholds.items()
+        (*key, *map(format_number, astuple(t))) for key, t in thresholds.items()
     ))

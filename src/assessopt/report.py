@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .corpus import Corpus
-from .errors import MismatchedCorpusError
 from .gev import UDA_NAMES
 from .selection import (
     EXACT_FULL,
@@ -95,25 +94,13 @@ class ScenarioTable:
     total: ScenarioRow
 
 
-def _check_same_corpus(selections: list[Selection]) -> None:
-    first = selections[0]
-    for other in selections[1:]:
-        if (
-            other.per_uda_due != first.per_uda_due
-            or set(other.assignment) != set(first.assignment)
-        ):
-            raise MismatchedCorpusError(
-                f"selections {first.tag!r} and {other.tag!r} cover different corpora"
-            )
-
-
-def scenario_table(selections: dict[str, Selection]) -> ScenarioTable:
-    """Per-area totals of the three scenarios with pairwise deltas."""
+def scenario_table(selections: dict[str, Selection]) -> ScenarioTable | None:
+    """Per-area totals of the three scenarios with pairwise deltas, or None
+    unless scenarios 1-3 all ran."""
     try:
         s1, s2, s3 = selections[SCENARIO1], selections[SCENARIO2], selections[SCENARIO3]
-    except KeyError as exc:
-        raise ValueError(f"scenario table needs scenarios 1-3, missing {exc}") from None
-    _check_same_corpus([s1, s2, s3])
+    except KeyError:
+        return None
 
     rows = []
     for uda in sorted(s1.per_uda_due):

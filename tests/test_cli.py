@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import logging
 import shutil
 from pathlib import Path
@@ -293,6 +295,30 @@ def test_report_subcommand(tmp_path):
     assert main(["report", *MINI_ARGS, "-o", str(out)]) == 0
     assert (out / "report.md").read_bytes() == (GOLDEN / "report.md").read_bytes()
     assert not (out / "scored.csv").exists()
+
+
+def test_report_writes_what_simulate_writes_minus_the_csvs(tmp_path, capsys):
+    sim, rep = tmp_path / "sim", tmp_path / "rep"
+    assert main(["simulate", *MINI_ARGS, "-o", str(sim)]) == 0
+    capsys.readouterr()
+    assert main(["report", *MINI_ARGS, "-o", str(rep)]) == 0
+    assert capsys.readouterr().out == f"report written to {rep}\n"
+    assert sorted(path.name for path in rep.iterdir()) == ["report.csv", "report.md"]
+    for name in ("report.md", "report.csv"):
+        assert (rep / name).read_bytes() == (sim / name).read_bytes()
+
+
+def test_bench_traced_names_are_callable():
+    """bench/trace_cli.py wraps stage functions by name, and a name it cannot
+    find only counts as trace.missing; a rename has to fail here instead."""
+    path = Path(__file__).parent.parent / "bench" / "trace_cli.py"
+    spec = importlib.util.spec_from_file_location("trace_cli", path)
+    trace_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_cli)
+    for module_name, attr, _ in trace_cli.TARGETS:
+        module = importlib.import_module(f"assessopt.{module_name}")
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+    assert trace_cli.RUNNERS.keys() == selection.RUNNERS.keys()
 
 
 def test_window_override_rejects_uncovered_years(tmp_path, capsys):

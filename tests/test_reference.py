@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,23 @@ def test_worldvalues_loader(tmp_path):
     # nearest rank over [1..5]: ceil(2.5)=3rd, ceil(3)=3rd, ceil(4)=4th value
     assert (t.p50, t.p60, t.p80, t.n) == (3, 3, 4, 5)
     assert thresholds[DistributionKey("journal-metric", "Physics", 2006)].p80 == 2.5
+
+
+def test_load_worldvalues_memory_does_not_grow_with_rows(tmp_path):
+    """Rows are reduced to per-key value lists as they are read; no list of
+    parsed rows is held. 20,000 rows as parsed dicts would take ~10 MB."""
+    path = tmp_path / "worldvalues.csv"
+    rows = [f"citations,X{i % 4},2006,any,{i}" for i in range(20_000)]
+    path.write_text("indicator,category_group,year,doc_split,value\n" + "\n".join(rows) + "\n",
+                    encoding="utf-8")
+    tracemalloc.start()
+    try:
+        thresholds = load_worldvalues(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(t.n for t in thresholds.values()) == 20_000
+    assert peak < 3_000_000
 
 
 def test_threshold_round_trip(tmp_path):

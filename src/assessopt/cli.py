@@ -1,9 +1,10 @@
 """Command-line front end wiring ingestion, scoring, simulation and reporting.
 
-Exit codes: 0 success, 1 validation failure (integrity violations, missing
-distributions, peer-review-only areas), 2 IO or parse failure or an unknown
-ASSESS_OPT_LOG level. Set ASSESS_OPT_LOG=DEBUG|INFO|... for diagnostics on
-stderr. Reruns on identical inputs produce byte-identical output files.
+Exit codes, one exception type each: 0 success; 1 ValidationError (integrity
+violations, missing distributions, peer-review-only areas); 2 ParseError or
+OSError (IO or parse failure), or an unknown ASSESS_OPT_LOG level. Set
+ASSESS_OPT_LOG=DEBUG|INFO|... for diagnostics on stderr. Reruns on identical
+inputs produce byte-identical output files.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import gev, reference, report, selection
-from .corpus import DEFAULT_WINDOW, load_corpus_dir
-from .errors import MissingDistributionError, ParseError, PeerReviewOnlyUdaError, ValidationError
+from .corpus import DEFAULT_WINDOW, load_corpus_dir, write_rows
+from .errors import ParseError, ValidationError
 
 log = logging.getLogger("assessopt")
 
@@ -133,13 +134,12 @@ def cmd_simulate(args) -> int:
     table = report.scenario_table(selections)
     averages = report.average_table(problem)
     (outdir / "report.md").write_text(
-        report.render_report(problem.corpus, selections, errors, averages, table),
+        report.render_report(problem, selections, errors, averages, table),
         encoding="utf-8",
     )
     if table is not None:
-        (outdir / "report.csv").write_text(
-            report.render_scenario_csv(table), encoding="utf-8"
-        )
+        write_rows(outdir / "report.csv", report.SCENARIO_CSV_COLUMNS,
+                   report.render_scenario_csv(table))
     if args.command == "report":
         print(f"report written to {outdir}")
         return 0
@@ -212,13 +212,7 @@ def main(argv: list[str] | None = None) -> int:
         for violation in exc.violations:
             print(f"validation: {violation}", file=sys.stderr)
         return 1
-    except (MissingDistributionError, PeerReviewOnlyUdaError) as exc:
-        print(f"validation: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,6 @@
 """Institutional corpus: roster, products, authorships, validation, and the CSV layer.
 
-Every CSV file the program reads or writes goes through read_rows and write_rows,
-except report.csv, which report.render_scenario_csv renders to text.
+Every CSV file the program reads or writes goes through read_rows and write_rows.
 
 A corpus is immutable after loading. Authorships are normalized to
 (researcher_id, product_id) order so that save/load round-trips are exact.

@@ -1,4 +1,4 @@
-"""Exception types shared across the pipeline, with file/line context where known."""
+"""One exception type per exit code: ValidationError exits 1, ParseError exits 2."""
 
 from __future__ import annotations
 
@@ -23,10 +23,3 @@ class ValidationError(Exception):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations) or "validation failed")
 
-
-class MissingDistributionError(LookupError):
-    """No reference distribution is stored for the resolved lookup key."""
-
-
-class PeerReviewOnlyUdaError(Exception):
-    """Scoring was requested for a disciplinary area outside the bibliometric range 1-9."""

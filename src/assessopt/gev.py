@@ -14,8 +14,8 @@ from pathlib import Path
 
 from . import reference
 from .corpus import BIBLIOMETRIC_UDAS, DEFAULT_WINDOW, PRODUCT_KINDS, Corpus, IndexRecord, Product, admissibility
-from .corpus import boolean, write_rows
-from .errors import MissingDistributionError, ParseError, PeerReviewOnlyUdaError, ValidationError
+from .corpus import boolean, format_number, write_rows
+from .errors import ParseError, ValidationError
 from .reference import DistributionKey, ReferenceLibrary, classify
 
 MERIT_SCORES = {"A": 1.0, "B": 0.8, "C": 0.5, "D": 0.0}
@@ -169,18 +169,15 @@ def multi_category_class(
     best: int | None = None
     missing: list[str] = []
     for category in record.subject_categories:
-        try:
-            thresholds = library.lookup(indicator, category, year, doc_split)
-        except MissingDistributionError:
+        thresholds = library.lookup(indicator, category, year, doc_split)
+        if thresholds is None:
             missing.append(str(DistributionKey(indicator, library.resolve(category), year, doc_split)))
             continue
         cls = classify(value, thresholds)
         if best is None or cls < best:
             best = cls
     if best is None:
-        raise MissingDistributionError(
-            "no reference distribution for any of: " + ", ".join(missing)
-        )
+        raise ValidationError(["no reference distribution for any of: " + ", ".join(missing)])
     return best
 
 
@@ -288,17 +285,18 @@ def score_corpus(
 ) -> dict[tuple[str, str], ScoredProduct]:
     """Score every authorship under its researcher's routing.
 
-    Raises PeerReviewOnlyUdaError when a routing falls outside areas 1-9.
+    Raises ValidationError when a routing falls outside areas 1-9 or has no
+    profile.
     """
     scored: dict[tuple[str, str], ScoredProduct] = {}
     for a in corpus.authorships:
         researcher = corpus.researchers[a.researcher_id]
         gev = routing_for(a, researcher)
         if gev not in BIBLIOMETRIC_UDAS:
-            raise PeerReviewOnlyUdaError(
+            raise ValidationError([
                 f"peer-review-only UDA {gev}: product {a.product_id!r} of researcher "
                 f"{a.researcher_id!r} has no bibliometric panel"
-            )
+            ])
         profile = profiles.get(gev)
         if profile is None:
             raise ValidationError([f"no profile configured for GEV {gev}"])
@@ -313,7 +311,7 @@ def write_scored(
     scored: dict[tuple[str, str], ScoredProduct], path: str | Path
 ) -> None:
     write_rows(path, SCORED_COLUMNS, [
-        (pid, rid, sp.routing_gev, sp.outcome, format(sp.score, "g"),
+        (pid, rid, sp.routing_gev, sp.outcome, format_number(sp.score),
          "true" if sp.definite else "false")
         for (rid, pid), sp in sorted(scored.items(), key=lambda item: (item[0][1], item[0][0]))
     ])

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .corpus import format_number, number, read_rows, write_rows
-from .errors import MissingDistributionError, ParseError
+from .errors import ParseError
 
 JOURNAL_METRIC = "journal-metric"
 CITATIONS = "citations"
@@ -95,15 +95,11 @@ class ReferenceLibrary:
 
     def lookup(
         self, indicator: str, category: str, year: int, doc_split: str = "any"
-    ) -> ClassThresholds:
-        """Apply the merge map, then resolve the key to its thresholds."""
+    ) -> ClassThresholds | None:
+        """Apply the merge map, then resolve the key to its thresholds, or None
+        when no distribution is stored for it."""
         key = DistributionKey(indicator, self.resolve(category), year, doc_split)
-        try:
-            return self.thresholds[key]
-        except KeyError:
-            raise MissingDistributionError(
-                f"no reference distribution for {key}"
-            ) from None
+        return self.thresholds.get(key)
 
 
 def _distribution_key(row: dict, file: str, line: int) -> DistributionKey:

@@ -2,17 +2,18 @@
 
 Rendering is a pure function of its inputs: identical inputs produce
 byte-identical text. Scores and percentage deltas print with one decimal,
-rounded half away from zero; a delta with a zero base renders as "—".
+rounded half away from zero; a delta from a base that is not positive renders
+as "—". The scenario and error tables count only the researchers who take
+part in a selection.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from .corpus import Corpus
+from .corpus import number
 from .gev import UDA_NAMES
 from .selection import (
     EXACT_FULL,
@@ -29,9 +30,10 @@ from .selection import (
 
 UNDEFINED = "—"
 
-SCENARIO_CSV_COLUMNS = [
-    "uda", "products_due", "s1", "s2", "s3", "delta_12", "delta_23", "delta_13",
-]
+SCENARIO_CSV_COLUMNS = {
+    "uda": str, "products_due": int, "s1": number, "s2": number, "s3": number,
+    "delta_12": str, "delta_23": str, "delta_13": str,
+}
 
 
 def round_half_away(x: float, ndigits: int = 1) -> float:
@@ -42,8 +44,8 @@ def round_half_away(x: float, ndigits: int = 1) -> float:
 
 
 def pct_delta(base: float, new: float) -> float | None:
-    """Percentage change from base to new; undefined for a zero base."""
-    if base == 0:
+    """Percentage change from base to new; undefined unless base is positive."""
+    if base <= 0:
         return None
     return (new - base) / base * 100.0
 
@@ -123,7 +125,7 @@ def scenario_table(selections: dict[str, Selection]) -> ScenarioTable | None:
 
 @dataclass(frozen=True)
 class ErrorTableRow:
-    label: str
+    uda: int | None  # None marks the total row
     products_due: int
     declared_count: int
     inadmissible: int
@@ -136,25 +138,24 @@ class ErrorTableRow:
 
 
 def error_table(
-    errors: tuple[ResearcherErrors, ...], corpus: Corpus
+    errors: tuple[ResearcherErrors, ...], problem: SelectionProblem
 ) -> tuple[ErrorTableRow, ...]:
-    """Aggregate error counts per area plus an institution total row.
+    """Aggregate the active researchers' error counts per area, plus an
+    institution total row.
 
     Counts are authorship counts: a co-authored product is counted once per
     researcher whose set holds it.
     """
-    due_by_uda: dict[int, int] = {}
-    for r in corpus.researchers.values():
-        due_by_uda[r.uda] = due_by_uda.get(r.uda, 0) + r.quota
-
+    quota = {rid: problem.corpus.researchers[rid].quota for rid in problem.active}
+    active = [e for e in errors if e.researcher_id in quota]
     by_uda: dict[int, list[ResearcherErrors]] = {}
-    for e in errors:
+    for e in active:
         by_uda.setdefault(e.uda, []).append(e)
 
-    def aggregate(label: str, due: int, group: list[ResearcherErrors]) -> ErrorTableRow:
+    def aggregate(uda: int | None, group: list[ResearcherErrors]) -> ErrorTableRow:
         return ErrorTableRow(
-            label=label,
-            products_due=due,
+            uda=uda,
+            products_due=sum(quota[e.researcher_id] for e in group),
             declared_count=sum(e.declared_count for e in group),
             inadmissible=sum(e.inadmissible_in_declared for e in group),
             nil_declared=sum(e.nil_in_declared for e in group),
@@ -165,11 +166,8 @@ def error_table(
             omitted=sum(len(e.omitted) for e in group),
         )
 
-    rows = [
-        aggregate(str(uda), due_by_uda.get(uda, 0), by_uda[uda])
-        for uda in sorted(by_uda)
-    ]
-    rows.append(aggregate("TOTAL", sum(due_by_uda.values()), list(errors)))
+    rows = [aggregate(uda, by_uda[uda]) for uda in sorted(by_uda)]
+    rows.append(aggregate(None, active))
     return tuple(rows)
 
 
@@ -224,58 +222,48 @@ def _fmt_mean(x: float | None) -> str:
     return UNDEFINED if x is None else f"{x:.2f}"
 
 
-def _uda_label(uda: int) -> str:
+def _area_label(uda: int | None) -> str:
+    if uda is None:
+        return "Total"
     name = UDA_NAMES.get(uda)
     return f"{uda} - {name}" if name else str(uda)
 
 
-def render_scenario_markdown(table: ScenarioTable) -> str:
-    lines = [
-        "| Area | Products due | Scen. 1 | Scen. 2 | Scen. 3 | 1 vs 2 | 2 vs 3 | 1 vs 3 |",
-        "| --- | ---: | ---: | ---: | ---: | ---: | ---: | ---: |",
-    ]
-    for row in list(table.rows) + [table.total]:
-        label = "Total" if row.uda is None else _uda_label(row.uda)
-        d12, d23, d13 = row.deltas
-        lines.append(
-            f"| {label} | {row.products_due} | {_fmt_score(row.s1)} | {_fmt_score(row.s2)} "
-            f"| {_fmt_score(row.s3)} | {d12} | {d23} | {d13} |"
-        )
+def _markdown_table(header: str, rows: Iterable[Sequence]) -> str:
+    """The literal header line, a rule that right-aligns every column but the
+    first, then one line per row of cells."""
+    rule = "| --- |" + " ---: |" * (header.count("|") - 2)
+    lines = [header, rule] + ["| " + " | ".join(map(str, row)) + " |" for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def render_scenario_csv(table: ScenarioTable) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SCENARIO_CSV_COLUMNS)
-    for row in list(table.rows) + [table.total]:
-        d12, d23, d13 = row.deltas
-        writer.writerow([
-            "TOTAL" if row.uda is None else row.uda,
-            row.products_due,
-            _fmt_score(row.s1), _fmt_score(row.s2), _fmt_score(row.s3),
-            d12, d23, d13,
-        ])
-    return buffer.getvalue()
+def render_scenario_markdown(table: ScenarioTable) -> str:
+    return _markdown_table(
+        "| Area | Products due | Scen. 1 | Scen. 2 | Scen. 3 | 1 vs 2 | 2 vs 3 | 1 vs 3 |",
+        ([_area_label(row.uda), row.products_due, _fmt_score(row.s1), _fmt_score(row.s2),
+          _fmt_score(row.s3), *row.deltas] for row in (*table.rows, table.total)),
+    )
+
+
+def render_scenario_csv(table: ScenarioTable) -> list[tuple]:
+    """The scenario table as rows of SCENARIO_CSV_COLUMNS."""
+    return [
+        ("TOTAL" if row.uda is None else row.uda, row.products_due,
+         _fmt_score(row.s1), _fmt_score(row.s2), _fmt_score(row.s3), *row.deltas)
+        for row in (*table.rows, table.total)
+    ]
 
 
 def render_error_markdown(rows: tuple[ErrorTableRow, ...]) -> str:
-    lines = [
+    return _markdown_table(
         "| Area | Products due | Declared picks | Of which inadmissible | Of which nil score "
         "| Of which over-valued | Best picks | Of which nil score | Of which under-valued "
         "| Of which omitted |",
-        "| --- | ---: | ---: | ---: | ---: | ---: | ---: | ---: | ---: | ---: |",
-    ]
-    for row in rows:
-        label = "Total" if row.label == "TOTAL" else _uda_label(int(row.label))
-        lines.append(
-            f"| {label} | {row.products_due} | {row.declared_count} | {row.inadmissible} "
-            f"| {row.nil_declared} | {share_cell(row.overvalued, row.declared_count)} "
-            f"| {row.best_count} | {row.nil_best} "
-            f"| {share_cell(row.undervalued, row.best_count)} "
-            f"| {share_cell(row.omitted, row.best_count)} |"
-        )
-    return "\n".join(lines) + "\n"
+        ([_area_label(row.uda), row.products_due, row.declared_count, row.inadmissible,
+          row.nil_declared, share_cell(row.overvalued, row.declared_count), row.best_count,
+          row.nil_best, share_cell(row.undervalued, row.best_count),
+          share_cell(row.omitted, row.best_count)] for row in rows),
+    )
 
 
 def render_average_markdown(table: AverageScoreTable) -> str:
@@ -283,25 +271,19 @@ def render_average_markdown(table: AverageScoreTable) -> str:
         if declared is None or best is None:
             return _fmt_mean(declared), _fmt_mean(best), UNDEFINED, UNDEFINED
         diff = best - declared
-        if declared == 0:
+        if declared <= 0:
             pct = UNDEFINED
         else:
             pct = f"{round_half_away(diff / declared * 100.0, 0):+.0f}%"
         return _fmt_mean(declared), _fmt_mean(best), f"{diff:.2f}", pct
 
-    all_d, all_e, all_diff, all_pct = family(table.declared_mean_all, table.best_mean_all)
-    def_d, def_e, def_diff, def_pct = family(
-        table.declared_mean_definite, table.best_mean_definite
-    )
-    lines = [
+    columns = (family(table.declared_mean_all, table.best_mean_all),
+               family(table.declared_mean_definite, table.best_mean_definite))
+    labels = ("Mean score, declared picks", "Mean score, best picks", "Difference", "Increase")
+    return _markdown_table(
         "| | All products | Definite score only |",
-        "| --- | ---: | ---: |",
-        f"| Mean score, declared picks | {all_d} | {def_d} |",
-        f"| Mean score, best picks | {all_e} | {def_e} |",
-        f"| Difference | {all_diff} | {def_diff} |",
-        f"| Increase | {all_pct} | {def_pct} |",
-    ]
-    return "\n".join(lines) + "\n"
+        zip(labels, *columns),
+    )
 
 
 def render_totals_markdown(selections: dict[str, Selection]) -> str:
@@ -312,15 +294,15 @@ def render_totals_markdown(selections: dict[str, Selection]) -> str:
         EXACT_PROPOSED: "Exact optimum, proposed products",
         EXACT_FULL: "Exact optimum, full pool",
     }
-    lines = ["| Selection | Total score |", "| --- | ---: |"]
-    for tag in SCENARIO_TAGS:
-        if tag in selections:
-            lines.append(f"| {labels[tag]} | {_fmt_score(selections[tag].total_score)} |")
-    return "\n".join(lines) + "\n"
+    return _markdown_table(
+        "| Selection | Total score |",
+        ((labels[tag], _fmt_score(selections[tag].total_score))
+         for tag in SCENARIO_TAGS if tag in selections),
+    )
 
 
 def render_report(
-    corpus: Corpus,
+    problem: SelectionProblem,
     selections: dict[str, Selection],
     errors: tuple[ResearcherErrors, ...],
     averages: AverageScoreTable,
@@ -328,13 +310,13 @@ def render_report(
 ) -> str:
     """Assemble the full markdown report; table is the scenario table, or
     None when scenarios 1-3 did not all run."""
-    parts = ["# Product selection report", ""]
-    parts += ["## Selection totals", "", render_totals_markdown(selections).rstrip("\n"), ""]
+    sections = [("Selection totals", render_totals_markdown(selections))]
     if table is not None:
-        parts += ["## Scenario comparison by area", "",
-                  render_scenario_markdown(table).rstrip("\n"), ""]
-    parts += ["## Selection errors", "",
-              render_error_markdown(error_table(errors, corpus)).rstrip("\n"), ""]
-    parts += ["## Average scores of declared vs best picks", "",
-              render_average_markdown(averages).rstrip("\n"), ""]
-    return "\n".join(parts)
+        sections.append(("Scenario comparison by area", render_scenario_markdown(table)))
+    sections += [
+        ("Selection errors", render_error_markdown(error_table(errors, problem))),
+        ("Average scores of declared vs best picks", render_average_markdown(averages)),
+    ]
+    return "\n".join(
+        ["# Product selection report", ""] + [f"## {title}\n\n{text}" for title, text in sections]
+    )

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import BIBLIOMETRIC_UDAS, Corpus, write_rows
+from .corpus import BIBLIOMETRIC_UDAS, Corpus, format_number, write_rows
 from .gev import ScoredProduct
 
 log = logging.getLogger(__name__)
@@ -449,7 +449,7 @@ def write_selections(selections: list[Selection], scored: ScoredMap, path: str |
                 slots = [(pid, scored[(rid, pid)].score) for pid in selection.assignment[rid]]
                 slots += [("EMPTY", SHORTFALL_PENALTY)] * selection.shortfall[rid]
                 for slot, (pid, value) in enumerate(slots, 1):
-                    yield selection.tag, rid, slot, pid, format(value, "g")
+                    yield selection.tag, rid, slot, pid, format_number(value)
 
     write_rows(path, SELECTION_COLUMNS, rows())
 

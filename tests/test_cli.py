@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import logging
 import shutil
 from pathlib import Path
@@ -161,22 +162,48 @@ def test_validate_missing_file(tmp_path):
     ]) == 2
 
 
-def test_missing_distribution_exit_code(tmp_path, capsys):
-    ref = tmp_path / "ref"
-    ref.mkdir()
+def _drop_distributions(root: Path) -> None:
     # thresholds that lack every key the corpus needs
-    (ref / "thresholds.csv").write_text(
+    (root / "ref" / "thresholds.csv").write_text(
         "indicator,category_group,year,doc_split,p50,p60,p80,n\n"
         "citations,NOWHERE,2006,any,1,2,3,9\n",
         encoding="utf-8",
     )
+
+
+def _add_peer_review_authorship(root: Path) -> None:
+    with open(root / "researchers.csv", "a", encoding="utf-8") as fh:
+        fh.write("R13,L-ANT/01,10,3\n")
+    with open(root / "authorships.csv", "a", encoding="utf-8") as fh:
+        fh.write("R13,P01,,\n")
+
+
+def _drop_profile_6(root: Path) -> None:
+    path = root / "profiles.json"
+    pack = json.loads(path.read_text(encoding="utf-8"))
+    pack["profiles"] = [p for p in pack["profiles"] if p["gev_id"] != 6]
+    path.write_text(json.dumps(pack), encoding="utf-8")
+
+
+@pytest.mark.parametrize("mutate, first_line", [
+    (_drop_distributions,
+     "validation: no reference distribution for any of: (citations, MATH-APPL, 2006, any)"),
+    (_add_peer_review_authorship,
+     "validation: peer-review-only UDA 10: product 'P01' of researcher 'R13' "
+     "has no bibliometric panel"),
+    (_drop_profile_6, "validation: no profile configured for GEV 6"),
+], ids=["missing-distribution", "peer-review-only", "unprofiled-panel"])
+def test_scoring_failure_exits_1(tmp_path, capsys, mutate, first_line):
+    root = tmp_path / "in"
+    shutil.copytree(MINI, root)
+    mutate(root)
     code = main([
-        "simulate", "--corpus", str(MINI),
-        "--profiles", str(MINI / "profiles.json"), "--ref", str(ref),
+        "simulate", "--corpus", str(root),
+        "--profiles", str(root / "profiles.json"), "--ref", str(root / "ref"),
         "--scenarios", "1", "-o", str(tmp_path / "out"),
     ])
     assert code == 1
-    assert "no reference distribution" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines()[0] == first_line
 
 
 def test_build_dist(tmp_path):
@@ -306,6 +333,24 @@ def test_report_writes_what_simulate_writes_minus_the_csvs(tmp_path, capsys):
     assert sorted(path.name for path in rep.iterdir()) == ["report.csv", "report.md"]
     for name in ("report.md", "report.csv"):
         assert (rep / name).read_bytes() == (sim / name).read_bytes()
+
+
+def test_report_tables_agree_on_products_due(tmp_path):
+    # a peer-review-only researcher takes part in no selection
+    root = tmp_path / "in"
+    shutil.copytree(MINI, root)
+    with open(root / "researchers.csv", "a", encoding="utf-8") as fh:
+        fh.write("R13,L-ANT/01,10,3\n")
+    out = tmp_path / "out"
+    assert main([
+        "report", "--corpus", str(root),
+        "--profiles", str(root / "profiles.json"), "--ref", str(root / "ref"), "-o", str(out),
+    ]) == 0
+    lines = (out / "report.md").read_text(encoding="utf-8").splitlines()
+    totals = [line.split(" | ")[1] for line in lines if line.startswith("| Total |")]
+    assert len(totals) == 2  # scenario table, error table
+    assert totals[0] == totals[1]
+    assert not any(line.startswith("| 10 |") for line in lines)
 
 
 def test_bench_traced_names_are_callable():

@@ -2,20 +2,25 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
+import assessopt
 from assessopt.corpus import (
     IndexRecord,
     admissibility,
     load_corpus,
     load_corpus_dir,
+    read_rows,
     save_corpus,
 )
 from assessopt.errors import ParseError, ValidationError
+from assessopt.gev import SCORED_COLUMNS, ScoredProduct, write_scored
+from assessopt.selection import SELECTION_COLUMNS, build_sets, scenario1, write_selections
 
 import support
 
@@ -149,6 +154,36 @@ def test_round_trip_keeps_every_metric_exactly(tmp_path_factory, metric_pairs):
     out = tmp_path_factory.mktemp("corpus")
     save_corpus(corpus, out)
     assert load_corpus_dir(out) == corpus
+
+
+def _write_selections(corpus, scored, path):
+    write_selections([scenario1(build_sets(corpus, scored))], scored, path)
+
+
+@pytest.mark.parametrize("write, schema, column", [
+    (lambda corpus, scored, path: write_scored(scored, path), SCORED_COLUMNS, "score"),
+    (_write_selections, SELECTION_COLUMNS, "score_or_penalty"),
+], ids=["scored.csv", "selection.csv"])
+def test_written_scores_read_back_exactly(tmp_path, write, schema, column):
+    corpus = support.corpus(
+        [support.researcher("R1", quota=1)],
+        [support.product("P1")],
+        [support.authored("R1", "P1", priority=1)],
+    )
+    # a profile's assumed score need not have a short decimal form
+    scored = {("R1", "P1"): ScoredProduct("P1", 3, "IR", 1 / 3, False)}
+    write(corpus, scored, tmp_path / "out.csv")
+    [(_, row)] = read_rows(tmp_path / "out.csv", schema)
+    assert row[column] == 1 / 3
+
+
+def test_only_the_csv_layer_imports_csv():
+    package = Path(assessopt.__file__).parent
+    importers = sorted(
+        path.name for path in package.glob("*.py")
+        if re.search(r"^\s*(import|from) csv\b", path.read_text(encoding="utf-8"), re.M)
+    )
+    assert importers == ["corpus.py"]
 
 
 def test_missing_file(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from assessopt.corpus import PRODUCT_KINDS, IndexRecord
-from assessopt.errors import MissingDistributionError, ParseError, PeerReviewOnlyUdaError
+from assessopt.errors import ParseError, ValidationError
 from assessopt.gev import (
     BEST_OF_BOTH,
     FRAUD_SCORE,
@@ -217,7 +217,7 @@ def test_multi_category_skips_missing():
     record = IndexRecord(subject_categories=("X", "GONE"), citations=15)
     assert multi_category_class(record, "citations", 15, 2006, "any", lib) == 3
     lost = IndexRecord(subject_categories=("GONE", "ALSO-GONE"), citations=15)
-    with pytest.raises(MissingDistributionError) as exc:
+    with pytest.raises(ValidationError) as exc:
         multi_category_class(lost, "citations", 15, 2006, "any", lib)
     assert "GONE" in str(exc.value) and "ALSO-GONE" in str(exc.value)
 
@@ -288,7 +288,7 @@ def test_score_corpus_routing_and_peer_review_error():
         [support.product("P1", citations=40, metric=3.5)],
         [support.authored("R2", "P1", priority=1)],
     )
-    with pytest.raises(PeerReviewOnlyUdaError) as exc:
+    with pytest.raises(ValidationError) as exc:
         score_corpus(with_authorship, profiles, LIB)
     assert "12" in str(exc.value)
 

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from assessopt.errors import MissingDistributionError, ParseError
+from assessopt.corpus import IndexRecord
+from assessopt.errors import ParseError, ValidationError
+from assessopt.gev import multi_category_class
 from assessopt.reference import (
     DOC_SPLITS,
     INDICATORS,
@@ -82,8 +84,11 @@ def test_lookup_direct_key():
 
 
 def test_lookup_missing_names_resolved_key():
-    with pytest.raises(MissingDistributionError) as exc:
-        make_library().lookup("citations", "Oncology", 2007)
+    lib = make_library()
+    assert lib.lookup("citations", "Oncology", 2007) is None
+    record = IndexRecord(subject_categories=("Oncology",), citations=5)
+    with pytest.raises(ValidationError) as exc:
+        multi_category_class(record, "citations", 5, 2007, "any", lib)
     assert "BIOMED-G1" in str(exc.value)
     assert "2007" in str(exc.value)
 

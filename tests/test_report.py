@@ -60,6 +60,8 @@ def test_delta_zero_and_negative():
 def test_delta_zero_base_guard():
     assert delta_strings(0.0, 5.0, 6.0) == ("—", "+20.0%", "—")
     assert pct_delta(0.0, 5.0) is None
+    # a negative base would flip the sign: totals -1.0 -> -0.5 -> 1.0 are no drops
+    assert delta_strings(-1.0, -0.5, 1.0) == ("—", "—", "—")
 
 
 def three_scenarios():
@@ -117,10 +119,9 @@ def test_share_cell():
 
 
 def test_error_table_aggregates_by_area():
-    corpus, scored = mini_instance()
-    errors = error_metrics(build_sets(corpus, scored))
-    rows = error_table(errors, corpus)
-    assert [r.label for r in rows] == ["3", "5", "TOTAL"]
+    problem = build_sets(*mini_instance())
+    rows = error_table(error_metrics(problem), problem)
+    assert [r.uda for r in rows] == [3, 5, None]
     total = rows[-1]
     assert total.products_due == 3
     assert total.declared_count == 3
@@ -150,15 +151,18 @@ def test_average_render_percent():
     assert "+50%" in text
     flat = AverageScoreTable(0.5, 0.5, None, None)
     assert "+0%" in render_average_markdown(flat)
+    rising = AverageScoreTable(-1.0, 1.0, None, None)
+    assert "| Increase | — |" in render_average_markdown(rising)
 
 
 def test_rendering_is_deterministic():
     corpus, scored, selections = three_scenarios()
-    errors = error_metrics(build_sets(corpus, scored))
-    averages = average_table(build_sets(corpus, scored))
+    problem = build_sets(corpus, scored)
+    errors = error_metrics(problem)
+    averages = average_table(problem)
     table = scenario_table(selections)
-    first = render_report(corpus, selections, errors, averages, table)
-    second = render_report(corpus, selections, errors, averages, table)
+    first = render_report(problem, selections, errors, averages, table)
+    second = render_report(problem, selections, errors, averages, table)
     assert first == second
     assert "## Scenario comparison by area" in first
     assert "## Selection errors" in first
@@ -167,10 +171,7 @@ def test_rendering_is_deterministic():
 def test_rendered_cells_reparse_close_to_unrounded():
     _, _, selections = three_scenarios()
     table = scenario_table(selections)
-    csv_text = render_scenario_csv(table)
-    lines = csv_text.strip().splitlines()[1:]
-    for row, line in zip(list(table.rows) + [table.total], lines):
-        cells = line.split(",")
+    for row, cells in zip(list(table.rows) + [table.total], render_scenario_csv(table)):
         for cell, exact in zip(cells[2:5], (row.s1, row.s2, row.s3)):
             assert abs(float(cell) - exact) <= 0.05
         d12 = pct_delta(row.s1, row.s2)
@@ -198,8 +199,7 @@ def test_markdown_table_shape():
 
 
 def test_error_markdown_includes_shares():
-    corpus, scored = mini_instance()
-    errors = error_metrics(build_sets(corpus, scored))
-    text = render_error_markdown(error_table(errors, corpus))
+    problem = build_sets(*mini_instance())
+    text = render_error_markdown(error_table(error_metrics(problem), problem))
     assert "1 (100.0%)" in text  # area 5: one overvalued pick of one declared
     assert "1 (33.3%)" in text   # institution total: one of three

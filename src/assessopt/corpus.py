@@ -276,32 +276,33 @@ def load_corpus(
     authorships_path = Path(authorships_path)
     violations: list[str] = []
 
+    def violation(path: Path, line: int, message: str) -> None:
+        # The file:line prefix is built only for a row that breaks a rule.
+        violations.append(f"{path}:{line}: {message}")
+
     researchers: dict[str, Researcher] = {}
     for line, row in read_rows(researchers_path, RESEARCHER_COLUMNS):
-        where = f"{researchers_path}:{line}"
         # An empty quota field takes the dataclass default.
         r = Researcher(**{k: v for k, v in row.items() if v is not None})
         if not r.id:
-            violations.append(f"{where}: empty researcher id")
+            violation(researchers_path, line, "empty researcher id")
             continue
         if r.id in researchers:
-            violations.append(f"{where}: duplicate researcher id {r.id!r}")
+            violation(researchers_path, line, f"duplicate researcher id {r.id!r}")
             continue
         if not 0 <= r.quota <= MAX_QUOTA:
-            violations.append(f"{where}: quota {r.quota} outside 0..{MAX_QUOTA}")
+            violation(researchers_path, line, f"quota {r.quota} outside 0..{MAX_QUOTA}")
         if not 1 <= r.uda <= 14:
-            violations.append(f"{where}: uda {r.uda} outside 1..14")
+            violation(researchers_path, line, f"uda {r.uda} outside 1..14")
         if r.sds:
             expected = SDS_AREA_BY_PREFIX.get(r.sds.split("/")[0])
             if expected is not None and expected != r.uda:
-                violations.append(
-                    f"{where}: sds {r.sds!r} belongs to area {expected}, not {r.uda}"
-                )
+                violation(researchers_path, line,
+                          f"sds {r.sds!r} belongs to area {expected}, not {r.uda}")
         researchers[r.id] = r
 
     products: dict[str, Product] = {}
     for line, row in read_rows(products_path, PRODUCT_COLUMNS):
-        where = f"{products_path}:{line}"
         if row["kind"] not in PRODUCT_KINDS:
             raise ParseError(
                 f"unknown product kind {row['kind']!r}", file=str(products_path), line=line
@@ -310,47 +311,45 @@ def load_corpus(
                     _record(row, "wos", str(products_path), line),
                     _record(row, "scopus", str(products_path), line))
         if not p.id:
-            violations.append(f"{where}: empty product id")
+            violation(products_path, line, "empty product id")
             continue
         if p.id in products:
-            violations.append(f"{where}: duplicate product id {p.id!r}")
+            violation(products_path, line, f"duplicate product id {p.id!r}")
             continue
         for label, record in (("wos", p.wos_record), ("scopus", p.scopus_record)):
             if record is None:
                 continue
             if record.citations < 0:
-                violations.append(f"{where}: {label} citations {record.citations} negative")
+                violation(products_path, line, f"{label} citations {record.citations} negative")
             if record.journal_metric is not None and record.journal_metric < 0:
-                violations.append(f"{where}: {label} metric {record.journal_metric} negative")
+                violation(products_path, line, f"{label} metric {record.journal_metric} negative")
         products[p.id] = p
 
     authorships: list[Authorship] = []
     seen_pairs: set[tuple[str, str]] = set()
     priorities: dict[str, dict[int, str]] = {}
     for line, row in read_rows(authorships_path, AUTHORSHIP_COLUMNS):
-        where = f"{authorships_path}:{line}"
         a = Authorship(**row)
         if a.researcher_id not in researchers:
-            violations.append(f"{where}: unknown researcher id {a.researcher_id!r}")
+            violation(authorships_path, line, f"unknown researcher id {a.researcher_id!r}")
         if a.product_id not in products:
-            violations.append(f"{where}: unknown product id {a.product_id!r}")
+            violation(authorships_path, line, f"unknown product id {a.product_id!r}")
         pair = (a.researcher_id, a.product_id)
         if pair in seen_pairs:
-            violations.append(f"{where}: duplicate authorship {pair!r}")
+            violation(authorships_path, line, f"duplicate authorship {pair!r}")
         seen_pairs.add(pair)
         if a.declared_priority is not None:
             if a.declared_priority < 1:
-                violations.append(f"{where}: declared_priority {a.declared_priority} < 1")
+                violation(authorships_path, line, f"declared_priority {a.declared_priority} < 1")
             else:
                 taken = priorities.setdefault(a.researcher_id, {})
                 if a.declared_priority in taken:
-                    violations.append(
-                        f"{where}: researcher {a.researcher_id!r} already declared "
-                        f"priority {a.declared_priority} on {taken[a.declared_priority]!r}"
-                    )
+                    violation(authorships_path, line,
+                              f"researcher {a.researcher_id!r} already declared "
+                              f"priority {a.declared_priority} on {taken[a.declared_priority]!r}")
                 taken[a.declared_priority] = a.product_id
         if a.gev_override is not None and not 1 <= a.gev_override <= 9:
-            violations.append(f"{where}: gev_override {a.gev_override} outside 1..9")
+            violation(authorships_path, line, f"gev_override {a.gev_override} outside 1..9")
         authorships.append(a)
 
     if violations:

@@ -1,0 +1,123 @@
+"""Exact maximum-weight b-matching of researchers to products.
+
+Each researcher holds a pool of products, best first, and may take up to its
+quota of them; each product goes to at most one researcher. The solver works
+on plain dicts keyed by researcher and product id, in three steps:
+prune cuts every pool to what an optimum can use, components splits the
+researchers that still share a product into independent groups, and solve
+runs successive longest augmenting paths over one group.
+"""
+
+from __future__ import annotations
+
+from collections import deque
+from typing import Iterator
+
+Pools = dict[str, tuple[str, ...]]
+
+
+def prune(
+    pools: Pools, quota: dict[str, int], holders: dict[str, list[str]]
+) -> tuple[Pools, int]:
+    """Cut each researcher's pool after its quota-th private entry, until no
+    cut moves; return the kept pools and the number of passes.
+
+    holders names the researchers of every product that two or more of them
+    hold; any other product is private from the start. An entry is private
+    when no other researcher still holds that product. Weights fall strictly
+    along a pool, so an optimum never picks an entry below quota private
+    ones: one of those is left free and weighs more. Each cut makes more
+    entries private, hence the repeated passes.
+    """
+    shared = {pid: len(rids) for pid, rids in holders.items()}
+    kept = dict(pools)
+    passes, changed = 0, True
+    while changed:
+        passes, changed = passes + 1, False
+        for rid, pool in kept.items():
+            private = 0
+            for end, pid in enumerate(pool, 1):
+                if shared.get(pid, 1) == 1:
+                    private += 1
+                    if private == quota[rid]:
+                        if end < len(pool):
+                            for dropped in pool[end:]:
+                                if dropped in shared:
+                                    shared[dropped] -= 1
+                            kept[rid] = pool[:end]
+                            changed = True
+                        break
+    return kept, passes
+
+
+def components(kept: Pools) -> Iterator[list[str]]:
+    """Yield the researchers linked by shared kept products, each group in id
+    order; researchers who kept nothing belong to none."""
+    by_product: dict[str, list[str]] = {}
+    for rid, pool in kept.items():
+        for pid in pool:
+            by_product.setdefault(pid, []).append(rid)
+    seen: set[str] = set()
+    for start, pool in kept.items():
+        if start in seen or not pool:
+            continue
+        seen.add(start)
+        members = [start]
+        for rid in members:  # the list grows while it is walked
+            for pid in kept[rid]:
+                for other in by_product[pid]:
+                    if other not in seen:
+                        seen.add(other)
+                        members.append(other)
+        yield sorted(members)
+
+
+def solve(
+    members: list[str], kept: Pools, units: dict[tuple[str, str], int], offset: int,
+    room: dict[str, int], owner: dict[str, str],
+) -> int:
+    """Assign one group's products into owner (product -> researcher) by
+    successive longest augmenting paths; return the number of edges scanned.
+
+    A pick of pair (r, p) gains units[(r, p)] + offset > 0. Pair k of the
+    group's E pairs, numbered by members' order and then pool order, weighs
+    (gain << E) | (1 << (E-1-k)), so the optimum is unique. room holds each
+    researcher's free slots and is used up.
+    """
+    pairs = [(rid, pid) for rid in members for pid in kept[rid]]
+    size = len(pairs)
+    weights: dict[str, dict[str, int]] = {rid: {} for rid in members}
+    for k, (rid, pid) in enumerate(pairs):
+        gain = units[(rid, pid)] + offset
+        weights[rid][pid] = (gain << size) | (1 << (size - 1 - k))
+
+    scans = 0
+    while True:
+        best = {rid: 0 for rid in members if room[rid] > 0}
+        via: dict[str, tuple[str, str]] = {}  # researcher -> (previous, product)
+        queue = deque((rid, 0) for rid in best)
+        end_gain, end = 0, None
+        while queue:
+            rid, gain = queue.popleft()
+            if gain < best[rid]:
+                continue  # a later entry carries this researcher's better gain
+            scans += len(weights[rid])
+            for pid, weight in weights[rid].items():
+                holder = owner.get(pid)
+                if holder is None:
+                    if gain + weight > end_gain:
+                        end_gain, end = gain + weight, (rid, pid)
+                elif holder != rid:
+                    relaxed = gain + weight - weights[holder][pid]
+                    if holder not in best or relaxed > best[holder]:
+                        best[holder] = relaxed
+                        via[holder] = (rid, pid)
+                        queue.append((holder, relaxed))
+        if end is None:
+            return scans
+        rid, pid = end
+        while rid in via:
+            owner[pid] = rid
+            rid, pid = via[rid]
+        owner[pid] = rid
+        room[rid] -= 1

@@ -8,17 +8,18 @@ that every engine and any enumeration oracle agree exactly.
 
 A product co-authored within the institution can enter the final selection
 at most once; each unfilled slot costs half a point. The exact optimizer
-solves this as a bipartite b-matching by augmenting paths over researchers,
-and a stated tie rule (see optimize_exact) fixes which optimum it reports.
+prunes each pool to a fixpoint, then solves each connected component as a
+bipartite b-matching by augmenting paths over researchers, and a stated tie
+rule (see optimize_exact) fixes which optimum it reports.
 """
 
 from __future__ import annotations
 
 import logging
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import matching
 from .corpus import BIBLIOMETRIC_UDAS, Corpus, format_number, write_rows
 from .gev import ScoredProduct
 
@@ -86,6 +87,9 @@ class SelectionProblem:
     pool_a:      candidate pool A, the proposed products of pool C, same order
     tiebreak:    each product's rank by citations desc, year asc, id asc;
                  the canonical order is score desc, then this rank
+    holders:     per pool ("A", "C"), each product that two or more active
+                 researchers hold there -> those researchers, by id; a
+                 product absent from it has one holder
 
     Every score-driven engine (scenarios 2-3, exact-A/C) reads the pools as given.
     """
@@ -98,6 +102,13 @@ class SelectionProblem:
     pool_a: dict[str, tuple[str, ...]]
     pool_c: dict[str, tuple[str, ...]]
     tiebreak: dict[str, int]
+    holders: dict[str, dict[str, list[str]]]
+
+    def holders_of(self, pool: dict[str, tuple[str, ...]]) -> dict[str, list[str]]:
+        """The holders index of pool_a or pool_c."""
+        if pool is not self.pool_a and pool is not self.pool_c:
+            raise ValueError("holders are indexed for pool_a and pool_c only")
+        return self.holders["A" if pool is self.pool_a else "C"]
 
 
 def build_sets(corpus: Corpus, scored: ScoredMap) -> SelectionProblem:
@@ -142,6 +153,13 @@ def build_sets(corpus: Corpus, scored: ScoredMap) -> SelectionProblem:
         if researcher.quota > 0 and researcher.uda in BIBLIOMETRIC_UDAS:
             pool_c[rid] = tuple(pid for pid in ranked if units[(rid, pid)] + _SHORTFALL_UNITS > 0)
             pool_a[rid] = tuple(pid for pid in pool_c[rid] if pid in proposed)
+    holders: dict[str, dict[str, list[str]]] = {"A": {}, "C": {}}
+    for name, pool in (("A", pool_a), ("C", pool_c)):
+        first: dict[str, str] = {}  # product -> its first holder
+        for rid, pids in pool.items():  # researchers in id order
+            for pid in pids:
+                if first.setdefault(pid, rid) != rid:
+                    holders[name].setdefault(pid, [first[pid]]).append(rid)
     return SelectionProblem(
         corpus=corpus,
         scored=scored,
@@ -151,6 +169,7 @@ def build_sets(corpus: Corpus, scored: ScoredMap) -> SelectionProblem:
         pool_a=pool_a,
         pool_c=pool_c,
         tiebreak=tiebreak,
+        holders=holders,
     )
 
 
@@ -319,10 +338,8 @@ def _greedy_best_score(
     ranks lowest of all); remaining ties go to the smaller researcher id.
     """
     active, units, tiebreak = problem.active, problem.units, problem.tiebreak
+    holders = problem.holders_of(candidates)
     pairs = [(rid, pid) for rid in active for pid in candidates[rid]]
-    holders: dict[str, list[str]] = {}
-    for rid, pid in pairs:
-        holders.setdefault(pid, []).append(rid)
     pairs.sort(key=lambda pair: (-units[pair], tiebreak[pair[1]], pair[0]))
 
     capacity = {rid: problem.corpus.researchers[rid].quota for rid in active}
@@ -339,8 +356,8 @@ def _greedy_best_score(
     for rid, pid in pairs:
         if pid in consumed or capacity[rid] == 0:
             continue
-        claimants = [r for r in holders[pid] if capacity[r] > 0]
-        winner = min(claimants, key=lambda r: (best_alternative_units(r, pid), r))
+        claimants = [r for r in holders.get(pid, ()) if capacity[r] > 0]
+        winner = min(claimants, key=lambda r: (best_alternative_units(r, pid), r), default=rid)
         assignment[winner].append(pid)
         capacity[winner] -= 1
         consumed.add(pid)
@@ -366,59 +383,40 @@ def optimize_exact(
     """Provably optimal selection over one of the problem's pools.
 
     Maximizes total score (assigned scores minus half a point per unfilled
-    slot) subject to product uniqueness and per-researcher quotas. Solved by
-    successive longest augmenting paths, searched over researchers only.
+    slot) subject to product uniqueness and per-researcher quotas. The pool is
+    first pruned to a fixpoint (see matching.prune), then each connected
+    component of what remains is solved on its own by successive longest
+    augmenting paths, searched over researchers only.
 
     Tie rule: number the E pool entries (the eligible pairs) by researcher id,
     then pool order; pair k weighs (gain << E) | (1 << (E-1-k)).
     Among the maximum-total selections this reports the one whose set of
     (researcher, product) picks is lexicographically first in that order.
+    A component numbers its own pairs in that same order; the bit positions
+    of different components are disjoint, so the objective is separable.
     """
-    active, units = problem.active, problem.units
-    pairs = [(rid, pid) for rid in active for pid in candidates[rid]]
-    size = len(pairs)
-    weights: dict[str, dict[str, int]] = {rid: {} for rid in active}
-    for k, (rid, pid) in enumerate(pairs):
-        gain = units[(rid, pid)] + _SHORTFALL_UNITS
-        weights[rid][pid] = (gain << size) | (1 << (size - 1 - k))
-
-    room = {rid: problem.corpus.researchers[rid].quota for rid in active}
+    quota = {rid: problem.corpus.researchers[rid].quota for rid in problem.active}
+    kept, passes = matching.prune(candidates, quota, problem.holders_of(candidates))
+    room = dict(quota)
     owner: dict[str, str] = {}  # product -> the researcher it is assigned to
-    while True:
-        best = {rid: 0 for rid in active if room[rid] > 0}
-        via: dict[str, tuple[str, str]] = {}  # researcher -> (previous, product)
-        queue = deque((rid, 0) for rid in best)
-        end_gain, end = 0, None
-        while queue:
-            rid, gain = queue.popleft()
-            if gain < best[rid]:
-                continue  # a later entry carries this researcher's better gain
-            for pid, weight in weights[rid].items():
-                holder = owner.get(pid)
-                if holder is None:
-                    if gain + weight > end_gain:
-                        end_gain, end = gain + weight, (rid, pid)
-                elif holder != rid:
-                    relaxed = gain + weight - weights[holder][pid]
-                    if holder not in best or relaxed > best[holder]:
-                        best[holder] = relaxed
-                        via[holder] = (rid, pid)
-                        queue.append((holder, relaxed))
-        if end is None:
-            break
-        rid, pid = end
-        while rid in via:
-            owner[pid] = rid
-            rid, pid = via[rid]
-        owner[pid] = rid
-        room[rid] -= 1
+    components = largest = largest_pairs = scans = 0
+    for members in matching.components(kept):
+        pairs = sum(len(kept[rid]) for rid in members)
+        components += 1
+        if (len(members), pairs) > (largest, largest_pairs):
+            largest, largest_pairs = len(members), pairs
+        scans += matching.solve(members, kept, problem.units, _SHORTFALL_UNITS, room, owner)
 
     # Each augmenting path assigns one more product.
-    log.debug("%s: %d eligible pairs, %d augmenting paths", tag, size, len(owner))
-    assignment: dict[str, list[str]] = {rid: [] for rid in active}
-    for rid, pid in pairs:
-        if owner.get(pid) == rid:
-            assignment[rid].append(pid)
+    log.debug(
+        "%s: %d eligible pairs, %d after %d prune passes, %d components, "
+        "largest %d researchers / %d pairs, %d augmenting paths, %d edge scans",
+        tag, sum(map(len, candidates.values())), sum(map(len, kept.values())), passes,
+        components, largest, largest_pairs, len(owner), scans,
+    )
+    assignment: dict[str, list[str]] = {
+        rid: [pid for pid in kept[rid] if owner.get(pid) == rid] for rid in problem.active
+    }
     return _finalize(tag, problem, assignment)
 
 

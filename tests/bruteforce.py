@@ -1,13 +1,17 @@
-"""Exhaustive assignment oracles and randomized instance generator.
+"""Assignment oracles and randomized instance generator.
 
-The oracles enumerate every feasible assignment (memoized over remaining
-capacities, which prunes nothing from the search space, only repeated
-subproblems) and are independent of the augmenting-path optimizer they check.
+The exhaustive oracles enumerate every feasible assignment (memoized over
+remaining capacities, which prunes nothing from the search space, only
+repeated subproblems) and are independent of the augmenting-path optimizer
+they check. unpruned_exact is the optimizer's search run once over the whole
+pool, with no pruning and no split into components: it checks those two steps
+on instances far beyond what enumeration can reach.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
 from assessopt.corpus import Authorship, Corpus, Product, Researcher, IndexRecord
 from assessopt.gev import ScoredProduct
@@ -121,6 +125,55 @@ def canonical_assignment(
             picks[active[agent]].add(pid)
             caps = caps[:agent] + (caps[agent] - 1,) + caps[agent + 1:]
     return {rid: frozenset(p) for rid, p in picks.items()}
+
+
+def unpruned_exact(problem, candidates: dict[str, tuple[str, ...]]) -> dict[str, tuple[str, ...]]:
+    """The exact engines' canonical optimum over one whole pool, as picks per
+    active researcher in pool order.
+
+    Successive longest augmenting paths, searched over researchers, with
+    pair k of E weighing (gain << E) | (1 << (E - 1 - k)) in the global
+    (researcher id, pool order) numbering.
+    """
+    active, units = problem.active, problem.units
+    pairs = [(rid, pid) for rid in active for pid in candidates[rid]]
+    size = len(pairs)
+    weights: dict[str, dict[str, int]] = {rid: {} for rid in active}
+    for k, (rid, pid) in enumerate(pairs):
+        gain = units[(rid, pid)] + SHORT_UNITS
+        weights[rid][pid] = (gain << size) | (1 << (size - 1 - k))
+
+    room = {rid: problem.corpus.researchers[rid].quota for rid in active}
+    owner: dict[str, str] = {}  # product -> the researcher it is assigned to
+    while True:
+        best = {rid: 0 for rid in active if room[rid] > 0}
+        via: dict[str, tuple[str, str]] = {}  # researcher -> (previous, product)
+        queue = deque((rid, 0) for rid in best)
+        end_gain, end = 0, None
+        while queue:
+            rid, gain = queue.popleft()
+            if gain < best[rid]:
+                continue  # a later entry carries this researcher's better gain
+            for pid, weight in weights[rid].items():
+                holder = owner.get(pid)
+                if holder is None:
+                    if gain + weight > end_gain:
+                        end_gain, end = gain + weight, (rid, pid)
+                elif holder != rid:
+                    relaxed = gain + weight - weights[holder][pid]
+                    if holder not in best or relaxed > best[holder]:
+                        best[holder] = relaxed
+                        via[holder] = (rid, pid)
+                        queue.append((holder, relaxed))
+        if end is None:
+            break
+        rid, pid = end
+        while rid in via:
+            owner[pid] = rid
+            rid, pid = via[rid]
+        owner[pid] = rid
+        room[rid] -= 1
+    return {rid: tuple(pid for pid in candidates[rid] if owner.get(pid) == rid) for rid in active}
 
 
 SCORE_CHOICES = [1.0, 1.0, 0.8, 0.8, 0.5, 0.5, 0.25, 0.0, -1.0, -2.0]

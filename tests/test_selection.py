@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import logging
 import random
+import re
+from collections import Counter
 
+from hypothesis import given, settings, strategies as st
+
+from assessopt import matching
 from assessopt.corpus import BIBLIOMETRIC_UDAS
 from assessopt.selection import (
     EXACT_FULL,
@@ -21,7 +27,13 @@ from assessopt.selection import (
 )
 
 import support
-from bruteforce import best_total_score, canonical_assignment, random_instance, sized_instance
+from bruteforce import (
+    best_total_score,
+    canonical_assignment,
+    random_instance,
+    sized_instance,
+    unpruned_exact,
+)
 
 
 def simple_corpus(researchers, authorship_scores, quotas=None, products_extra=None):
@@ -414,7 +426,57 @@ def test_exact_matches_linear_sum_assignment_at_scale():
                 gains[i, column[pid]] = max(0, score_units(scored[(rid, pid)].score) + 5000)
         rows, cols = linear_sum_assignment(gains, maximize=True)
         optimum = int(gains[rows, cols].sum()) - 5000 * len(slots)
-        assert optimize_exact(problem, pool, tag).total_score == optimum / 10000
+        got = optimize_exact(problem, pool, tag)
+        assert got.total_score == optimum / 10000
+        assert got.assignment == unpruned_exact(problem, pool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 10)))
+def test_pruning_keeps_the_canonical_optimum(instance):
+    seed, n_res, n_prod = instance
+    corpus, scored = sized_instance(random.Random(seed), n_res, n_prod)
+    problem = build_sets(corpus, scored)
+    for pool, tag in ((problem.pool_a, EXACT_PROPOSED), (problem.pool_c, EXACT_FULL)):
+        canonical = canonical_assignment(corpus, scored, pool)
+        quota = {rid: corpus.researchers[rid].quota for rid in problem.active}
+        kept, _ = matching.prune(pool, quota, problem.holders_of(pool))
+        held = Counter(pid for pids in kept.values() for pid in pids)
+        for rid in problem.active:
+            assert canonical[rid] <= set(kept[rid])
+            assert kept[rid] == pool[rid][: len(kept[rid])]
+            # A fixpoint: no researcher keeps an entry below quota private ones.
+            private = sum(held[pid] == 1 for pid in kept[rid][:-1])
+            assert private < quota[rid]
+        got = optimize_exact(problem, pool, tag).assignment
+        assert {rid: frozenset(p) for rid, p in got.items()} == canonical
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 60), st.integers(1, 240)))
+def test_component_solves_equal_the_global_solve(instance):
+    seed, n_res, n_prod = instance
+    problem = build_sets(*sized_instance(random.Random(seed), n_res, n_prod))
+    for pool, tag in ((problem.pool_a, EXACT_PROPOSED), (problem.pool_c, EXACT_FULL)):
+        assert optimize_exact(problem, pool, tag).assignment == unpruned_exact(problem, pool)
+
+
+def test_exact_work_stays_linear_in_pairs(caplog):
+    # On this instance the unpruned global solve scans about 1,160 (pool A)
+    # and 1,630 (pool C) edges per eligible pair; pruned and split, 3.5 and 7.3.
+    problem = build_sets(*sized_instance(random.Random(1), 1000, 6700))
+    caplog.set_level(logging.DEBUG, logger="assessopt.selection")
+    exact_over_proposed(problem)
+    exact_over_full(problem)
+    counts = [
+        re.search(r"(\d+) eligible pairs, (\d+) after .* (\d+) edge scans$", r.getMessage())
+        for r in caplog.records
+    ]
+    assert len(counts) == 2 and all(counts)
+    for match in counts:
+        pairs, kept, scans = map(int, match.groups())
+        assert kept < pairs
+        assert scans < 50 * pairs
 
 
 def test_selection_feasibility_randomized():

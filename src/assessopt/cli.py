@@ -81,7 +81,9 @@ def _load_inputs(args):
 def _load_and_score(args):
     corpus, profiles, library = _load_inputs(args)
     scored = gev.score_corpus(corpus, profiles, library)
-    log.info("scored %d authorships", len(scored))
+    if log.isEnabledFor(logging.INFO):  # counting the pairs takes a pass over scored
+        log.info("scored %d authorships, %d distinct (product, panel) pairs", len(scored),
+                 len({(sp.product_id, sp.routing_gev) for sp in scored.values()}))
     return corpus, scored
 
 

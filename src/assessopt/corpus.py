@@ -1,6 +1,8 @@
 """Institutional corpus: roster, products, authorships, validation, and the CSV layer.
 
 Every CSV file the program reads or writes goes through read_rows and write_rows.
+read_rows yields each row as a list of its parsed fields in schema order, and
+the loaders build their records, which are NamedTuples, from it by position.
 
 A corpus is immutable after loading. Authorships are normalized to
 (researcher_id, product_id) order so that save/load round-trips are exact.
@@ -10,9 +12,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -52,8 +54,7 @@ SDS_AREA_BY_PREFIX = {
 }
 
 
-@dataclass(frozen=True)
-class Researcher:
+class Researcher(NamedTuple):
     """Roster entry: sector code, disciplinary area, and how many products are due."""
 
     id: str
@@ -62,8 +63,7 @@ class Researcher:
     quota: int = 3
 
 
-@dataclass(frozen=True)
-class IndexRecord:
+class IndexRecord(NamedTuple):
     """Snapshot of one bibliographic index entry for a product."""
 
     subject_categories: tuple[str, ...]
@@ -72,8 +72,7 @@ class IndexRecord:
     journal_id: str | None = None
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(NamedTuple):
     id: str
     kind: str
     year: int
@@ -92,8 +91,7 @@ class Product:
         return max(counts, default=0)
 
 
-@dataclass(frozen=True)
-class Authorship:
+class Authorship(NamedTuple):
     """Link between a researcher and a product they authored.
 
     declared_priority is the rank the researcher proposed the product at
@@ -153,16 +151,18 @@ _EXPECTED = {int: "an integer", optional_int: "an integer", float: "a number",
 
 def read_rows(
     path: Path, schema: dict[str, Callable[[str], object]]
-) -> Iterator[tuple[int, dict]]:
-    """Yield a CSV's rows as (line, row-dict) pairs of parsed fields, one at a
-    time, enforcing the schema's exact header.
+) -> Iterator[tuple[int, list]]:
+    """Yield a CSV's rows as (line, fields) pairs, one at a time, enforcing the
+    schema's exact header. fields is a list of the parsed fields in schema order.
 
-    A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
-    A field its parser rejects is a ParseError naming the file, line and column.
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped,
+    and so are blank lines. A field its parser rejects is a ParseError naming
+    the file, line and column.
     """
     if not path.exists():
         raise ParseError("file not found", file=str(path))
     columns = list(schema)
+    width = len(columns)
     typed = [(i, parse) for i, parse in enumerate(schema.values()) if parse is not str]
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -176,20 +176,18 @@ def read_rows(
                     f"bad header {header!r}, expected {columns!r}", file=str(path), line=1
                 )
             for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(columns):
-                    raise ParseError(
-                        f"expected {len(columns)} fields, got {len(row)}",
-                        file=str(path), line=reader.line_num,
-                    )
+                if len(row) != width:
+                    if not row:
+                        continue
+                    raise ParseError(f"expected {width} fields, got {len(row)}",
+                                     file=str(path), line=reader.line_num)
                 for i, parse in typed:
                     try:
                         row[i] = parse(row[i])
                     except ValueError:
                         raise ParseError(f"{columns[i]} is not {_EXPECTED[parse]}: {row[i]!r}",
                                          file=str(path), line=reader.line_num) from None
-                yield reader.line_num, dict(zip(columns, row))
+                yield reader.line_num, row
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})", file=str(path)
@@ -232,11 +230,9 @@ AUTHORSHIP_COLUMNS = {
 }
 
 
-def _record(row: dict, prefix: str, file: str, line: int) -> IndexRecord | None:
-    """The index record in a product row's four prefix_ columns; all empty means absent."""
-    text, metric, citations, journal_id = (
-        row[f"{prefix}_{name}"] for name in ("categories", "metric", "citations", "journal_id")
-    )
+def _record(fields: Sequence, prefix: str, file: str, line: int) -> IndexRecord | None:
+    """The index record in a product row's four prefix_ fields; all empty means absent."""
+    text, metric, citations, journal_id = fields
     if text == "" and metric is None and citations is None and journal_id == "":
         return None
     categories = tuple(c for c in text.split(";") if c)
@@ -282,8 +278,9 @@ def load_corpus(
 
     researchers: dict[str, Researcher] = {}
     for line, row in read_rows(researchers_path, RESEARCHER_COLUMNS):
-        # An empty quota field takes the dataclass default.
-        r = Researcher(**{k: v for k, v in row.items() if v is not None})
+        if row[3] is None:  # an empty quota field takes the Researcher default
+            row.pop()
+        r = Researcher(*row)
         if not r.id:
             violation(researchers_path, line, "empty researcher id")
             continue
@@ -302,14 +299,12 @@ def load_corpus(
         researchers[r.id] = r
 
     products: dict[str, Product] = {}
+    products_file = str(products_path)
     for line, row in read_rows(products_path, PRODUCT_COLUMNS):
-        if row["kind"] not in PRODUCT_KINDS:
-            raise ParseError(
-                f"unknown product kind {row['kind']!r}", file=str(products_path), line=line
-            )
-        p = Product(row["id"], row["kind"], row["year"], row["fraud_flag"],
-                    _record(row, "wos", str(products_path), line),
-                    _record(row, "scopus", str(products_path), line))
+        if row[1] not in PRODUCT_KINDS:
+            raise ParseError(f"unknown product kind {row[1]!r}", file=products_file, line=line)
+        p = Product(*row[:4], _record(row[4:8], "wos", products_file, line),
+                    _record(row[8:], "scopus", products_file, line))
         if not p.id:
             violation(products_path, line, "empty product id")
             continue
@@ -329,7 +324,7 @@ def load_corpus(
     seen_pairs: set[tuple[str, str]] = set()
     priorities: dict[str, dict[int, str]] = {}
     for line, row in read_rows(authorships_path, AUTHORSHIP_COLUMNS):
-        a = Authorship(**row)
+        a = Authorship(*row)
         if a.researcher_id not in researchers:
             violation(authorships_path, line, f"unknown researcher id {a.researcher_id!r}")
         if a.product_id not in products:
@@ -383,16 +378,16 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     """Write the corpus back to the three CSV files in deterministic order."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    # Both dataclasses list their fields in the order of their files' columns.
+    # Researcher and Authorship list their fields in the order of their files' columns.
     write_rows(directory / "researchers.csv", RESEARCHER_COLUMNS,
-               [astuple(r) for _, r in sorted(corpus.researchers.items())])
+               [r for _, r in sorted(corpus.researchers.items())])
     write_rows(directory / "products.csv", PRODUCT_COLUMNS, [
         (p.id, p.kind, p.year, "true" if p.fraud_flag else "false",
          *_record_fields(p.wos_record), *_record_fields(p.scopus_record))
         for _, p in sorted(corpus.products.items())
     ])
     write_rows(directory / "authorships.csv", AUTHORSHIP_COLUMNS,
-               sorted(map(astuple, corpus.authorships), key=lambda row: row[:2]))
+               sorted(corpus.authorships, key=lambda a: a[:2]))
 
 
 def admissibility(product: Product, profile, window: tuple[int, int]) -> str | None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import reference
 from .corpus import BIBLIOMETRIC_UDAS, DEFAULT_WINDOW, PRODUCT_KINDS, Corpus, IndexRecord, Product, admissibility
@@ -137,8 +138,7 @@ class GevProfile:
         return [f"profile {self.gev_id}: {p}" for p in problems]
 
 
-@dataclass(frozen=True)
-class ScoredProduct:
+class ScoredProduct(NamedTuple):
     """Outcome of scoring one product under one routing.
 
     outcome is one of the matrix results A/B/C/D/IR or a pipeline label:
@@ -283,27 +283,31 @@ def score_corpus(
     profiles: dict[int, GevProfile],
     library: ReferenceLibrary,
 ) -> dict[tuple[str, str], ScoredProduct]:
-    """Score every authorship under its researcher's routing.
+    """Score every authorship under its researcher's routing, each (product,
+    panel) pair once: co-authors routed to one panel share its ScoredProduct.
 
     Raises ValidationError when a routing falls outside areas 1-9 or has no
     profile.
     """
     scored: dict[tuple[str, str], ScoredProduct] = {}
+    memo: dict[tuple[str, int], ScoredProduct] = {}
     for a in corpus.authorships:
-        researcher = corpus.researchers[a.researcher_id]
-        gev = routing_for(a, researcher)
-        if gev not in BIBLIOMETRIC_UDAS:
-            raise ValidationError([
-                f"peer-review-only UDA {gev}: product {a.product_id!r} of researcher "
-                f"{a.researcher_id!r} has no bibliometric panel"
-            ])
-        profile = profiles.get(gev)
-        if profile is None:
-            raise ValidationError([f"no profile configured for GEV {gev}"])
-        scored[(a.researcher_id, a.product_id)] = score_product(
-            corpus.products[a.product_id], gev, profile, library,
-            corpus.evaluation_window,
-        )
+        gev = routing_for(a, corpus.researchers[a.researcher_id])
+        sp = memo.get((a.product_id, gev))
+        if sp is None:  # a pair seen before has passed these checks
+            if gev not in BIBLIOMETRIC_UDAS:
+                raise ValidationError([
+                    f"peer-review-only UDA {gev}: product {a.product_id!r} of researcher "
+                    f"{a.researcher_id!r} has no bibliometric panel"
+                ])
+            profile = profiles.get(gev)
+            if profile is None:
+                raise ValidationError([f"no profile configured for GEV {gev}"])
+            sp = memo[(a.product_id, gev)] = score_product(
+                corpus.products[a.product_id], gev, profile, library,
+                corpus.evaluation_window,
+            )
+        scored[(a.researcher_id, a.product_id)] = sp
     return scored
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import format_number, number, read_rows, write_rows
 from .errors import ParseError
@@ -102,13 +102,14 @@ class ReferenceLibrary:
         return self.thresholds.get(key)
 
 
-def _distribution_key(row: dict, file: str, line: int) -> DistributionKey:
-    if row["indicator"] not in INDICATORS:
-        raise ParseError(f"unknown indicator {row['indicator']!r}", file=file, line=line)
-    doc_split = row["doc_split"] or "any"
+def _distribution_key(fields: Sequence, file: str, line: int) -> DistributionKey:
+    indicator, category_group, year, doc_split = fields
+    if indicator not in INDICATORS:
+        raise ParseError(f"unknown indicator {indicator!r}", file=file, line=line)
+    doc_split = doc_split or "any"
     if doc_split not in DOC_SPLITS:
         raise ParseError(f"unknown doc_split {doc_split!r}", file=file, line=line)
-    return DistributionKey(row["indicator"], row["category_group"], row["year"], doc_split)
+    return DistributionKey(indicator, category_group, year, doc_split)
 
 
 def load_worldvalues(path: str | Path) -> dict[DistributionKey, ClassThresholds]:
@@ -118,16 +119,15 @@ def load_worldvalues(path: str | Path) -> dict[DistributionKey, ClassThresholds]
     # Many rows share a key: each distinct key field tuple is checked once.
     buckets: dict[tuple, list[float]] = {}
     for line, row in read_rows(path, WORLDVALUE_COLUMNS):
-        fields = (row["indicator"], row["category_group"], row["year"], row["doc_split"])
+        value = row.pop()
+        fields = tuple(row)
         bucket = buckets.get(fields)
         if bucket is None:
-            key = _distribution_key(row, str(path), line)
+            key = _distribution_key(fields, str(path), line)
             bucket = buckets[fields] = values.setdefault(key, [])
-        value = row["value"]
         if not 0 <= value < math.inf:
-            raise ParseError(
-                f"value is not a finite non-negative number: {value}", file=str(path), line=line
-            )
+            raise ParseError(f"value is not a finite non-negative number: {value}",
+                             file=str(path), line=line)
         bucket.append(value)
     return {key: build_thresholds(vals) for key, vals in values.items()}
 
@@ -137,10 +137,10 @@ def load_thresholds(path: str | Path) -> dict[DistributionKey, ClassThresholds]:
     path = Path(path)
     thresholds: dict[DistributionKey, ClassThresholds] = {}
     for line, row in read_rows(path, THRESHOLD_COLUMNS):
-        key = _distribution_key(row, str(path), line)
+        key = _distribution_key(row[:4], str(path), line)
         if key in thresholds:
             raise ParseError(f"duplicate distribution key {key}", file=str(path), line=line)
-        t = ClassThresholds(p50=row["p50"], p60=row["p60"], p80=row["p80"], n=row["n"])
+        t = ClassThresholds(*row[4:])
         if not t.p50 <= t.p60 <= t.p80:
             raise ParseError(
                 f"thresholds out of order: {t.p50} / {t.p60} / {t.p80}",
@@ -155,12 +155,11 @@ def load_thresholds(path: str | Path) -> dict[DistributionKey, ClassThresholds]:
 def load_mergemap(path: str | Path) -> dict[str, str]:
     path = Path(path)
     merge_map: dict[str, str] = {}
-    for line, row in read_rows(path, MERGEMAP_COLUMNS):
-        if row["category"] in merge_map:
-            raise ParseError(
-                f"duplicate merge-map category {row['category']!r}", file=str(path), line=line
-            )
-        merge_map[row["category"]] = row["category_group"]
+    for line, (category, category_group) in read_rows(path, MERGEMAP_COLUMNS):
+        if category in merge_map:
+            raise ParseError(f"duplicate merge-map category {category!r}",
+                             file=str(path), line=line)
+        merge_map[category] = category_group
     return merge_map
 
 

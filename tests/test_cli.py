@@ -18,8 +18,10 @@ from assessopt.corpus import (
     PRODUCT_COLUMNS,
     RESEARCHER_COLUMNS,
     load_corpus_dir,
+    read_rows,
 )
 from assessopt.errors import ParseError
+from assessopt.gev import SCORED_COLUMNS
 from assessopt.reference import THRESHOLD_COLUMNS, WORLDVALUE_COLUMNS, load_reference_dir
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -279,6 +281,11 @@ def test_simulate_logs_each_stage(tmp_path, caplog, capsys):
     messages = [r.getMessage() for r in caplog.records]
     assert any(m.startswith("corpus: ") for m in messages)
     assert any(m.startswith("scored ") for m in messages)
+    rows = [fields for _, fields in read_rows(GOLDEN / "scored.csv", SCORED_COLUMNS)]
+    pairs = {(product_id, routing_gev) for product_id, _, routing_gev, *_ in rows}
+    assert len(pairs) < len(rows)  # the fixture has co-authors on one panel
+    assert (f"scored {len(rows)} authorships, {len(pairs)} distinct (product, panel) pairs"
+            in messages)
     assert any("active researchers" in m for m in messages)
     for tag in selection.SCENARIO_TAGS:
         assert f"{tag}: total score" in stdout

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,7 +12,13 @@ from hypothesis import given, strategies as st
 
 import assessopt
 from assessopt.corpus import (
+    AUTHORSHIP_COLUMNS,
+    PRODUCT_COLUMNS,
+    RESEARCHER_COLUMNS,
+    Authorship,
     IndexRecord,
+    Product,
+    Researcher,
     admissibility,
     load_corpus,
     load_corpus_dir,
@@ -20,6 +27,13 @@ from assessopt.corpus import (
 )
 from assessopt.errors import ParseError, ValidationError
 from assessopt.gev import SCORED_COLUMNS, ScoredProduct, write_scored
+from assessopt.reference import (
+    MERGEMAP_COLUMNS,
+    THRESHOLD_COLUMNS,
+    WORLDVALUE_COLUMNS,
+    ClassThresholds,
+    DistributionKey,
+)
 from assessopt.selection import SELECTION_COLUMNS, build_sets, scenario1, write_selections
 
 import support
@@ -174,7 +188,56 @@ def test_written_scores_read_back_exactly(tmp_path, write, schema, column):
     scored = {("R1", "P1"): ScoredProduct("P1", 3, "IR", 1 / 3, False)}
     write(corpus, scored, tmp_path / "out.csv")
     [(_, row)] = read_rows(tmp_path / "out.csv", schema)
-    assert row[column] == 1 / 3
+    assert row[list(schema).index(column)] == 1 / 3
+
+
+def test_schema_columns_are_in_record_field_order():
+    """The loaders build each record from a row by position, so a schema whose
+    columns were reordered would silently swap values."""
+    assert tuple(RESEARCHER_COLUMNS) == Researcher._fields
+    assert tuple(AUTHORSHIP_COLUMNS) == Authorship._fields
+    products = list(PRODUCT_COLUMNS)
+    assert tuple(products[:4]) == Product._fields[:4]
+    assert Product._fields[4:] == ("wos_record", "scopus_record")
+    for prefix, columns in (("wos", products[4:8]), ("scopus", products[8:])):
+        # _record unpacks these four in this order
+        assert columns == [f"{prefix}_{name}"
+                           for name in ("categories", "metric", "citations", "journal_id")]
+    assert tuple(WORLDVALUE_COLUMNS) == (*DistributionKey._fields, "value")
+    thresholds = list(THRESHOLD_COLUMNS)
+    assert tuple(thresholds[:4]) == DistributionKey._fields
+    assert thresholds[4:] == [f.name for f in dataclasses.fields(ClassThresholds)]
+    assert list(MERGEMAP_COLUMNS) == ["category", "category_group"]
+
+
+def test_read_rows_skips_blank_lines_but_counts_them(tmp_path):
+    path = tmp_path / "researchers.csv"
+    path.write_text("id,sds,uda,quota\nR1,CHIM/06,3,2\n\n\nR2,,1,\n\n", encoding="utf-8")
+    assert list(read_rows(path, RESEARCHER_COLUMNS)) == [
+        (2, ["R1", "CHIM/06", 3, 2]),
+        (5, ["R2", "", 1, None]),
+    ]
+
+
+def test_read_rows_short_row_names_its_own_line(tmp_path):
+    path = tmp_path / "researchers.csv"
+    path.write_text("id,sds,uda,quota\nR1,CHIM/06,3,2\n\nR2,,1\nR3,,1,2\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        list(read_rows(path, RESEARCHER_COLUMNS))
+    assert exc.value.line == 4
+    assert str(exc.value) == f"{path}:4: expected 4 fields, got 3"
+
+
+def test_read_rows_yields_a_list_of_parsed_fields_in_schema_order(tmp_path):
+    path = tmp_path / "products.csv"
+    path.write_text(PRODUCTS.splitlines()[0] + "\n"
+                    "P1,review,2009,true,A;B,2.5,14,J1,,,,\n", encoding="utf-8")
+    [(line, fields)] = read_rows(path, PRODUCT_COLUMNS)
+    assert line == 2
+    assert type(fields) is list
+    expected = ["P1", "review", 2009, True, "A;B", 2.5, 14, "J1", "", None, None, ""]
+    assert fields == expected
+    assert [type(v) for v in fields] == [type(v) for v in expected]
 
 
 def test_only_the_csv_layer_imports_csv():

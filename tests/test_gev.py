@@ -26,6 +26,7 @@ from assessopt.gev import (
     dump_profiles,
     load_profiles,
     multi_category_class,
+    routing_for,
     score_corpus,
     score_product,
     validate_profiles,
@@ -291,6 +292,50 @@ def test_score_corpus_routing_and_peer_review_error():
     with pytest.raises(ValidationError) as exc:
         score_corpus(with_authorship, profiles, LIB)
     assert "12" in str(exc.value)
+
+
+def test_score_corpus_scores_each_product_panel_pair_once(monkeypatch):
+    corpus = support.corpus(
+        [support.researcher(rid) for rid in ("R1", "R2", "R3")],
+        # no journal metric: panel 3 falls back to 0.25, panel 5 to 0.0
+        [support.product("P1", citations=40), support.product("P2", citations=25, metric=2.5),
+         support.product("P3", citations=5, metric=0.5)],
+        [support.authored("R1", "P1"), support.authored("R2", "P1"),
+         support.authored("R3", "P1", override=5), support.authored("R1", "P2"),
+         support.authored("R3", "P2"), support.authored("R2", "P3")],
+    )
+    profiles = {3: support.profile(gev_id=3),
+                5: support.profile(gev_id=5, source_policy=WOS_ONLY, no_metric_score=0.0)}
+    unmemoised = {}
+    for a in corpus.authorships:
+        gev = routing_for(a, corpus.researchers[a.researcher_id])
+        unmemoised[(a.researcher_id, a.product_id)] = score_product(
+            corpus.products[a.product_id], gev, profiles[gev], LIB)
+    calls = []
+
+    def counting(product, routing_gev, *args):
+        calls.append((product.id, routing_gev))
+        return score_product(product, routing_gev, *args)
+
+    monkeypatch.setattr("assessopt.gev.score_product", counting)
+    scored = score_corpus(corpus, profiles, LIB)
+    assert sorted(calls) == [("P1", 3), ("P1", 5), ("P2", 3), ("P3", 3)]
+    assert scored == unmemoised
+    assert scored[("R1", "P1")].score == 0.25 and scored[("R3", "P1")].score == 0.0
+
+
+def test_score_corpus_reports_the_first_failing_authorship():
+    corpus = support.corpus(
+        [support.researcher("R1"), support.researcher("R2", uda=12),
+         support.researcher("R3", uda=12)],
+        [support.product("P1", citations=40, metric=3.5)],
+        [support.authored(rid, "P1") for rid in ("R3", "R2", "R1")],
+    )
+    with pytest.raises(ValidationError) as exc:
+        score_corpus(corpus, {3: support.profile(gev_id=3)}, LIB)
+    assert exc.value.violations == [
+        "peer-review-only UDA 12: product 'P1' of researcher 'R2' has no bibliometric panel"
+    ]
 
 
 def test_default_pack_shape():

@@ -156,9 +156,52 @@ def test_worldvalues_loader(tmp_path):
     assert thresholds[DistributionKey("journal-metric", "Physics", 2006)].p80 == 2.5
 
 
+def test_worldvalues_interleaved_keys(tmp_path):
+    rows = [
+        ("citations", "X", 2006, "", 4), ("journal-metric", "X", 2006, "any", 1.5),
+        ("citations", "X", 2006, "any", 9), ("citations", "Y", 2007, "review", 3),
+        ("journal-metric", "X", 2006, "any", 0.5), ("citations", "X", 2006, "", 1),
+        ("citations", "Y", 2007, "review", 8), ("citations", "X", 2006, "any", 7),
+        ("citations", "X", 2007, "any", 2),
+    ]
+    path = tmp_path / "worldvalues.csv"
+    path.write_text("indicator,category_group,year,doc_split,value\n"
+                    + "".join(",".join(map(str, row)) + "\n" for row in rows), encoding="utf-8")
+    expected: dict[DistributionKey, list[float]] = {}
+    for indicator, group, year, doc_split, value in rows:
+        # an empty doc_split is "any"
+        expected.setdefault(DistributionKey(indicator, group, year, doc_split or "any"),
+                            []).append(value)
+    thresholds = load_worldvalues(path)
+    assert thresholds == {key: build_thresholds(values) for key, values in expected.items()}
+    assert thresholds[DistributionKey("citations", "X", 2006)].n == 4
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "many"])
+def test_worldvalues_earlier_fault_wins(tmp_path, value):
+    path = tmp_path / "worldvalues.csv"
+    path.write_text("indicator,category_group,year,doc_split,value\n"
+                    "h-index,X,2006,any,3\n"
+                    f"citations,X,2006,any,{value}\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_worldvalues(path)
+    assert exc.value.line == 2
+    assert "unknown indicator 'h-index'" in str(exc.value)
+
+
+def test_worldvalues_key_fault_precedes_value_fault_on_one_line(tmp_path):
+    path = tmp_path / "worldvalues.csv"
+    path.write_text("indicator,category_group,year,doc_split,value\n"
+                    "citations,X,2006,any,3\n"
+                    "citations,X,2006,letters,-1\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_worldvalues(path)
+    assert str(exc.value) == f"{path}:3: unknown doc_split 'letters'"
+
+
 def test_load_worldvalues_memory_does_not_grow_with_rows(tmp_path):
     """Rows are reduced to per-key value lists as they are read; no list of
-    parsed rows is held. 20,000 rows as parsed dicts would take ~10 MB."""
+    parsed rows is held. 20,000 parsed rows held at once would take several MB."""
     path = tmp_path / "worldvalues.csv"
     rows = [f"citations,X{i % 4},2006,any,{i}" for i in range(20_000)]
     path.write_text("indicator,category_group,year,doc_split,value\n" + "\n".join(rows) + "\n",

@@ -75,6 +75,8 @@ def _load_inputs(args):
     if problems:
         raise ValidationError(problems)
     library = reference.load_reference_dir(args.ref)
+    log.info("reference: %d distributions, %d merge-map entries",
+             len(library.thresholds), len(library.merge_map))
     return corpus, profiles, library
 
 

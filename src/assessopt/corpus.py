@@ -149,6 +149,12 @@ _EXPECTED = {int: "an integer", optional_int: "an integer", float: "a number",
              number: "a finite number", optional_number: "a finite number", boolean: "a boolean"}
 
 
+def bad_field(column: str, parse: Callable[[str], object], text: str,
+              file: str, line: int) -> ParseError:
+    """The error for a field that parse rejected with ValueError."""
+    return ParseError(f"{column} is not {_EXPECTED[parse]}: {text!r}", file=file, line=line)
+
+
 def read_rows(
     path: Path, schema: dict[str, Callable[[str], object]]
 ) -> Iterator[tuple[int, list]]:
@@ -185,8 +191,8 @@ def read_rows(
                     try:
                         row[i] = parse(row[i])
                     except ValueError:
-                        raise ParseError(f"{columns[i]} is not {_EXPECTED[parse]}: {row[i]!r}",
-                                         file=str(path), line=reader.line_num) from None
+                        raise bad_field(columns[i], parse, row[i], str(path),
+                                        reader.line_num) from None
                 yield reader.line_num, row
     except UnicodeDecodeError as exc:
         raise ParseError(

@@ -167,17 +167,17 @@ def multi_category_class(
     when none of them resolves.
     """
     best: int | None = None
-    missing: list[str] = []
     for category in record.subject_categories:
         thresholds = library.lookup(indicator, category, year, doc_split)
         if thresholds is None:
-            missing.append(str(DistributionKey(indicator, library.resolve(category), year, doc_split)))
             continue
         cls = classify(value, thresholds)
         if best is None or cls < best:
             best = cls
-    if best is None:
-        raise ValidationError(["no reference distribution for any of: " + ", ".join(missing)])
+    if best is None:  # then every category is missing
+        raise ValidationError(["no reference distribution for any of: " + ", ".join(
+            str(DistributionKey(indicator, library.resolve(category), year, doc_split))
+            for category in record.subject_categories)])
     return best
 
 

@@ -13,7 +13,7 @@ from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import format_number, number, read_rows, write_rows
+from .corpus import bad_field, format_number, number, read_rows, write_rows
 from .errors import ParseError
 
 JOURNAL_METRIC = "journal-metric"
@@ -21,10 +21,10 @@ CITATIONS = "citations"
 INDICATORS = (JOURNAL_METRIC, CITATIONS)
 DOC_SPLITS = ("any", "article", "review")
 
-# worldvalues.csv is read in bulk, so its value column is a bare float whose
-# range load_worldvalues checks.
+# worldvalues.csv is read in bulk, so load_worldvalues parses its year once per
+# key text, and its value as a bare float whose range it checks.
 WORLDVALUE_COLUMNS = {
-    "indicator": str, "category_group": str, "year": int, "doc_split": str, "value": float,
+    "indicator": str, "category_group": str, "year": str, "doc_split": str, "value": str,
 }
 THRESHOLD_COLUMNS = {
     "indicator": str, "category_group": str, "year": int, "doc_split": str,
@@ -113,21 +113,36 @@ def _distribution_key(fields: Sequence, file: str, line: int) -> DistributionKey
 
 
 def load_worldvalues(path: str | Path) -> dict[DistributionKey, ClassThresholds]:
-    """Read raw world values (one per row) and compute thresholds per key."""
+    """Read raw world values (one per row) and compute thresholds per key.
+
+    Each key's values are held as 8-byte floats in one array. Many rows share
+    a key text: each distinct one is parsed and checked once, and key texts
+    naming one key (" 2006" and "2006", "" and "any") share its array.
+    """
+    from array import array  # a shared library (~0.1 MB resident): loaded only where used
     path = Path(path)
-    values: dict[DistributionKey, list[float]] = {}
-    # Many rows share a key: each distinct key field tuple is checked once.
-    buckets: dict[tuple, list[float]] = {}
+    file = str(path)
+    values: dict[DistributionKey, array] = {}
+    buckets: dict[tuple, array] = {}
     for line, row in read_rows(path, WORLDVALUE_COLUMNS):
-        value = row.pop()
-        fields = tuple(row)
-        bucket = buckets.get(fields)
+        text = row.pop()
+        key_text = tuple(row)
+        bucket = buckets.get(key_text)
+        if bucket is None:  # on one line, year is checked first, then value, then the key
+            try:
+                row[2] = int(row[2])
+            except ValueError:
+                raise bad_field("year", int, row[2], file, line) from None
+        try:
+            value = float(text)
+        except ValueError:
+            raise bad_field("value", float, text, file, line) from None
         if bucket is None:
-            key = _distribution_key(fields, str(path), line)
-            bucket = buckets[fields] = values.setdefault(key, [])
+            key = _distribution_key(row, file, line)
+            bucket = buckets[key_text] = values.setdefault(key, array("d"))
         if not 0 <= value < math.inf:
             raise ParseError(f"value is not a finite non-negative number: {value}",
-                             file=str(path), line=line)
+                             file=file, line=line)
         bucket.append(value)
     return {key: build_thresholds(vals) for key, vals in values.items()}
 

@@ -22,7 +22,9 @@ from assessopt.corpus import (
 )
 from assessopt.errors import ParseError
 from assessopt.gev import SCORED_COLUMNS
-from assessopt.reference import THRESHOLD_COLUMNS, WORLDVALUE_COLUMNS, load_reference_dir
+from assessopt.reference import (
+    MERGEMAP_COLUMNS, THRESHOLD_COLUMNS, WORLDVALUE_COLUMNS, load_reference_dir,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MINI = FIXTURES / "mini_university"
@@ -122,6 +124,8 @@ TYPED_COLUMNS = [
     )
     for column, parse in schema.items()
     if parse is not str
+] + [  # load_worldvalues parses these text columns itself
+    ("ref/worldvalues.csv", "year"), ("ref/worldvalues.csv", "value"),
 ]
 
 
@@ -280,6 +284,9 @@ def test_simulate_logs_each_stage(tmp_path, caplog, capsys):
     stdout = capsys.readouterr().out
     messages = [r.getMessage() for r in caplog.records]
     assert any(m.startswith("corpus: ") for m in messages)
+    distributions = len(list(read_rows(MINI / "ref" / "thresholds.csv", THRESHOLD_COLUMNS)))
+    merges = len(list(read_rows(MINI / "ref" / "mergemap.csv", MERGEMAP_COLUMNS)))
+    assert f"reference: {distributions} distributions, {merges} merge-map entries" in messages
     assert any(m.startswith("scored ") for m in messages)
     rows = [fields for _, fields in read_rows(GOLDEN / "scored.csv", SCORED_COLUMNS)]
     pairs = {(product_id, routing_gev) for product_id, _, routing_gev, *_ in rows}

@@ -162,7 +162,7 @@ def test_worldvalues_interleaved_keys(tmp_path):
         ("citations", "X", 2006, "any", 9), ("citations", "Y", 2007, "review", 3),
         ("journal-metric", "X", 2006, "any", 0.5), ("citations", "X", 2006, "", 1),
         ("citations", "Y", 2007, "review", 8), ("citations", "X", 2006, "any", 7),
-        ("citations", "X", 2007, "any", 2),
+        ("citations", "X", 2007, "any", 2), ("journal-metric", "X", " 2006", "any", 2.5),
     ]
     path = tmp_path / "worldvalues.csv"
     path.write_text("indicator,category_group,year,doc_split,value\n"
@@ -170,11 +170,13 @@ def test_worldvalues_interleaved_keys(tmp_path):
     expected: dict[DistributionKey, list[float]] = {}
     for indicator, group, year, doc_split, value in rows:
         # an empty doc_split is "any"
-        expected.setdefault(DistributionKey(indicator, group, year, doc_split or "any"),
+        expected.setdefault(DistributionKey(indicator, group, int(year), doc_split or "any"),
                             []).append(value)
     thresholds = load_worldvalues(path)
     assert thresholds == {key: build_thresholds(values) for key, values in expected.items()}
     assert thresholds[DistributionKey("citations", "X", 2006)].n == 4
+    # " 2006" and "2006" are one year
+    assert thresholds[DistributionKey("journal-metric", "X", 2006)].n == 3
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "many"])
@@ -197,6 +199,38 @@ def test_worldvalues_key_fault_precedes_value_fault_on_one_line(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_worldvalues(path)
     assert str(exc.value) == f"{path}:3: unknown doc_split 'letters'"
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    (["citations,X,20x6,any,many"], 2, "year is not an integer: '20x6'"),
+    (["h-index,X,2006,any,many"], 2, "value is not a number: 'many'"),
+    (["citations,X,2006,any,1", "citations,X,20x6,any,-1"], 3, "year is not an integer: '20x6'"),
+])
+def test_worldvalues_fault_precedence_on_one_line(tmp_path, rows, line, message):
+    """On one line a year fault comes first, then value, then the key, then range."""
+    path = tmp_path / "worldvalues.csv"
+    path.write_text("indicator,category_group,year,doc_split,value\n" + "\n".join(rows) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_worldvalues(path)
+    assert str(exc.value) == f"{path}:{line}: {message}"
+
+
+def test_load_worldvalues_holds_values_as_8_byte_floats(tmp_path):
+    """100,000 values held as boxed floats in lists take ~3.5 MB at peak; as
+    8-byte floats in one array per key they take 0.8 MB, plus the sort of one key."""
+    path = tmp_path / "worldvalues.csv"
+    rows = [f"citations,X{i % 4},2006,any,{i}" for i in range(100_000)]
+    path.write_text("indicator,category_group,year,doc_split,value\n" + "\n".join(rows) + "\n",
+                    encoding="utf-8")
+    tracemalloc.start()
+    try:
+        thresholds = load_worldvalues(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(t.n for t in thresholds.values()) == 100_000
+    assert peak < 2_000_000
 
 
 def test_load_worldvalues_memory_does_not_grow_with_rows(tmp_path):

@@ -92,8 +92,8 @@ def _load_and_score(args):
 def _run_pipeline(args, tags: list[str]):
     problem = selection.build_sets(*_load_and_score(args))
     log.info("%d active researchers; eligible pairs: pool A %d, pool C %d",
-             len(problem.active), sum(map(len, problem.pool_a.values())),
-             sum(map(len, problem.pool_c.values())))
+             len(problem.quota), sum(map(len, problem.pool_a.entries.values())),
+             sum(map(len, problem.pool_c.entries.values())))
     errors = selection.error_metrics(problem)
     selections = {}
     for tag in tags:
@@ -136,10 +136,8 @@ def cmd_simulate(args) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     table = report.scenario_table(selections)
-    averages = report.average_table(problem)
     (outdir / "report.md").write_text(
-        report.render_report(problem, selections, errors, averages, table),
-        encoding="utf-8",
+        report.render_report(problem, selections, errors, table), encoding="utf-8"
     )
     if table is not None:
         write_rows(outdir / "report.csv", report.SCENARIO_CSV_COLUMNS,

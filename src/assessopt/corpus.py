@@ -194,6 +194,8 @@ def read_rows(
                         raise bad_field(columns[i], parse, row[i], str(path),
                                         reader.line_num) from None
                 yield reader.line_num, row
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(str(exc), file=str(path), line=reader.line_num) from None
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})", file=str(path)

@@ -466,7 +466,7 @@ def load_profiles(path: str | Path) -> dict[int, GevProfile]:
             f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x} at offset {exc.start})",
             file=str(path),
         ) from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or an int too long
         raise ParseError(f"invalid JSON: {exc}", file=str(path)) from None
 
     profiles: dict[int, GevProfile] = {}

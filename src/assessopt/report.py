@@ -90,15 +90,9 @@ class ScenarioRow:
         return delta_strings(self.s1, self.s2, self.s3)
 
 
-@dataclass(frozen=True)
-class ScenarioTable:
-    rows: tuple[ScenarioRow, ...]
-    total: ScenarioRow
-
-
-def scenario_table(selections: dict[str, Selection]) -> ScenarioTable | None:
-    """Per-area totals of the three scenarios with pairwise deltas, or None
-    unless scenarios 1-3 all ran."""
+def scenario_table(selections: dict[str, Selection]) -> tuple[ScenarioRow, ...] | None:
+    """Per-area totals of the three scenarios with pairwise deltas, plus an
+    institution total row, or None unless scenarios 1-3 all ran."""
     try:
         s1, s2, s3 = selections[SCENARIO1], selections[SCENARIO2], selections[SCENARIO3]
     except KeyError:
@@ -113,14 +107,14 @@ def scenario_table(selections: dict[str, Selection]) -> ScenarioTable | None:
             s2=s2.per_uda.get(uda, 0.0),
             s3=s3.per_uda.get(uda, 0.0),
         ))
-    total = ScenarioRow(
+    rows.append(ScenarioRow(
         uda=None,
         products_due=sum(r.products_due for r in rows),
         s1=s1.total_score,
         s2=s2.total_score,
         s3=s3.total_score,
-    )
-    return ScenarioTable(rows=tuple(rows), total=total)
+    ))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -146,8 +140,7 @@ def error_table(
     Counts are authorship counts: a co-authored product is counted once per
     researcher whose set holds it.
     """
-    quota = {rid: problem.corpus.researchers[rid].quota for rid in problem.active}
-    active = [e for e in errors if e.researcher_id in quota]
+    active = [e for e in errors if e.researcher_id in problem.quota]
     by_uda: dict[int, list[ResearcherErrors]] = {}
     for e in active:
         by_uda.setdefault(e.uda, []).append(e)
@@ -155,7 +148,7 @@ def error_table(
     def aggregate(uda: int | None, group: list[ResearcherErrors]) -> ErrorTableRow:
         return ErrorTableRow(
             uda=uda,
-            products_due=sum(quota[e.researcher_id] for e in group),
+            products_due=sum(problem.quota[e.researcher_id] for e in group),
             declared_count=sum(e.declared_count for e in group),
             inadmissible=sum(e.inadmissible_in_declared for e in group),
             nil_declared=sum(e.nil_in_declared for e in group),
@@ -237,20 +230,20 @@ def _markdown_table(header: str, rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_scenario_markdown(table: ScenarioTable) -> str:
+def render_scenario_markdown(rows: tuple[ScenarioRow, ...]) -> str:
     return _markdown_table(
         "| Area | Products due | Scen. 1 | Scen. 2 | Scen. 3 | 1 vs 2 | 2 vs 3 | 1 vs 3 |",
         ([_area_label(row.uda), row.products_due, _fmt_score(row.s1), _fmt_score(row.s2),
-          _fmt_score(row.s3), *row.deltas] for row in (*table.rows, table.total)),
+          _fmt_score(row.s3), *row.deltas] for row in rows),
     )
 
 
-def render_scenario_csv(table: ScenarioTable) -> list[tuple]:
+def render_scenario_csv(rows: tuple[ScenarioRow, ...]) -> list[tuple]:
     """The scenario table as rows of SCENARIO_CSV_COLUMNS."""
     return [
         ("TOTAL" if row.uda is None else row.uda, row.products_due,
          _fmt_score(row.s1), _fmt_score(row.s2), _fmt_score(row.s3), *row.deltas)
-        for row in (*table.rows, table.total)
+        for row in rows
     ]
 
 
@@ -305,8 +298,7 @@ def render_report(
     problem: SelectionProblem,
     selections: dict[str, Selection],
     errors: tuple[ResearcherErrors, ...],
-    averages: AverageScoreTable,
-    table: ScenarioTable | None,
+    table: tuple[ScenarioRow, ...] | None,
 ) -> str:
     """Assemble the full markdown report; table is the scenario table, or
     None when scenarios 1-3 did not all run."""
@@ -315,7 +307,8 @@ def render_report(
         sections.append(("Scenario comparison by area", render_scenario_markdown(table)))
     sections += [
         ("Selection errors", render_error_markdown(error_table(errors, problem))),
-        ("Average scores of declared vs best picks", render_average_markdown(averages)),
+        ("Average scores of declared vs best picks",
+         render_average_markdown(average_table(problem))),
     ]
     return "\n".join(
         ["# Product selection report", ""] + [f"## {title}\n\n{text}" for title, text in sections]

@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import matching
 from .corpus import BIBLIOMETRIC_UDAS, Corpus, format_number, write_rows
@@ -67,11 +68,33 @@ class ResearcherPortfolio:
                          by canonical score order
     """
 
-    researcher_id: str
     proposed: tuple[str, ...]
     unproposed_indexed: tuple[str, ...]
     declared_pick: tuple[str, ...]
     best_pick: tuple[str, ...]
+
+
+class Pool(NamedTuple):
+    """One candidate pool.
+
+    entries:  each active researcher's eligible candidates (score beats the
+              empty-slot penalty), in canonical order, researchers by id
+    holders:  each product that two or more researchers hold in entries ->
+              those researchers, by id; a product absent from it has one holder
+    """
+
+    entries: dict[str, tuple[str, ...]]
+    holders: dict[str, list[str]]
+
+
+def _pool(entries: dict[str, tuple[str, ...]]) -> Pool:
+    holders: dict[str, list[str]] = {}
+    first: dict[str, str] = {}  # product -> its first holder
+    for rid, pids in entries.items():  # researchers in id order
+        for pid in pids:
+            if first.setdefault(pid, rid) != rid:
+                holders.setdefault(pid, [first[pid]]).append(rid)
+    return Pool(entries, holders)
 
 
 @dataclass(frozen=True)
@@ -79,17 +102,14 @@ class SelectionProblem:
     """The model every engine shares, built once per run by build_sets.
 
     units:       integer score units of every scored (researcher, product) pair
-    active:      researchers who take part in a selection, by id
+    quota:       each researcher who takes part in a selection -> its quota,
+                 by id
     portfolios:  every researcher's product sets, by id
     pool_c:      candidate pool C, the proposed plus the indexed unproposed
-                 products: eligible candidates (score beats the empty-slot
-                 penalty), canonical order, active researchers
+                 products
     pool_a:      candidate pool A, the proposed products of pool C, same order
     tiebreak:    each product's rank by citations desc, year asc, id asc;
                  the canonical order is score desc, then this rank
-    holders:     per pool ("A", "C"), each product that two or more active
-                 researchers hold there -> those researchers, by id; a
-                 product absent from it has one holder
 
     Every score-driven engine (scenarios 2-3, exact-A/C) reads the pools as given.
     """
@@ -97,18 +117,11 @@ class SelectionProblem:
     corpus: Corpus
     scored: ScoredMap
     units: dict[tuple[str, str], int]
-    active: tuple[str, ...]
+    quota: dict[str, int]
     portfolios: dict[str, ResearcherPortfolio]
-    pool_a: dict[str, tuple[str, ...]]
-    pool_c: dict[str, tuple[str, ...]]
+    pool_a: Pool
+    pool_c: Pool
     tiebreak: dict[str, int]
-    holders: dict[str, dict[str, list[str]]]
-
-    def holders_of(self, pool: dict[str, tuple[str, ...]]) -> dict[str, list[str]]:
-        """The holders index of pool_a or pool_c."""
-        if pool is not self.pool_a and pool is not self.pool_c:
-            raise ValueError("holders are indexed for pool_a and pool_c only")
-        return self.holders["A" if pool is self.pool_a else "C"]
 
 
 def build_sets(corpus: Corpus, scored: ScoredMap) -> SelectionProblem:
@@ -144,7 +157,6 @@ def build_sets(corpus: Corpus, scored: ScoredMap) -> SelectionProblem:
         ranked = sorted(proposed + unproposed,
                         key=lambda pid: (-units[(rid, pid)], tiebreak[pid]))
         portfolios[rid] = ResearcherPortfolio(
-            researcher_id=rid,
             proposed=proposed,
             unproposed_indexed=unproposed,
             declared_pick=proposed[: researcher.quota],
@@ -153,23 +165,15 @@ def build_sets(corpus: Corpus, scored: ScoredMap) -> SelectionProblem:
         if researcher.quota > 0 and researcher.uda in BIBLIOMETRIC_UDAS:
             pool_c[rid] = tuple(pid for pid in ranked if units[(rid, pid)] + _SHORTFALL_UNITS > 0)
             pool_a[rid] = tuple(pid for pid in pool_c[rid] if pid in proposed)
-    holders: dict[str, dict[str, list[str]]] = {"A": {}, "C": {}}
-    for name, pool in (("A", pool_a), ("C", pool_c)):
-        first: dict[str, str] = {}  # product -> its first holder
-        for rid, pids in pool.items():  # researchers in id order
-            for pid in pids:
-                if first.setdefault(pid, rid) != rid:
-                    holders[name].setdefault(pid, [first[pid]]).append(rid)
     return SelectionProblem(
         corpus=corpus,
         scored=scored,
         units=units,
-        active=tuple(pool_c),
+        quota={rid: corpus.researchers[rid].quota for rid in pool_c},
         portfolios=portfolios,
-        pool_a=pool_a,
-        pool_c=pool_c,
+        pool_a=_pool(pool_a),
+        pool_c=_pool(pool_c),
         tiebreak=tiebreak,
-        holders=holders,
     )
 
 
@@ -254,17 +258,17 @@ def _finalize(
     per_uda_due: dict[int, int] = {}
     total_units = 0
     final_assignment: dict[str, tuple[str, ...]] = {}
-    for rid in problem.active:
-        researcher = problem.corpus.researchers[rid]
+    for rid, quota in problem.quota.items():
+        uda = problem.corpus.researchers[rid].uda
         picked = assignment.get(rid, [])
-        missing = researcher.quota - len(picked)
+        missing = quota - len(picked)
         units = sum(problem.units[(rid, pid)] for pid in picked)
         units -= _SHORTFALL_UNITS * missing
         final_assignment[rid] = tuple(picked)
         shortfall[rid] = missing
         total_units += units
-        per_uda_units[researcher.uda] = per_uda_units.get(researcher.uda, 0) + units
-        per_uda_due[researcher.uda] = per_uda_due.get(researcher.uda, 0) + researcher.quota
+        per_uda_units[uda] = per_uda_units.get(uda, 0) + units
+        per_uda_due[uda] = per_uda_due.get(uda, 0) + quota
     return Selection(
         tag=tag,
         assignment=final_assignment,
@@ -287,15 +291,15 @@ def scenario1(problem: SelectionProblem) -> Selection:
     priority order regardless of score, so penalized products do get
     submitted when researchers ranked them high.
     """
-    corpus, active, sets = problem.corpus, problem.active, problem.portfolios
+    sets = problem.portfolios
     priority: dict[tuple[str, str], int] = {
         (a.researcher_id, a.product_id): a.declared_priority
-        for a in corpus.authorships
+        for a in problem.corpus.authorships
         if a.declared_priority is not None
     }
-    capacity = {rid: corpus.researchers[rid].quota for rid in active}
+    capacity = dict(problem.quota)
     consumed: set[str] = set()
-    assignment: dict[str, list[str]] = {rid: [] for rid in active}
+    assignment: dict[str, list[str]] = {rid: [] for rid in capacity}
 
     def next_claim(rid: str) -> str | None:
         for pid in sets[rid].proposed:
@@ -308,7 +312,7 @@ def scenario1(problem: SelectionProblem) -> Selection:
 
     while True:
         claims: dict[str, list[str]] = {}
-        for rid in active:
+        for rid in capacity:
             if capacity[rid] == 0:
                 continue
             pid = next_claim(rid)
@@ -328,23 +332,21 @@ def scenario1(problem: SelectionProblem) -> Selection:
     return _finalize(SCENARIO1, problem, assignment)
 
 
-def _greedy_best_score(
-    tag: str, problem: SelectionProblem, candidates: dict[str, tuple[str, ...]]
-) -> Selection:
+def _greedy_best_score(tag: str, problem: SelectionProblem, pool: Pool) -> Selection:
     """Greedy selection over one of the problem's pools, in score order.
 
     A product wanted by several capacity-holding researchers goes to the
     claimant whose best remaining alternative scores lower (no alternative
     ranks lowest of all); remaining ties go to the smaller researcher id.
     """
-    active, units, tiebreak = problem.active, problem.units, problem.tiebreak
-    holders = problem.holders_of(candidates)
-    pairs = [(rid, pid) for rid in active for pid in candidates[rid]]
+    units, tiebreak = problem.units, problem.tiebreak
+    candidates, holders = pool
+    pairs = [(rid, pid) for rid, pids in candidates.items() for pid in pids]
     pairs.sort(key=lambda pair: (-units[pair], tiebreak[pair[1]], pair[0]))
 
-    capacity = {rid: problem.corpus.researchers[rid].quota for rid in active}
+    capacity = dict(problem.quota)
     consumed: set[str] = set()
-    assignment: dict[str, list[str]] = {rid: [] for rid in active}
+    assignment: dict[str, list[str]] = {rid: [] for rid in capacity}
 
     def best_alternative_units(rid: str, excluding: str) -> float:
         # The pool is ranked by score, so the first free entry is the best.
@@ -377,9 +379,7 @@ def scenario3(problem: SelectionProblem) -> Selection:
 
 # --- exact optimizer --------------------------------------------------------
 
-def optimize_exact(
-    problem: SelectionProblem, candidates: dict[str, tuple[str, ...]], tag: str
-) -> Selection:
+def optimize_exact(problem: SelectionProblem, pool: Pool, tag: str) -> Selection:
     """Provably optimal selection over one of the problem's pools.
 
     Maximizes total score (assigned scores minus half a point per unfilled
@@ -395,9 +395,8 @@ def optimize_exact(
     A component numbers its own pairs in that same order; the bit positions
     of different components are disjoint, so the objective is separable.
     """
-    quota = {rid: problem.corpus.researchers[rid].quota for rid in problem.active}
-    kept, passes = matching.prune(candidates, quota, problem.holders_of(candidates))
-    room = dict(quota)
+    kept, passes = matching.prune(pool.entries, problem.quota, pool.holders)
+    room = dict(problem.quota)
     owner: dict[str, str] = {}  # product -> the researcher it is assigned to
     components = largest = largest_pairs = scans = 0
     for members in matching.components(kept):
@@ -411,11 +410,11 @@ def optimize_exact(
     log.debug(
         "%s: %d eligible pairs, %d after %d prune passes, %d components, "
         "largest %d researchers / %d pairs, %d augmenting paths, %d edge scans",
-        tag, sum(map(len, candidates.values())), sum(map(len, kept.values())), passes,
+        tag, sum(map(len, pool.entries.values())), sum(map(len, kept.values())), passes,
         components, largest, largest_pairs, len(owner), scans,
     )
     assignment: dict[str, list[str]] = {
-        rid: [pid for pid in kept[rid] if owner.get(pid) == rid] for rid in problem.active
+        rid: [pid for pid in pids if owner.get(pid) == rid] for rid, pids in kept.items()
     }
     return _finalize(tag, problem, assignment)
 

@@ -135,7 +135,7 @@ def unpruned_exact(problem, candidates: dict[str, tuple[str, ...]]) -> dict[str,
     pair k of E weighing (gain << E) | (1 << (E - 1 - k)) in the global
     (researcher id, pool order) numbering.
     """
-    active, units = problem.active, problem.units
+    active, units = tuple(problem.quota), problem.units
     pairs = [(rid, pid) for rid in active for pid in candidates[rid]]
     size = len(pairs)
     weights: dict[str, dict[str, int]] = {rid: {} for rid in active}

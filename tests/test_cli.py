@@ -70,6 +70,27 @@ def test_validate_rejects_non_utf8_input(tmp_path, capsys, name):
     assert err.count("\n") == 1  # one message line, no traceback
 
 
+@pytest.mark.parametrize("name, text, where", [
+    ("products.csv",
+     ",".join(PRODUCT_COLUMNS) + "\n" + "x" * 200_000 + "," * (len(PRODUCT_COLUMNS) - 1) + "\n",
+     ":2: field larger than field limit"),
+    ("profiles.json", "[" * 100_000, ": invalid JSON: "),
+    ("profiles.json", '{"profiles": [{"gev_id": ' + "7" * 5000 + "}]}", ": invalid JSON: "),
+], ids=["long-csv-field", "deep-json", "huge-json-integer"])
+def test_validate_rejects_oversize_input(tmp_path, capsys, name, text, where):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(MINI, corpus)
+    path = corpus / name
+    path.write_text(text, encoding="utf-8")
+    assert main([
+        "validate", "--corpus", str(corpus),
+        "--profiles", str(corpus / "profiles.json"), "--ref", str(MINI / "ref"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}{where}")
+    assert err.count("\n") == 1  # one message line, no traceback
+
+
 def test_unknown_log_level_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("ASSESS_OPT_LOG", "verbose")
     assert main(["validate", *MINI_ARGS]) == 2

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import re
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -247,6 +249,23 @@ def test_only_the_csv_layer_imports_csv():
         if re.search(r"^\s*(import|from) csv\b", path.read_text(encoding="utf-8"), re.M)
     )
     assert importers == ["corpus.py"]
+
+
+def test_src_imports_only_the_standard_library():
+    # numpy and scipy are installed for the tests, so a stray import of either
+    # would still run here; the package itself promises no dependencies.
+    outside = []
+    for path in sorted(Path(assessopt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
 
 
 def test_missing_file(tmp_path):

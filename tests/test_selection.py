@@ -116,7 +116,10 @@ def test_pools_hold_eligible_candidates_best_first_randomized():
         problem = build_sets(corpus, scored)
         active = [rid for rid, r in sorted(corpus.researchers.items())
                   if r.quota > 0 and r.uda in BIBLIOMETRIC_UDAS]
-        assert sorted(problem.pool_a) == sorted(problem.pool_c) == active
+        assert list(problem.pool_a.entries) == list(problem.pool_c.entries) == active
+        assert list(problem.quota.items()) == [(rid, corpus.researchers[rid].quota)
+                                               for rid in active]
+        expected_pools: tuple[dict, dict] = ({}, {})
         for rid in active:
             proposed = {a.product_id for a in corpus.authorships
                         if a.researcher_id == rid and a.declared_priority is not None}
@@ -130,8 +133,18 @@ def test_pools_hold_eligible_candidates_best_first_randomized():
                 -scored[(rid, pid)].score, -corpus.products[pid].max_citations,
                 corpus.products[pid].year, pid,
             )))
-            assert problem.pool_c[rid] == expected_c
-            assert problem.pool_a[rid] == tuple(pid for pid in expected_c if pid in proposed)
+            expected_a = tuple(pid for pid in expected_c if pid in proposed)
+            assert problem.pool_c.entries[rid] == expected_c
+            assert problem.pool_a.entries[rid] == expected_a
+            expected_pools[0][rid], expected_pools[1][rid] = expected_a, expected_c
+        # Every product two or more researchers hold -> its holders, by id.
+        for pool, expected in zip((problem.pool_a, problem.pool_c), expected_pools):
+            by_product: dict[str, list[str]] = {}
+            for rid in active:
+                for pid in expected[rid]:
+                    by_product.setdefault(pid, []).append(rid)
+            assert pool.holders == {pid: rids for pid, rids in by_product.items()
+                                    if len(rids) > 1}
 
 
 # --- error taxonomy ----------------------------------------------------------
@@ -403,7 +416,7 @@ def test_exact_reports_the_canonical_optimum_randomized():
         for pool, tag in ((problem.pool_a, EXACT_PROPOSED), (problem.pool_c, EXACT_FULL)):
             got = optimize_exact(problem, pool, tag).assignment
             assert {rid: frozenset(p) for rid, p in got.items()} == canonical_assignment(
-                corpus, scored, pool
+                corpus, scored, pool.entries
             )
 
 
@@ -414,21 +427,21 @@ def test_exact_matches_linear_sum_assignment_at_scale():
     rng = random.Random(11)
     corpus, scored = sized_instance(rng, 240, 1600)
     problem = build_sets(corpus, scored)
-    assert len(problem.active) >= 200
+    assert len(problem.quota) >= 200
     for pool, tag in ((problem.pool_a, EXACT_PROPOSED), (problem.pool_c, EXACT_FULL)):
         # One row per quota slot; a slot takes a product or its own empty column.
-        slots = [rid for rid in problem.active for _ in range(corpus.researchers[rid].quota)]
-        products = sorted({pid for rid in problem.active for pid in pool[rid]})
+        slots = [rid for rid in problem.quota for _ in range(corpus.researchers[rid].quota)]
+        products = sorted({pid for rid in problem.quota for pid in pool.entries[rid]})
         column = {pid: j for j, pid in enumerate(products)}
         gains = np.zeros((len(slots), len(products) + len(slots)), dtype=np.int64)
         for i, rid in enumerate(slots):
-            for pid in pool[rid]:
+            for pid in pool.entries[rid]:
                 gains[i, column[pid]] = max(0, score_units(scored[(rid, pid)].score) + 5000)
         rows, cols = linear_sum_assignment(gains, maximize=True)
         optimum = int(gains[rows, cols].sum()) - 5000 * len(slots)
         got = optimize_exact(problem, pool, tag)
         assert got.total_score == optimum / 10000
-        assert got.assignment == unpruned_exact(problem, pool)
+        assert got.assignment == unpruned_exact(problem, pool.entries)
 
 
 @settings(max_examples=150, deadline=None)
@@ -438,13 +451,13 @@ def test_pruning_keeps_the_canonical_optimum(instance):
     corpus, scored = sized_instance(random.Random(seed), n_res, n_prod)
     problem = build_sets(corpus, scored)
     for pool, tag in ((problem.pool_a, EXACT_PROPOSED), (problem.pool_c, EXACT_FULL)):
-        canonical = canonical_assignment(corpus, scored, pool)
-        quota = {rid: corpus.researchers[rid].quota for rid in problem.active}
-        kept, _ = matching.prune(pool, quota, problem.holders_of(pool))
+        canonical = canonical_assignment(corpus, scored, pool.entries)
+        quota = {rid: corpus.researchers[rid].quota for rid in problem.quota}
+        kept, _ = matching.prune(pool.entries, quota, pool.holders)
         held = Counter(pid for pids in kept.values() for pid in pids)
-        for rid in problem.active:
+        for rid in problem.quota:
             assert canonical[rid] <= set(kept[rid])
-            assert kept[rid] == pool[rid][: len(kept[rid])]
+            assert kept[rid] == pool.entries[rid][: len(kept[rid])]
             # A fixpoint: no researcher keeps an entry below quota private ones.
             private = sum(held[pid] == 1 for pid in kept[rid][:-1])
             assert private < quota[rid]
@@ -458,7 +471,8 @@ def test_component_solves_equal_the_global_solve(instance):
     seed, n_res, n_prod = instance
     problem = build_sets(*sized_instance(random.Random(seed), n_res, n_prod))
     for pool, tag in ((problem.pool_a, EXACT_PROPOSED), (problem.pool_c, EXACT_FULL)):
-        assert optimize_exact(problem, pool, tag).assignment == unpruned_exact(problem, pool)
+        assert optimize_exact(problem, pool, tag).assignment == unpruned_exact(
+            problem, pool.entries)
 
 
 def test_exact_work_stays_linear_in_pairs(caplog):

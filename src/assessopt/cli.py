@@ -38,6 +38,8 @@ def _parse_window(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(
             f"window must look like 2004:2010, got {text!r}"
         ) from None
+    if not all(1000 <= year <= 9999 for year in window):
+        raise argparse.ArgumentTypeError(f"window years must lie in 1000-9999, got {text!r}")
     if window[0] > window[1]:
         raise argparse.ArgumentTypeError(f"window {text!r} is reversed")
     return window

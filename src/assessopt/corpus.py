@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -105,8 +104,7 @@ class Authorship(NamedTuple):
     gev_override: int | None = None
 
 
-@dataclass
-class Corpus:
+class Corpus(NamedTuple):
     researchers: dict[str, Researcher]
     products: dict[str, Product]
     authorships: list[Authorship]

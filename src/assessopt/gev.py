@@ -9,9 +9,10 @@ product is a pure function of (product, profile, reference library, window).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
 from pathlib import Path
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from . import reference
 from .corpus import BIBLIOMETRIC_UDAS, DEFAULT_WINDOW, PRODUCT_KINDS, Corpus, IndexRecord, Product, admissibility
@@ -34,8 +35,7 @@ SCORED_COLUMNS = {"product_id": str, "researcher_id": str, "routing_gev": int, "
                   "score": float, "definite": boolean}
 
 
-@dataclass(frozen=True)
-class ClassificationMatrix:
+class ClassificationMatrix(NamedTuple):
     """16-cell grid mapping (citation class, journal class) to a merit outcome.
 
     Rows are citation classes 1-4, columns journal classes 1-4.
@@ -79,8 +79,7 @@ RECENT_PRODUCTS_MATRIX = ClassificationMatrix.from_rows([
 ])
 
 
-@dataclass(frozen=True)
-class GevProfile:
+class GevProfile(NamedTuple):
     """Full rule set of one panel."""
 
     gev_id: int
@@ -89,7 +88,7 @@ class GevProfile:
     age_bands: tuple[tuple[tuple[int, int], ClassificationMatrix], ...]
     source_policy: str = BEST_OF_BOTH
     split_citation_doctype: bool = False
-    ir_journal_class_list: dict[str, int] = field(default_factory=dict)
+    ir_journal_class_list: Mapping[str, int] = MappingProxyType({})
     forced_ir_journals: frozenset[str] = frozenset()
     no_metric_score: float = 0.25
     non_indexed_score: float = 0.25
@@ -111,20 +110,21 @@ class GevProfile:
         for kind in self.allowed_kinds:
             if kind not in PRODUCT_KINDS:
                 problems.append(f"unknown product kind {kind!r} in allowed_kinds")
-        covered: set[int] = set()
+        starts: list[int] = []  # the years the bands so far cover: disjoint
+        ends: list[int] = []  # runs starts[i]..ends[i], in ascending order
         for (y0, y1), _ in self.age_bands:
             if y0 > y1:
                 problems.append(f"age band {y0}-{y1} is reversed")
                 continue
-            years = set(range(y0, y1 + 1))
-            if covered & years:
+            i, j = bisect_left(ends, y0), bisect_right(starts, y1)  # runs i..j-1 meet it
+            if i < j:
                 problems.append(f"age band {y0}-{y1} overlaps another band")
-            covered |= years
-        missing = set(range(window[0], window[1] + 1)) - covered
+                y0, y1 = min(y0, starts[i]), max(y1, ends[j - 1])
+            starts[i:j], ends[i:j] = [y0], [y1]
+        missing = [year for year in range(window[0], window[1] + 1)
+                   if (i := bisect_left(ends, year)) == len(ends) or starts[i] > year]
         if missing:
-            problems.append(
-                f"age bands do not cover window years {sorted(missing)}"
-            )
+            problems.append(f"age bands do not cover window years {missing}")
         for label, score in (
             ("no_metric_score", self.no_metric_score),
             ("non_indexed_score", self.non_indexed_score),

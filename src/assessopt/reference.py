@@ -9,9 +9,9 @@ a boundary fall into the lower (worse-numbered) class.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import bad_field, format_number, number, read_rows, write_rows
 from .errors import ParseError
@@ -43,8 +43,7 @@ class DistributionKey(NamedTuple):
         return f"({self.indicator}, {self.category_group}, {self.year}, {self.doc_split})"
 
 
-@dataclass(frozen=True)
-class ClassThresholds:
+class ClassThresholds(NamedTuple):
     p50: float
     p60: float
     p80: float
@@ -83,12 +82,11 @@ def classify(value: float, thresholds: ClassThresholds) -> int:
     return 4
 
 
-@dataclass
-class ReferenceLibrary:
+class ReferenceLibrary(NamedTuple):
     """Immutable-after-construction store of thresholds plus a category merge map."""
 
-    thresholds: dict[DistributionKey, ClassThresholds] = field(default_factory=dict)
-    merge_map: dict[str, str] = field(default_factory=dict)
+    thresholds: dict[DistributionKey, ClassThresholds]
+    merge_map: Mapping[str, str] = MappingProxyType({})
 
     def resolve(self, category: str) -> str:
         return self.merge_map.get(category, category)
@@ -202,6 +200,9 @@ def load_reference_dir(directory: str | Path) -> ReferenceLibrary:
                 )
             thresholds[key] = t
     if not thresholds:
+        for path in (worldvalues_path, thresholds_path):
+            if path.exists():
+                raise ParseError("no data rows after the header", file=str(path))
         raise ParseError(
             "no reference data: need worldvalues.csv or thresholds.csv", file=str(directory)
         )
@@ -215,5 +216,5 @@ def write_thresholds(
 ) -> None:
     """Write thresholds in deterministic key order."""
     write_rows(path, THRESHOLD_COLUMNS, sorted(
-        (*key, *map(format_number, astuple(t))) for key, t in thresholds.items()
+        (*key, *map(format_number, t)) for key, t in thresholds.items()
     ))

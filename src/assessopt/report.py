@@ -10,8 +10,7 @@ part in a selection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import number
 from .gev import UDA_NAMES
@@ -77,8 +76,7 @@ def delta_strings(s1: float, s2: float, s3: float) -> tuple[str, str, str]:
     return _fmt_delta(d12), _fmt_delta(d23), _fmt_delta(d13)
 
 
-@dataclass(frozen=True)
-class ScenarioRow:
+class ScenarioRow(NamedTuple):
     uda: int | None  # None marks the total row
     products_due: int
     s1: float
@@ -117,8 +115,7 @@ def scenario_table(selections: dict[str, Selection]) -> tuple[ScenarioRow, ...] 
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class ErrorTableRow:
+class ErrorTableRow(NamedTuple):
     uda: int | None  # None marks the total row
     products_due: int
     declared_count: int
@@ -172,8 +169,7 @@ def share_cell(count: int, base: int) -> str:
     return f"{count} ({pct:.1f}%)"
 
 
-@dataclass(frozen=True)
-class AverageScoreTable:
+class AverageScoreTable(NamedTuple):
     """Mean scores of the declared and best picks, for all products and for
     the definite-score subset."""
 

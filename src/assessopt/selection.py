@@ -16,7 +16,6 @@ rule (see optimize_exact) fixes which optimum it reports.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -57,8 +56,7 @@ def units_to_score(units: int) -> float:
     return units / SCORE_SCALE
 
 
-@dataclass(frozen=True)
-class ResearcherPortfolio:
+class ResearcherPortfolio(NamedTuple):
     """One researcher's product sets.
 
     proposed:            products the researcher declared, in priority order
@@ -97,8 +95,7 @@ def _pool(entries: dict[str, tuple[str, ...]]) -> Pool:
     return Pool(entries, holders)
 
 
-@dataclass(frozen=True)
-class SelectionProblem:
+class SelectionProblem(NamedTuple):
     """The model every engine shares, built once per run by build_sets.
 
     units:       integer score units of every scored (researcher, product) pair
@@ -179,8 +176,7 @@ def build_sets(corpus: Corpus, scored: ScoredMap) -> SelectionProblem:
 
 # --- error taxonomy ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResearcherErrors:
+class ResearcherErrors(NamedTuple):
     """Selection-error counts and product sets for one researcher.
 
     overvalued:  declared picks that are not among the best picks
@@ -238,8 +234,7 @@ def error_metrics(problem: SelectionProblem) -> tuple[ResearcherErrors, ...]:
 
 # --- selections -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Selection:
+class Selection(NamedTuple):
     """One complete institutional submission."""
 
     tag: str

@@ -7,10 +7,13 @@ import importlib.util
 import json
 import logging
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import assessopt
 from assessopt import selection
 from assessopt.cli import main
 from assessopt.corpus import (
@@ -89,6 +92,67 @@ def test_validate_rejects_oversize_input(tmp_path, capsys, name, text, where):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}{where}")
     assert err.count("\n") == 1  # one message line, no traceback
+
+
+
+# Runs main in a child interpreter whose address space is capped at 1 GiB, so
+# that an input which makes the program allocate without bound ends in
+# MemoryError there instead of exhausting the host.
+_CAPPED_MAIN = """
+import resource, sys
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+sys.path.insert(0, sys.argv.pop(1))
+from assessopt.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _capped_main(args: list[str]) -> subprocess.CompletedProcess:
+    src = str(Path(assessopt.__file__).parent.parent)
+    return subprocess.run([sys.executable, "-c", _CAPPED_MAIN, src, *args],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_window_years_outside_four_digits_are_a_usage_error():
+    run = _capped_main(["validate", *MINI_ARGS, "--window", "2004:99999999999999999999"])
+    assert run.returncode == 2
+    assert "window years must lie in 1000-9999, got '2004:99999999999999999999'" in run.stderr
+
+
+def test_validate_accepts_one_age_band_spanning_a_trillion_years(tmp_path):
+    path = tmp_path / "profiles.json"
+    pack = json.loads((MINI / "profiles.json").read_text(encoding="utf-8"))
+    band = pack["profiles"][0]["age_bands"][0]
+    pack["profiles"][0]["age_bands"] = [{"years": [0, 10**12], "matrix": band["matrix"]}]
+    path.write_text(json.dumps(pack), encoding="utf-8")
+    run = _capped_main(["validate", "--corpus", str(MINI), "--profiles", str(path),
+                        "--ref", str(MINI / "ref")])
+    assert (run.returncode, run.stderr) == (0, "")
+
+
+_HEADER_ONLY = "no data rows after the header"
+
+
+@pytest.mark.parametrize("present, named, message", [
+    (["worldvalues.csv"], "worldvalues.csv", _HEADER_ONLY),
+    (["thresholds.csv"], "thresholds.csv", _HEADER_ONLY),
+    (["worldvalues.csv", "thresholds.csv"], "worldvalues.csv", _HEADER_ONLY),
+    ([], None, "no reference data: need worldvalues.csv or thresholds.csv"),
+], ids=["worldvalues", "thresholds", "both", "neither"])
+def test_reference_dir_without_data_rows(tmp_path, capsys, present, named, message):
+    """A reference file holding only its header is named; only a directory
+    holding neither file reads as missing reference data."""
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    shutil.copy(MINI / "ref" / "mergemap.csv", ref)
+    columns = {"worldvalues.csv": WORLDVALUE_COLUMNS, "thresholds.csv": THRESHOLD_COLUMNS}
+    for name in present:
+        (ref / name).write_text(",".join(columns[name]) + "\n", encoding="utf-8")
+    assert main(["validate", "--corpus", str(MINI),
+                 "--profiles", str(MINI / "profiles.json"), "--ref", str(ref)]) == 2
+    assert capsys.readouterr().err == f"error: {ref / named if named else ref}: {message}\n"
 
 
 def test_unknown_log_level_is_a_usage_error(monkeypatch, capsys):

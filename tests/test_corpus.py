@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import ast
-import dataclasses
+import importlib
 import re
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -208,7 +209,7 @@ def test_schema_columns_are_in_record_field_order():
     assert tuple(WORLDVALUE_COLUMNS) == (*DistributionKey._fields, "value")
     thresholds = list(THRESHOLD_COLUMNS)
     assert tuple(thresholds[:4]) == DistributionKey._fields
-    assert thresholds[4:] == [f.name for f in dataclasses.fields(ClassThresholds)]
+    assert thresholds[4:] == list(ClassThresholds._fields)
     assert list(MERGEMAP_COLUMNS) == ["category", "category_group"]
 
 
@@ -266,6 +267,45 @@ def test_src_imports_only_the_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+
+def test_every_record_is_a_named_tuple_with_immutable_defaults():
+    """src declares its records one way. A NamedTuple default is one object
+    shared by every instance, so a dict, list or set default would leak."""
+    package = Path(assessopt.__file__).parent
+    records = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert "dataclasses" not in [alias.name for alias in node.names], path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
+        module = importlib.import_module(f"assessopt.{path.stem}")
+        records += [cls for cls in vars(module).values() if isinstance(cls, type)
+                    and hasattr(cls, "_field_defaults") and cls.__module__ == module.__name__]
+    assert {"Corpus", "GevProfile", "ReferenceLibrary", "Selection"} <= {
+        cls.__name__ for cls in records}
+    for cls in records:
+        for name, default in cls._field_defaults.items():
+            assert not isinstance(default, (dict, list, set)), f"{cls.__name__}.{name}"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Each command is a short process that starts by importing the CLI, so
+    these two heavy stdlib modules stay out of its import graph. The bare
+    interpreter is the baseline: on some hosts site already loads modules."""
+    src = str(Path(assessopt.__file__).parent.parent)
+
+    def modules_after(statement: str) -> set[str]:
+        code = f"import sys; sys.path.insert(0, {src!r}); {statement}; print(*sys.modules)"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=60)
+        return set(run.stdout.split())
+
+    added = modules_after("import assessopt.cli") - modules_after("pass")
+    assert "assessopt.cli" in added
+    assert added & {"dataclasses", "inspect"} == set()
 
 
 def test_missing_file(tmp_path):

@@ -453,3 +453,26 @@ def test_validate_profiles_band_coverage():
         ((2009, 2010), RECENT_PRODUCTS_MATRIX),
     ))
     assert any("overlap" in p for p in validate_profiles({3: overlapping}))
+
+
+_spans = st.tuples(st.integers(2000, 2015), st.integers(2000, 2015))
+
+
+@given(st.lists(_spans, max_size=6), _spans)
+def test_band_coverage_messages_match_a_per_year_oracle(spans, window):
+    """validate compares band intervals; this oracle holds every year in a set."""
+    expected: list[str] = []
+    covered: set[int] = set()
+    for y0, y1 in spans:
+        if y0 > y1:
+            expected.append(f"profile 3: age band {y0}-{y1} is reversed")
+            continue
+        years = set(range(y0, y1 + 1))
+        if covered & years:
+            expected.append(f"profile 3: age band {y0}-{y1} overlaps another band")
+        covered |= years
+    missing = sorted(set(range(window[0], window[1] + 1)) - covered)
+    if missing:
+        expected.append(f"profile 3: age bands do not cover window years {missing}")
+    profile = support.profile(age_bands=tuple((span, MATURE_PRODUCTS_MATRIX) for span in spans))
+    assert profile.validate(window) == expected

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import gev, reference, report, selection
-from .corpus import DEFAULT_WINDOW, load_corpus_dir, write_rows
+from .corpus import load_corpus_dir, write_rows
 from .errors import ParseError, ValidationError
 
 log = logging.getLogger("assessopt")
@@ -64,12 +64,12 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profiles", required=True, help="panel profile pack (JSON)")
     parser.add_argument("--ref", required=True,
                         help="directory with worldvalues.csv/thresholds.csv and mergemap.csv")
-    parser.add_argument("--window", type=_parse_window, default=DEFAULT_WINDOW,
+    parser.add_argument("--window", type=_parse_window, default=gev.DEFAULT_WINDOW,
                         help="evaluation window, e.g. 2004:2010")
 
 
 def _load_inputs(args):
-    corpus = load_corpus_dir(args.corpus, window=args.window)
+    corpus = load_corpus_dir(args.corpus)
     log.info("corpus: %d researchers, %d products, %d authorships",
              len(corpus.researchers), len(corpus.products), len(corpus.authorships))
     profiles = gev.load_profiles(args.profiles)
@@ -84,7 +84,7 @@ def _load_inputs(args):
 
 def _load_and_score(args):
     corpus, profiles, library = _load_inputs(args)
-    scored = gev.score_corpus(corpus, profiles, library)
+    scored = gev.score_corpus(corpus, profiles, library, args.window)
     if log.isEnabledFor(logging.INFO):  # counting the pairs takes a pass over scored
         log.info("scored %d authorships, %d distinct (product, panel) pairs", len(scored),
                  len({(sp.product_id, sp.routing_gev) for sp in scored.values()}))
@@ -112,6 +112,8 @@ def cmd_validate(args) -> int:
 
 def cmd_build_dist(args) -> int:
     thresholds = reference.load_worldvalues(args.worldvalues)
+    if not thresholds:
+        raise ParseError("no data rows after the header", file=args.worldvalues)
     reference.write_thresholds(thresholds, args.output)
     print(f"wrote {len(thresholds)} distributions to {args.output}")
     return 0
@@ -199,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("ASSESS_OPT_LOG", "WARNING")
+    level = os.environ.get("ASSESS_OPT_LOG") or "WARNING"
     if not isinstance(logging.getLevelName(level.upper()), int):
         print(f"error: ASSESS_OPT_LOG: unknown level {level!r}", file=sys.stderr)
         return 2

@@ -4,8 +4,10 @@ Every CSV file the program reads or writes goes through read_rows and write_rows
 read_rows yields each row as a list of its parsed fields in schema order, and
 the loaders build their records, which are NamedTuples, from it by position.
 
-A corpus is immutable after loading. Authorships are normalized to
-(researcher_id, product_id) order so that save/load round-trips are exact.
+A corpus is the institution's data only, immutable after loading; the rules
+of the exercise that judge it (its years, the kinds each panel accepts) live in
+gev. Authorships are normalized to (researcher_id, product_id) order so that
+save/load round-trips are exact.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ PRODUCT_KINDS = (
     "other",
 )
 
-DEFAULT_WINDOW = (2004, 2010)
 MAX_QUOTA = 6
 
 # Disciplinary areas evaluated bibliometrically; 10-14 are peer-review only.
@@ -108,7 +109,6 @@ class Corpus(NamedTuple):
     researchers: dict[str, Researcher]
     products: dict[str, Product]
     authorships: list[Authorship]
-    evaluation_window: tuple[int, int] = DEFAULT_WINDOW
 
 
 # --- CSV layer ---------------------------------------------------------------
@@ -265,8 +265,6 @@ def load_corpus(
     researchers_path: str | Path,
     products_path: str | Path,
     authorships_path: str | Path,
-    *,
-    window: tuple[int, int] = DEFAULT_WINDOW,
 ) -> Corpus:
     """Load and fully validate a corpus from its three CSV files.
 
@@ -361,22 +359,16 @@ def load_corpus(
         researchers=researchers,
         products=products,
         authorships=authorships,
-        evaluation_window=window,
     )
 
 
-def load_corpus_dir(
-    directory: str | Path,
-    *,
-    window: tuple[int, int] = DEFAULT_WINDOW,
-) -> Corpus:
+def load_corpus_dir(directory: str | Path) -> Corpus:
     """Load a corpus from a directory holding the three conventionally named files."""
     directory = Path(directory)
     return load_corpus(
         directory / "researchers.csv",
         directory / "products.csv",
         directory / "authorships.csv",
-        window=window,
     )
 
 
@@ -395,16 +387,3 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     write_rows(directory / "authorships.csv", AUTHORSHIP_COLUMNS,
                sorted(corpus.authorships, key=lambda a: a[:2]))
 
-
-def admissibility(product: Product, profile, window: tuple[int, int]) -> str | None:
-    """Return None when the product can be submitted under the panel rules,
-    else the name of the failed rule ("out-of-window" or "kind-not-allowed").
-
-    Fraud is not an admissibility matter; it is penalized separately.
-    """
-    y0, y1 = window
-    if not y0 <= product.year <= y1:
-        return "out-of-window"
-    if product.kind not in profile.allowed_kinds:
-        return "kind-not-allowed"
-    return None

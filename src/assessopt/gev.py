@@ -15,10 +15,12 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from . import reference
-from .corpus import BIBLIOMETRIC_UDAS, DEFAULT_WINDOW, PRODUCT_KINDS, Corpus, IndexRecord, Product, admissibility
+from .corpus import BIBLIOMETRIC_UDAS, PRODUCT_KINDS, Corpus, IndexRecord, Product
 from .corpus import boolean, format_number, write_rows
 from .errors import ParseError, ValidationError
 from .reference import DistributionKey, ReferenceLibrary, classify
+
+DEFAULT_WINDOW = (2004, 2010)
 
 MERIT_SCORES = {"A": 1.0, "B": 0.8, "C": 0.5, "D": 0.0}
 MATRIX_OUTCOMES = ("A", "B", "C", "D", "IR")
@@ -219,26 +221,23 @@ def _evaluate_record(
 
 def score_product(
     product: Product,
-    routing_gev: int,
     profile: GevProfile,
     library: ReferenceLibrary,
     window: tuple[int, int] = DEFAULT_WINDOW,
 ) -> ScoredProduct:
-    """Run the whole scoring pipeline for one product under one routing.
+    """Run the whole scoring pipeline for one product under its panel's profile.
 
-    Order: fraud, admissibility, forced peer-review journals (reviews only),
-    source selection, metric availability, then class lookup through the
-    year-band matrix. Under best-of-both the higher-scoring record wins,
-    ties going to the first (WoS) record. Citation counts are used exactly
-    as recorded.
+    Order: fraud, admissibility (year inside the window, kind allowed by the
+    panel), forced peer-review journals (reviews only), source selection,
+    metric availability, then class lookup through the year-band matrix.
+    Under best-of-both the higher-scoring record wins, ties going to the
+    first (WoS) record. Citation counts are used exactly as recorded.
     """
-    if profile.gev_id != routing_gev:
-        raise ValueError(f"profile {profile.gev_id} cannot score routing {routing_gev}")
-
+    routing_gev = profile.gev_id
     if product.fraud_flag:
         return ScoredProduct(product.id, routing_gev, "fraud", FRAUD_SCORE, False)
 
-    if admissibility(product, profile, window) is not None:
+    if not window[0] <= product.year <= window[1] or product.kind not in profile.allowed_kinds:
         return ScoredProduct(product.id, routing_gev, "inadmissible", INADMISSIBLE_SCORE, False)
 
     # Journal-list forcing routes the product before any source is picked,
@@ -282,6 +281,7 @@ def score_corpus(
     corpus: Corpus,
     profiles: dict[int, GevProfile],
     library: ReferenceLibrary,
+    window: tuple[int, int],
 ) -> dict[tuple[str, str], ScoredProduct]:
     """Score every authorship under its researcher's routing, each (product,
     panel) pair once: co-authors routed to one panel share its ScoredProduct.
@@ -304,9 +304,7 @@ def score_corpus(
             if profile is None:
                 raise ValidationError([f"no profile configured for GEV {gev}"])
             sp = memo[(a.product_id, gev)] = score_product(
-                corpus.products[a.product_id], gev, profile, library,
-                corpus.evaluation_window,
-            )
+                corpus.products[a.product_id], profile, library, window)
         scored[(a.researcher_id, a.product_id)] = sp
     return scored
 

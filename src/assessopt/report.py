@@ -259,12 +259,9 @@ def render_average_markdown(table: AverageScoreTable) -> str:
     def family(declared: float | None, best: float | None) -> tuple[str, str, str, str]:
         if declared is None or best is None:
             return _fmt_mean(declared), _fmt_mean(best), UNDEFINED, UNDEFINED
-        diff = best - declared
-        if declared <= 0:
-            pct = UNDEFINED
-        else:
-            pct = f"{round_half_away(diff / declared * 100.0, 0):+.0f}%"
-        return _fmt_mean(declared), _fmt_mean(best), f"{diff:.2f}", pct
+        pct = pct_delta(declared, best)
+        return (_fmt_mean(declared), _fmt_mean(best), f"{best - declared:.2f}",
+                UNDEFINED if pct is None else f"{round_half_away(pct, 0):+.0f}%")
 
     columns = (family(table.declared_mean_all, table.best_mean_all),
                family(table.declared_mean_definite, table.best_mean_definite))

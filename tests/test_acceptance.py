@@ -12,6 +12,7 @@ from pathlib import Path
 from assessopt.cli import main
 from assessopt.corpus import load_corpus_dir
 from assessopt.gev import (
+    DEFAULT_WINDOW,
     FRAUD_SCORE,
     INADMISSIBLE_SCORE,
     MATURE_PRODUCTS_MATRIX,
@@ -87,14 +88,14 @@ def test_criterion_2_score_map():
     indexed_no_metric = support.product("P", citations=40)
     for gev, expected in ((5, 0.0), (6, 0.0), (9, 0.5), (1, 0.25), (2, 0.25),
                           (3, 0.25), (4, 0.25), (7, 0.25), (8, 0.25)):
-        sp = score_product(indexed_no_metric, gev, profiles[gev], lib)
+        sp = score_product(indexed_no_metric, profiles[gev], lib)
         assert (sp.outcome, sp.score) == ("no-metric-fallback", expected)
     for gev in range(1, 10):
-        sp = score_product(support.product("P"), gev, profiles[gev], lib)
+        sp = score_product(support.product("P"), profiles[gev], lib)
         assert (sp.outcome, sp.score) == ("non-indexed-fallback", 0.25)
         assert profiles[gev].ir_assumed_score == 0.5
     # an IR matrix cell resolves to the assumed peer-review score
-    sp = score_product(support.product("P", citations=5, metric=3.5), 3, profiles[3], lib)
+    sp = score_product(support.product("P", citations=5, metric=3.5), profiles[3], lib)
     assert (sp.outcome, sp.score) == ("IR", 0.5)
     report(2, "grade scores, penalties and fallback scores all exact", started, 1.0)
 
@@ -138,7 +139,7 @@ def test_criterion_6_greedy_non_monotonicity_witness():
     corpus = load_corpus_dir(base)
     profiles = load_profiles(base / "profiles.json")
     library = load_reference_dir(base / "ref")
-    scored = score_corpus(corpus, profiles, library)
+    scored = score_corpus(corpus, profiles, library, DEFAULT_WINDOW)
 
     s2 = scenario2(build_sets(corpus, scored))
     s3 = scenario3(build_sets(corpus, scored))

@@ -161,6 +161,12 @@ def test_unknown_log_level_is_a_usage_error(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: ASSESS_OPT_LOG: unknown level 'verbose'\n"
 
 
+def test_empty_log_level_means_the_default(monkeypatch, capsys):
+    monkeypatch.setenv("ASSESS_OPT_LOG", "")
+    assert main(["validate", *MINI_ARGS]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_validate_dangling_reference(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     shutil.copytree(MINI, corpus)
@@ -310,6 +316,15 @@ def test_build_dist(tmp_path):
         "indicator,category_group,year,doc_split,p50,p60,p80,n\n"
         "citations,X,2006,any,5,6,8,10\n"
     )
+
+
+def test_build_dist_without_data_rows_writes_nothing(tmp_path, capsys):
+    src = tmp_path / "worldvalues.csv"
+    src.write_text(",".join(WORLDVALUE_COLUMNS) + "\n", encoding="utf-8")
+    out = tmp_path / "thresholds.csv"
+    assert main(["build-dist", "--worldvalues", str(src), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {src}: {_HEADER_ONLY}\n"
+    assert not out.exists()
 
 
 def test_simulate_writes_all_outputs_and_matches_golden(tmp_path):
@@ -470,6 +485,29 @@ def test_window_override_rejects_uncovered_years(tmp_path, capsys):
     code = main(["validate", *MINI_ARGS, "--window", "2004:2012"])
     assert code == 1
     assert "2011" in capsys.readouterr().err
+
+
+def test_window_reaches_scoring(tmp_path, capsys):
+    """Outside a narrower window every product not proven fraudulent scores as
+    inadmissible, and nothing else changes."""
+    wide, narrow = tmp_path / "wide.csv", tmp_path / "narrow.csv"
+    assert main(["score", *MINI_ARGS, "-o", str(wide)]) == 0
+    assert main(["score", *MINI_ARGS, "--window", "2006:2009", "-o", str(narrow)]) == 0
+    assert main(["validate", *MINI_ARGS, "--window", "2006:2009"]) == 0
+    capsys.readouterr()
+    year = {row[0]: row[2] for _, row in read_rows(MINI / "products.csv", PRODUCT_COLUMNS)}
+    wide_rows = [row for _, row in read_rows(wide, SCORED_COLUMNS)]
+    narrow_rows = [row for _, row in read_rows(narrow, SCORED_COLUMNS)]
+    assert len(wide_rows) == len(narrow_rows)
+    changed = set()
+    for before, after in zip(wide_rows, narrow_rows):
+        if not 2006 <= year[before[0]] <= 2009 and before[3] != "fraud":
+            assert after == [*before[:3], "inadmissible", -1.0, False]
+        else:
+            assert after == before
+        if after != before:
+            changed.add(before[0])
+    assert {"P14", "P23", "P30"} <= changed
 
 
 def test_bad_scenario_flag():

@@ -1,14 +1,14 @@
-"""Corpus loading, validation and admissibility."""
+"""Corpus loading, validation and the CSV layer; admissibility of loaded products."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,17 +19,17 @@ from assessopt.corpus import (
     PRODUCT_COLUMNS,
     RESEARCHER_COLUMNS,
     Authorship,
+    Corpus,
     IndexRecord,
     Product,
     Researcher,
-    admissibility,
     load_corpus,
     load_corpus_dir,
     read_rows,
     save_corpus,
 )
 from assessopt.errors import ParseError, ValidationError
-from assessopt.gev import SCORED_COLUMNS, ScoredProduct, write_scored
+from assessopt.gev import DEFAULT_WINDOW, SCORED_COLUMNS, ScoredProduct, score_product, write_scored
 from assessopt.reference import (
     MERGEMAP_COLUMNS,
     THRESHOLD_COLUMNS,
@@ -291,6 +291,16 @@ def test_every_record_is_a_named_tuple_with_immutable_defaults():
             assert not isinstance(default, (dict, list, set)), f"{cls.__name__}.{name}"
 
 
+def test_the_corpus_holds_no_scoring_rule():
+    """The evaluation window is a rule of scoring, and a product's panel is
+    the profile that scores it."""
+    assert Corpus._fields == ("researchers", "products", "authorships")
+    for loader in (load_corpus, load_corpus_dir):
+        assert "window" not in inspect.signature(loader).parameters, loader.__name__
+    assert list(inspect.signature(score_product).parameters)[:3] == [
+        "product", "profile", "library"]
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     """Each command is a short process that starts by importing the CLI, so
     these two heavy stdlib modules stay out of its import graph. The bare
@@ -345,20 +355,21 @@ def test_unknown_kind(tmp_path):
     assert "poem" in str(exc.value)
 
 
-ARTICLE_PROFILE = SimpleNamespace(allowed_kinds={"journal-article", "review"})
-
-
 def test_admissibility(tmp_path):
+    """A product is admissible when its year lies in the window and its panel
+    allows its kind. Its index records are stripped, so an admissible product
+    takes the non-indexed fallback."""
     corpus = load_corpus_dir(write_corpus(tmp_path))
-    window = (2004, 2010)
-    assert admissibility(corpus.products["P1"], ARTICLE_PROFILE, window) is None
-    assert admissibility(corpus.products["P3"], ARTICLE_PROFILE, window) == "kind-not-allowed"
+    profile = support.profile(allowed_kinds=frozenset({"journal-article", "review"}))
 
-    early = corpus.products["P1"]
-    early = type(early)(
-        id="P9", kind="journal-article", year=2003,
-        wos_record=early.wos_record,
-    )
-    assert admissibility(early, ARTICLE_PROFILE, window) == "out-of-window"
+    def outcome(product, window=DEFAULT_WINDOW):
+        bare = product._replace(wos_record=None, scopus_record=None)
+        return score_product(bare, profile, support.library(), window).outcome
+
+    assert outcome(corpus.products["P1"]) == "non-indexed-fallback"
+    assert outcome(corpus.products["P3"]) == "inadmissible"  # a book
+
+    early = corpus.products["P1"]._replace(id="P9", year=2003)
+    assert outcome(early) == "inadmissible"
     # same product inside a wider window
-    assert admissibility(early, ARTICLE_PROFILE, (2003, 2010)) is None
+    assert outcome(early, (2003, 2010)) == "non-indexed-fallback"

@@ -12,6 +12,7 @@ from assessopt.corpus import PRODUCT_KINDS, IndexRecord
 from assessopt.errors import ParseError, ValidationError
 from assessopt.gev import (
     BEST_OF_BOTH,
+    DEFAULT_WINDOW,
     FRAUD_SCORE,
     INADMISSIBLE_SCORE,
     MATRIX_OUTCOMES,
@@ -81,7 +82,7 @@ LIB = support.library()
 
 def score(product, profile=None, gev=3):
     profile = profile or support.profile(gev_id=gev)
-    return score_product(product, gev, profile, LIB)
+    return score_product(product, profile, LIB)
 
 
 def test_pipeline_matrix_outcome():
@@ -123,18 +124,18 @@ def test_no_metric_fallback_per_panel():
     product = support.product("P", citations=40)  # indexed, no journal metric
     for gev, expected in ((5, 0.0), (6, 0.0), (9, 0.5), (3, 0.25)):
         profile = default_profiles()[gev]
-        sp = score_product(product, gev, profile, LIB)
+        sp = score_product(product, profile, LIB)
         assert (sp.outcome, sp.score) == ("no-metric-fallback", expected), gev
 
 
 def test_forced_ir_journal_reviews_only():
     profile = support.profile(forced_ir_journals=frozenset({"J-LIST"}))
     review = support.product("P", kind="review", citations=40, metric=3.5, journal="J-LIST")
-    sp = score_product(review, 3, profile, LIB)
+    sp = score_product(review, profile, LIB)
     assert (sp.outcome, sp.score) == ("forced-ir", 0.5)
     article = support.product("P", kind="journal-article", citations=40, metric=3.5,
                               journal="J-LIST")
-    assert score_product(article, 3, profile, LIB).outcome == "A"
+    assert score_product(article, profile, LIB).outcome == "A"
 
 
 def test_forced_ir_sees_both_records_under_any_policy():
@@ -145,30 +146,30 @@ def test_forced_ir_sees_both_records_under_any_policy():
     for policy in (WOS_ONLY, BEST_OF_BOTH):
         profile = support.profile(source_policy=policy,
                                   forced_ir_journals=frozenset({"J-LIST"}))
-        assert score_product(review, 3, profile, LIB).outcome == "forced-ir"
+        assert score_product(review, profile, LIB).outcome == "forced-ir"
 
 
 def test_journal_class_list_overrides_distribution():
     profile = support.profile(ir_journal_class_list={"J-TOP": 1})
     # no metric at all: the list still supplies the journal class
     product = support.product("P", citations=40, journal="J-TOP")
-    sp = score_product(product, 3, profile, LIB)
+    sp = score_product(product, profile, LIB)
     assert (sp.outcome, sp.score) == ("A", 1.0)
     # metric present but journal not listed: fall back to the distribution
     product = support.product("P", citations=40, metric=1.5, journal="J-OTHER")
-    assert score_product(product, 3, profile, LIB).outcome == "A"  # (1,3) = A
+    assert score_product(product, profile, LIB).outcome == "A"  # (1,3) = A
     # neither metric nor listed journal: no-metric fallback
     product = support.product("P", citations=40, journal="J-OTHER")
-    assert score_product(product, 3, profile, LIB).outcome == "no-metric-fallback"
+    assert score_product(product, profile, LIB).outcome == "no-metric-fallback"
 
 
 def test_best_of_both_takes_higher_score():
     scopus = IndexRecord(subject_categories=("CAT-X",), citations=40, journal_metric=2.5)
     product = support.product("P", citations=15, metric=1.5, scopus=scopus)
     # wos: (3,3) = C 0.5; scopus: (1,2) = A 1.0
-    best = score_product(product, 3, support.profile(), LIB)
+    best = score_product(product, support.profile(), LIB)
     assert (best.outcome, best.score) == ("A", 1.0)
-    wos_only = score_product(product, 3, support.profile(source_policy=WOS_ONLY), LIB)
+    wos_only = score_product(product, support.profile(source_policy=WOS_ONLY), LIB)
     assert (wos_only.outcome, wos_only.score) == ("C", 0.5)
 
 
@@ -176,7 +177,7 @@ def test_best_of_both_tie_keeps_wos():
     # wos: (4,1) = IR 0.5; scopus: (3,2) = C 0.5 -> tie keeps the WoS outcome
     scopus = IndexRecord(subject_categories=("CAT-X",), citations=15, journal_metric=1.5)
     product = support.product("P", citations=5, metric=3.5, scopus=scopus)
-    assert score_product(product, 3, support.profile(), LIB).outcome == "IR"
+    assert score_product(product, support.profile(), LIB).outcome == "IR"
 
 
 def test_doc_split_uses_review_distribution():
@@ -187,9 +188,9 @@ def test_doc_split_uses_review_distribution():
     profile = support.profile(split_citation_doctype=True)
     # 60 citations: article distribution -> class 1; review distribution -> class 4
     article = support.product("P", kind="journal-article", citations=60, metric=3.5)
-    assert score_product(article, 3, profile, lib).outcome == "A"  # (1,1)
+    assert score_product(article, profile, lib).outcome == "A"  # (1,1)
     review = support.product("P", kind="review", citations=60, metric=3.5)
-    assert score_product(review, 3, profile, lib).outcome == "IR"  # (4,1)
+    assert score_product(review, profile, lib).outcome == "IR"  # (4,1)
 
 
 def test_citations_used_verbatim():
@@ -243,8 +244,8 @@ def test_best_of_both_never_below_wos_only():
             metric=rng.choice([None, 0.5, 1.5, 2.5, 3.5]),
             scopus=scopus,
         )
-        lo = score_product(product, 3, wos_profile, LIB)
-        hi = score_product(product, 3, both_profile, LIB)
+        lo = score_product(product, wos_profile, LIB)
+        hi = score_product(product, both_profile, LIB)
         assert hi.score >= lo.score
 
 
@@ -269,7 +270,7 @@ def test_outcome_score_consistency_randomized():
             metric=rng.choice([None, 0.5, 1.5, 2.5, 3.5]),
             fraud=rng.random() < 0.05,
         )
-        sp = score_product(product, 3, profile, LIB)
+        sp = score_product(product, profile, LIB)
         assert sp.score == expectations[sp.outcome]
         assert sp.definite == (sp.outcome in ("A", "B", "C", "D"))
 
@@ -281,7 +282,7 @@ def test_score_corpus_routing_and_peer_review_error():
         [support.authored("R1", "P1", priority=1, override=3)],
     )
     profiles = {3: support.profile(gev_id=3)}
-    scored = score_corpus(corpus, profiles, LIB)
+    scored = score_corpus(corpus, profiles, LIB, DEFAULT_WINDOW)
     assert scored[("R1", "P1")].routing_gev == 3
 
     with_authorship = support.corpus(
@@ -290,7 +291,7 @@ def test_score_corpus_routing_and_peer_review_error():
         [support.authored("R2", "P1", priority=1)],
     )
     with pytest.raises(ValidationError) as exc:
-        score_corpus(with_authorship, profiles, LIB)
+        score_corpus(with_authorship, profiles, LIB, DEFAULT_WINDOW)
     assert "12" in str(exc.value)
 
 
@@ -310,18 +311,22 @@ def test_score_corpus_scores_each_product_panel_pair_once(monkeypatch):
     for a in corpus.authorships:
         gev = routing_for(a, corpus.researchers[a.researcher_id])
         unmemoised[(a.researcher_id, a.product_id)] = score_product(
-            corpus.products[a.product_id], gev, profiles[gev], LIB)
+            corpus.products[a.product_id], profiles[gev], LIB)
     calls = []
 
-    def counting(product, routing_gev, *args):
-        calls.append((product.id, routing_gev))
-        return score_product(product, routing_gev, *args)
+    def counting(product, profile, *args):
+        calls.append((product.id, profile.gev_id))
+        return score_product(product, profile, *args)
 
     monkeypatch.setattr("assessopt.gev.score_product", counting)
-    scored = score_corpus(corpus, profiles, LIB)
+    scored = score_corpus(corpus, profiles, LIB, DEFAULT_WINDOW)
     assert sorted(calls) == [("P1", 3), ("P1", 5), ("P2", 3), ("P3", 3)]
     assert scored == unmemoised
     assert scored[("R1", "P1")].score == 0.25 and scored[("R3", "P1")].score == 0.0
+
+
+def test_the_panel_comes_from_the_profile():
+    assert score_product(support.product("P"), support.profile(gev_id=5), LIB).routing_gev == 5
 
 
 def test_score_corpus_reports_the_first_failing_authorship():
@@ -332,7 +337,7 @@ def test_score_corpus_reports_the_first_failing_authorship():
         [support.authored(rid, "P1") for rid in ("R3", "R2", "R1")],
     )
     with pytest.raises(ValidationError) as exc:
-        score_corpus(corpus, {3: support.profile(gev_id=3)}, LIB)
+        score_corpus(corpus, {3: support.profile(gev_id=3)}, LIB, DEFAULT_WINDOW)
     assert exc.value.violations == [
         "peer-review-only UDA 12: product 'P1' of researcher 'R2' has no bibliometric panel"
     ]

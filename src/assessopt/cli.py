@@ -139,7 +139,7 @@ def cmd_simulate(args) -> int:
     problem, errors, selections = _run_pipeline(args, args.scenarios)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    table = report.scenario_table(selections)
+    table = report.scenario_table(problem, selections)
     (outdir / "report.md").write_text(
         report.render_report(problem, selections, errors, table), encoding="utf-8"
     )
@@ -150,9 +150,7 @@ def cmd_simulate(args) -> int:
         print(f"report written to {outdir}")
         return 0
     gev.write_scored(problem.scored, outdir / "scored.csv")
-    selection.write_selections(
-        list(selections.values()), problem.scored, outdir / "selection.csv"
-    )
+    selection.write_selections(problem, selections, outdir / "selection.csv")
     selection.write_errors(errors, outdir / "errors.csv")
     for tag in args.scenarios:
         print(f"{tag}: total score {selections[tag].total_score:g}")

@@ -84,12 +84,6 @@ class Product(NamedTuple):
     def indexed(self) -> bool:
         return self.wos_record is not None or self.scopus_record is not None
 
-    @property
-    def max_citations(self) -> int:
-        """Highest citation count across index records; used only for tie-breaking."""
-        counts = [r.citations for r in (self.wos_record, self.scopus_record) if r is not None]
-        return max(counts, default=0)
-
 
 class Authorship(NamedTuple):
     """Link between a researcher and a product they authored.

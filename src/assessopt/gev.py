@@ -109,7 +109,7 @@ class GevProfile(NamedTuple):
             problems.append(f"gev_id {self.gev_id} outside 1..9")
         if self.source_policy not in SOURCE_POLICIES:
             problems.append(f"unknown source policy {self.source_policy!r}")
-        for kind in self.allowed_kinds:
+        for kind in sorted(self.allowed_kinds):
             if kind not in PRODUCT_KINDS:
                 problems.append(f"unknown product kind {kind!r} in allowed_kinds")
         starts: list[int] = []  # the years the bands so far cover: disjoint
@@ -210,7 +210,7 @@ def _evaluate_record(
     if profile.split_citation_doctype:
         doc_split = "review" if product.kind == "review" else "article"
     ic_class = multi_category_class(
-        record, reference.CITATIONS, float(record.citations),
+        record, reference.CITATIONS, record.citations,
         product.year, doc_split, library,
     )
     outcome = profile.matrix_for_year(product.year).lookup(ic_class, ir_class)

@@ -3,9 +3,9 @@
 Each researcher holds a pool of products, best first, and may take up to its
 quota of them; each product goes to at most one researcher. The solver works
 on plain dicts keyed by researcher and product id, in three steps:
-prune cuts every pool to what an optimum can use, components splits the
-researchers that still share a product into independent groups, and solve
-runs successive longest augmenting paths over one group.
+prune cuts every pool to what an optimum can use, components walks prune's
+holders to split the researchers into independent groups, and solve runs
+successive longest augmenting paths over one group.
 """
 
 from __future__ import annotations
@@ -14,22 +14,25 @@ from collections import deque
 from typing import Iterator
 
 Pools = dict[str, tuple[str, ...]]
+Holders = dict[str, list[str]]  # product -> the researchers holding it, by id
 
 
 def prune(
-    pools: Pools, quota: dict[str, int], holders: dict[str, list[str]]
-) -> tuple[Pools, int]:
+    pools: Pools, quota: dict[str, int], holders: Holders
+) -> tuple[Pools, Holders, int]:
     """Cut each researcher's pool after its quota-th private entry, until no
-    cut moves; return the kept pools and the number of passes.
+    cut moves; return the kept pools, their holders and the number of passes.
 
     holders names the researchers of every product that two or more of them
-    hold; any other product is private from the start. An entry is private
-    when no other researcher still holds that product. Weights fall strictly
+    hold; any other product is private from the start. A copy of it is kept
+    live: a cut takes the researcher off each dropped product's list, so the
+    holders returned are those of the kept pools. An entry is private when
+    fewer than two researchers still hold that product. Weights fall strictly
     along a pool, so an optimum never picks an entry below quota private
     ones: one of those is left free and weighs more. Each cut makes more
     entries private, hence the repeated passes.
     """
-    shared = {pid: len(rids) for pid, rids in holders.items()}
+    holders = {pid: list(rids) for pid, rids in holders.items()}
     kept = dict(pools)
     passes, changed = 0, True
     while changed:
@@ -37,26 +40,23 @@ def prune(
         for rid, pool in kept.items():
             private = 0
             for end, pid in enumerate(pool, 1):
-                if shared.get(pid, 1) == 1:
+                if len(holders.get(pid, ())) < 2:
                     private += 1
                     if private == quota[rid]:
                         if end < len(pool):
                             for dropped in pool[end:]:
-                                if dropped in shared:
-                                    shared[dropped] -= 1
+                                if dropped in holders:
+                                    holders[dropped].remove(rid)
                             kept[rid] = pool[:end]
                             changed = True
                         break
-    return kept, passes
+    return kept, holders, passes
 
 
-def components(kept: Pools) -> Iterator[list[str]]:
+def components(kept: Pools, holders: Holders) -> Iterator[list[str]]:
     """Yield the researchers linked by shared kept products, each group in id
-    order; researchers who kept nothing belong to none."""
-    by_product: dict[str, list[str]] = {}
-    for rid, pool in kept.items():
-        for pid in pool:
-            by_product.setdefault(pid, []).append(rid)
+    order; researchers who kept nothing belong to none. holders is prune's:
+    each shared product's researchers among the kept pools."""
     seen: set[str] = set()
     for start, pool in kept.items():
         if start in seen or not pool:
@@ -65,7 +65,7 @@ def components(kept: Pools) -> Iterator[list[str]]:
         members = [start]
         for rid in members:  # the list grows while it is walked
             for pid in kept[rid]:
-                for other in by_product[pid]:
+                for other in holders.get(pid, ()):
                     if other not in seen:
                         seen.add(other)
                         members.append(other)

@@ -88,19 +88,26 @@ class ScenarioRow(NamedTuple):
         return delta_strings(self.s1, self.s2, self.s3)
 
 
-def scenario_table(selections: dict[str, Selection]) -> tuple[ScenarioRow, ...] | None:
-    """Per-area totals of the three scenarios with pairwise deltas, plus an
-    institution total row, or None unless scenarios 1-3 all ran."""
+def scenario_table(
+    problem: SelectionProblem, selections: dict[str, Selection]
+) -> tuple[ScenarioRow, ...] | None:
+    """Per-area products due (the active researchers' quotas) and totals of the
+    three scenarios with pairwise deltas, plus an institution total row, or
+    None unless scenarios 1-3 all ran."""
     try:
         s1, s2, s3 = selections[SCENARIO1], selections[SCENARIO2], selections[SCENARIO3]
     except KeyError:
         return None
 
+    due: dict[int, int] = {}
+    for rid, quota in problem.quota.items():
+        uda = problem.corpus.researchers[rid].uda
+        due[uda] = due.get(uda, 0) + quota
     rows = []
-    for uda in sorted(s1.per_uda_due):
+    for uda in sorted(due):
         rows.append(ScenarioRow(
             uda=uda,
-            products_due=s1.per_uda_due[uda],
+            products_due=due[uda],
             s1=s1.per_uda.get(uda, 0.0),
             s2=s2.per_uda.get(uda, 0.0),
             s3=s3.per_uda.get(uda, 0.0),

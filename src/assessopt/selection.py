@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import matching
-from .corpus import BIBLIOMETRIC_UDAS, Corpus, format_number, write_rows
+from .corpus import BIBLIOMETRIC_UDAS, Corpus, Product, format_number, write_rows
 from .gev import ScoredProduct
 
 log = logging.getLogger(__name__)
@@ -105,8 +105,8 @@ class SelectionProblem(NamedTuple):
     pool_c:      candidate pool C, the proposed plus the indexed unproposed
                  products
     pool_a:      candidate pool A, the proposed products of pool C, same order
-    tiebreak:    each product's rank by citations desc, year asc, id asc;
-                 the canonical order is score desc, then this rank
+    tiebreak:    each product's rank by most citations in an index record desc,
+                 year asc, id asc; the canonical order is score desc, then this rank
 
     Every score-driven engine (scenarios 2-3, exact-A/C) reads the pools as given.
     """
@@ -126,9 +126,12 @@ def build_sets(corpus: Corpus, scored: ScoredMap) -> SelectionProblem:
 
     Every authorship must already be scored under the researcher's routing.
     """
+    def rank(p: Product) -> tuple[int, int, str]:  # see SelectionProblem.tiebreak
+        citations = [r.citations for r in (p.wos_record, p.scopus_record) if r is not None]
+        return -max(citations, default=0), p.year, p.id
+
     units = {pair: score_units(sp.score) for pair, sp in scored.items()}
-    by_rank = sorted(corpus.products.values(), key=lambda p: (-p.max_citations, p.year, p.id))
-    tiebreak = {p.id: i for i, p in enumerate(by_rank)}
+    tiebreak = {p.id: i for i, p in enumerate(sorted(corpus.products.values(), key=rank))}
     by_researcher: dict[str, list] = {}
     for a in corpus.authorships:
         by_researcher.setdefault(a.researcher_id, []).append(a)
@@ -235,42 +238,27 @@ def error_metrics(problem: SelectionProblem) -> tuple[ResearcherErrors, ...]:
 # --- selections -------------------------------------------------------------
 
 class Selection(NamedTuple):
-    """One complete institutional submission."""
+    """One complete institutional submission: each active researcher's picks,
+    by id, and their worth net of the empty-slot penalty, in total and per area."""
 
-    tag: str
     assignment: dict[str, tuple[str, ...]]
-    shortfall: dict[str, int]
     total_score: float
     per_uda: dict[int, float]
-    per_uda_due: dict[int, int]
 
 
-def _finalize(
-    tag: str, problem: SelectionProblem, assignment: dict[str, list[str]]
-) -> Selection:
-    shortfall: dict[str, int] = {}
+def _finalize(problem: SelectionProblem, assignment: dict[str, list[str]]) -> Selection:
     per_uda_units: dict[int, int] = {}
-    per_uda_due: dict[int, int] = {}
-    total_units = 0
     final_assignment: dict[str, tuple[str, ...]] = {}
     for rid, quota in problem.quota.items():
         uda = problem.corpus.researchers[rid].uda
-        picked = assignment.get(rid, [])
-        missing = quota - len(picked)
+        picked = final_assignment[rid] = tuple(assignment.get(rid, ()))
         units = sum(problem.units[(rid, pid)] for pid in picked)
-        units -= _SHORTFALL_UNITS * missing
-        final_assignment[rid] = tuple(picked)
-        shortfall[rid] = missing
-        total_units += units
+        units -= _SHORTFALL_UNITS * (quota - len(picked))
         per_uda_units[uda] = per_uda_units.get(uda, 0) + units
-        per_uda_due[uda] = per_uda_due.get(uda, 0) + quota
     return Selection(
-        tag=tag,
         assignment=final_assignment,
-        shortfall=shortfall,
-        total_score=units_to_score(total_units),
+        total_score=units_to_score(sum(per_uda_units.values())),
         per_uda={uda: units_to_score(u) for uda, u in sorted(per_uda_units.items())},
-        per_uda_due=dict(sorted(per_uda_due.items())),
     )
 
 
@@ -324,10 +312,10 @@ def scenario1(problem: SelectionProblem) -> Selection:
             assignment[winner].append(pid)
             capacity[winner] -= 1
             consumed.add(pid)
-    return _finalize(SCENARIO1, problem, assignment)
+    return _finalize(problem, assignment)
 
 
-def _greedy_best_score(tag: str, problem: SelectionProblem, pool: Pool) -> Selection:
+def _greedy_best_score(problem: SelectionProblem, pool: Pool) -> Selection:
     """Greedy selection over one of the problem's pools, in score order.
 
     A product wanted by several capacity-holding researchers goes to the
@@ -358,18 +346,18 @@ def _greedy_best_score(tag: str, problem: SelectionProblem, pool: Pool) -> Selec
         assignment[winner].append(pid)
         capacity[winner] -= 1
         consumed.add(pid)
-    return _finalize(tag, problem, assignment)
+    return _finalize(problem, assignment)
 
 
 def scenario2(problem: SelectionProblem) -> Selection:
     """Greedy score-driven selection restricted to the proposed products."""
-    return _greedy_best_score(SCENARIO2, problem, problem.pool_a)
+    return _greedy_best_score(problem, problem.pool_a)
 
 
 def scenario3(problem: SelectionProblem) -> Selection:
     """Greedy score-driven selection over the full pools (proposed plus
     indexed-but-unproposed products)."""
-    return _greedy_best_score(SCENARIO3, problem, problem.pool_c)
+    return _greedy_best_score(problem, problem.pool_c)
 
 
 # --- exact optimizer --------------------------------------------------------
@@ -390,11 +378,11 @@ def optimize_exact(problem: SelectionProblem, pool: Pool, tag: str) -> Selection
     A component numbers its own pairs in that same order; the bit positions
     of different components are disjoint, so the objective is separable.
     """
-    kept, passes = matching.prune(pool.entries, problem.quota, pool.holders)
+    kept, holders, passes = matching.prune(pool.entries, problem.quota, pool.holders)
     room = dict(problem.quota)
     owner: dict[str, str] = {}  # product -> the researcher it is assigned to
     components = largest = largest_pairs = scans = 0
-    for members in matching.components(kept):
+    for members in matching.components(kept, holders):
         pairs = sum(len(kept[rid]) for rid in members)
         components += 1
         if (len(members), pairs) > (largest, largest_pairs):
@@ -411,7 +399,7 @@ def optimize_exact(problem: SelectionProblem, pool: Pool, tag: str) -> Selection
     assignment: dict[str, list[str]] = {
         rid: [pid for pid in pids if owner.get(pid) == rid] for rid, pids in kept.items()
     }
-    return _finalize(tag, problem, assignment)
+    return _finalize(problem, assignment)
 
 
 def exact_over_proposed(problem: SelectionProblem) -> Selection:
@@ -433,15 +421,18 @@ RUNNERS = {
 
 # --- CSV output -------------------------------------------------------------
 
-def write_selections(selections: list[Selection], scored: ScoredMap, path: str | Path) -> None:
-    """Write all selections to one CSV; unfilled slots carry the penalty."""
+def write_selections(
+    problem: SelectionProblem, selections: dict[str, Selection], path: str | Path
+) -> None:
+    """Write the selections, keyed by tag, to one CSV in SCENARIO_TAGS order;
+    each researcher's unfilled slots carry the penalty."""
     def rows():
-        for selection in sorted(selections, key=lambda s: SCENARIO_TAGS.index(s.tag)):
-            for rid in sorted(selection.assignment):
-                slots = [(pid, scored[(rid, pid)].score) for pid in selection.assignment[rid]]
-                slots += [("EMPTY", SHORTFALL_PENALTY)] * selection.shortfall[rid]
+        for tag in sorted(selections, key=SCENARIO_TAGS.index):
+            for rid, picks in selections[tag].assignment.items():
+                slots = [(pid, problem.scored[(rid, pid)].score) for pid in picks]
+                slots += [("EMPTY", SHORTFALL_PENALTY)] * (problem.quota[rid] - len(picks))
                 for slot, (pid, value) in enumerate(slots, 1):
-                    yield selection.tag, rid, slot, pid, format_number(value)
+                    yield tag, rid, slot, pid, format_number(value)
 
     write_rows(path, SELECTION_COLUMNS, rows())
 

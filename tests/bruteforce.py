@@ -68,6 +68,12 @@ def best_total_score(corpus: Corpus, scored, candidates: dict[str, tuple[str, ..
     return total_units / SCALE
 
 
+def most_citations(product) -> int:
+    """The higher citation count of a product's index records; 0 when it has none."""
+    records = (product.wos_record, product.scopus_record)
+    return max((r.citations for r in records if r is not None), default=0)
+
+
 def canonical_assignment(
     corpus: Corpus, scored, candidates: dict[str, tuple[str, ...]]
 ) -> dict[str, frozenset[str]]:
@@ -90,7 +96,7 @@ def canonical_assignment(
             gain = round(scored[(rid, pid)].score * SCALE) + SHORT_UNITS
             if gain > 0:
                 product = corpus.products[pid]
-                eligible.append((-gain, -product.max_citations, product.year, pid))
+                eligible.append((-gain, -most_citations(product), product.year, pid))
         pairs += [(rid, pid, -neg_gain) for neg_gain, _, _, pid in sorted(eligible)]
     size = len(pairs)
 

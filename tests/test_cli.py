@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import logging
+import os
 import shutil
 import subprocess
 import sys
@@ -109,10 +110,10 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def _capped_main(args: list[str]) -> subprocess.CompletedProcess:
+def _capped_main(args: list[str], env: dict | None = None) -> subprocess.CompletedProcess:
     src = str(Path(assessopt.__file__).parent.parent)
     return subprocess.run([sys.executable, "-c", _CAPPED_MAIN, src, *args],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=env)
 
 
 def test_window_years_outside_four_digits_are_a_usage_error():
@@ -165,6 +166,157 @@ def test_empty_log_level_means_the_default(monkeypatch, capsys):
     monkeypatch.setenv("ASSESS_OPT_LOG", "")
     assert main(["validate", *MINI_ARGS]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_validate_output_does_not_depend_on_the_hash_seed(tmp_path):
+    unknown = ["poster", "dataset", "blog-post", "talk"]
+    path = tmp_path / "profiles.json"
+    pack = json.loads((MINI / "profiles.json").read_text(encoding="utf-8"))
+    pack["profiles"][0]["allowed_kinds"] += unknown
+    path.write_text(json.dumps(pack), encoding="utf-8")
+    args = ["validate", "--corpus", str(MINI), "--profiles", str(path), "--ref", str(MINI / "ref")]
+    runs = [_capped_main(args, env={**os.environ, "PYTHONHASHSEED": seed})
+            for seed in ("1", "2")]
+    expected = "".join(f"validation: profile 1: unknown product kind {kind!r} in allowed_kinds\n"
+                       for kind in sorted(unknown))
+    for run in runs:
+        assert (run.returncode, run.stderr) == (1, expected)
+
+
+def _append(name: str, text: str):
+    def mutate(root: Path) -> None:
+        with open(root / name, "a", encoding="utf-8") as fh:
+            fh.write(text)
+    return mutate
+
+
+def _replace(name: str, old: str, new: str):
+    def mutate(root: Path) -> None:
+        path = root / name
+        text = path.read_text(encoding="utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    return mutate
+
+
+def _write(name: str, text: str):
+    return lambda root: (root / name).write_text(text, encoding="utf-8")
+
+
+def _edit_profiles(change):
+    """Apply change to the pack's list of profiles; the first is GEV 1's."""
+    def mutate(root: Path) -> None:
+        path = root / "profiles.json"
+        pack = json.loads(path.read_text(encoding="utf-8"))
+        change(pack["profiles"])
+        path.write_text(json.dumps(pack), encoding="utf-8")
+    return mutate
+
+
+_P01 = "P01,journal-article,2006,false,MATH-APPL,,12,J-M4,,,,"
+
+# (mutation of a mini_university copy, exit code, the whole of stderr)
+INPUT_CHECKS = {
+    "empty-csv": (_write("researchers.csv", ""), 2,
+                  "error: {root}/researchers.csv: empty file, header row required\n"),
+    "record-without-citations": (
+        _replace("products.csv", _P01, _P01.replace(",12,", ",,")), 2,
+        "error: {root}/products.csv:2: wos record present but has no citation count\n"),
+    "unknown-product-kind": (
+        _replace("products.csv", _P01, _P01.replace("journal-article", "poster")), 2,
+        "error: {root}/products.csv:2: unknown product kind 'poster'\n"),
+    "empty-researcher-id": (_append("researchers.csv", ",MAT/05,1,3\n"), 1,
+                            "validation: {root}/researchers.csv:14: empty researcher id\n"),
+    "empty-product-id": (_append("products.csv", ",journal-article,2006,false,,,,,,,,\n"), 1,
+                         "validation: {root}/products.csv:41: empty product id\n"),
+    "negative-citations": (
+        _append("products.csv", "P98,journal-article,2006,false,MATH-APPL,,-1,,,,,\n"), 1,
+        "validation: {root}/products.csv:41: wos citations -1 negative\n"),
+    "negative-metric": (
+        _append("products.csv", "P98,journal-article,2006,false,,,,,MATH-APPL,-0.5,3,\n"), 1,
+        "validation: {root}/products.csv:41: scopus metric -0.5 negative\n"),
+    "unknown-researcher": (_append("authorships.csv", "R99,P01,,\n"), 1,
+                           "validation: {root}/authorships.csv:45: unknown researcher id 'R99'\n"),
+    "duplicate-authorship": (
+        _append("authorships.csv", "R01,P01,,\n"), 1,
+        "validation: {root}/authorships.csv:45: duplicate authorship ('R01', 'P01')\n"),
+    "priority-below-one": (_append("authorships.csv", "R01,P05,0,\n"), 1,
+                           "validation: {root}/authorships.csv:45: declared_priority 0 < 1\n"),
+    "override-outside-panels": (
+        _append("authorships.csv", "R01,P05,,10\n"), 1,
+        "validation: {root}/authorships.csv:45: gev_override 10 outside 1..9\n"),
+    "unknown-matrix-outcome": (
+        _replace("profiles.json", '"A"', '"Z"'), 2,
+        "error: {root}/profiles.json: malformed profile entry: unknown matrix outcome 'Z'\n"),
+    "panel-outside-1-9": (_edit_profiles(lambda ps: ps[0].update(gev_id=10)), 1,
+                          "validation: profile 10: gev_id 10 outside 1..9\n"),
+    "unknown-source-policy": (
+        _edit_profiles(lambda ps: ps[0].update(source_policy="wos-first")), 1,
+        "validation: profile 1: unknown source policy 'wos-first'\n"),
+    "unknown-allowed-kind": (
+        _edit_profiles(lambda ps: ps[0]["allowed_kinds"].append("poster")), 1,
+        "validation: profile 1: unknown product kind 'poster' in allowed_kinds\n"),
+    "fallback-score-outside-range": (
+        _edit_profiles(lambda ps: ps[0].update(no_metric_score=1.5)), 1,
+        "validation: profile 1: no_metric_score 1.5 outside [-2, 1]\n"),
+    "journal-class-outside-1-4": (
+        _edit_profiles(lambda ps: ps[0]["ir_journal_class_list"].update({"J-M1": 5})), 1,
+        "validation: profile 1: journal class 5 for 'J-M1' outside 1..4\n"),
+    "profiles-not-found": (lambda root: (root / "profiles.json").unlink(), 2,
+                           "error: {root}/profiles.json: file not found\n"),
+    "duplicate-profile": (_edit_profiles(lambda ps: ps.append(ps[0])), 2,
+                          "error: {root}/profiles.json: duplicate profile for GEV 1\n"),
+    "threshold-count-below-one": (
+        _replace("ref/thresholds.csv", "citations,MATH-APPL,2005,any,10,20,30,100",
+                 "citations,MATH-APPL,2005,any,10,20,30,0"), 2,
+        "error: {root}/ref/thresholds.csv:2: n must be >= 1, got 0\n"),
+    "duplicate-merge-category": (
+        _append("ref/mergemap.csv", "Oncology,MED-G2\n"), 2,
+        "error: {root}/ref/mergemap.csv:4: duplicate merge-map category 'Oncology'\n"),
+    "key-in-both-reference-files": (
+        _write("ref/worldvalues.csv", "indicator,category_group,year,doc_split,value\n"
+                                      "citations,MATH-APPL,2005,any,3\n"), 2,
+        "error: {root}/ref/thresholds.csv: distribution key (citations, MATH-APPL, 2005, any) "
+        "defined in both worldvalues.csv and thresholds.csv\n"),
+}
+
+
+@pytest.mark.parametrize("mutate, code, stderr", INPUT_CHECKS.values(), ids=INPUT_CHECKS)
+def test_validate_reports_each_input_check(tmp_path, capsys, mutate, code, stderr):
+    root = tmp_path / "in"
+    shutil.copytree(MINI, root)
+    mutate(root)
+    assert main(["validate", "--corpus", str(root),
+                 "--profiles", str(root / "profiles.json"), "--ref", str(root / "ref")]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", stderr.format(root=root))
+
+
+def test_an_empty_quota_loads_as_three(tmp_path):
+    root = tmp_path / "in"
+    shutil.copytree(MINI, root)
+    _replace("researchers.csv", "R03,MAT/03,1,2\n", "R03,MAT/03,1,\n")(root)
+    assert load_corpus_dir(root).researchers["R03"].quota == 3
+
+
+def test_a_citation_count_past_float_range_scores(tmp_path, capsys):
+    """A count too large for a float is compared with the class thresholds
+    exactly, so it scores as any count above the top threshold does."""
+    root = tmp_path / "in"
+    shutil.copytree(MINI, root)
+    p03 = "P03,journal-article,2007,false,MATH-APPL,2.5,35,"
+    outputs = []
+    for count in ("9" * 400, str(10**9)):
+        products = root / "products.csv"
+        products.write_text((MINI / "products.csv").read_text(encoding="utf-8").replace(
+            p03, p03.replace(",35,", f",{count},")), encoding="utf-8")
+        out = tmp_path / f"scored-{len(count)}.csv"
+        assert main(["score", "--corpus", str(root), "--profiles", str(root / "profiles.json"),
+                     "--ref", str(root / "ref"), "-o", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert capsys.readouterr().err == ""
+    assert outputs[0] == outputs[1]
+    assert b"P03," in outputs[0]
 
 
 def test_validate_dangling_reference(tmp_path, capsys):

@@ -37,7 +37,9 @@ from assessopt.reference import (
     ClassThresholds,
     DistributionKey,
 )
-from assessopt.selection import SELECTION_COLUMNS, build_sets, scenario1, write_selections
+from assessopt.selection import (
+    SCENARIO1, SELECTION_COLUMNS, build_sets, scenario1, write_selections,
+)
 
 import support
 
@@ -174,7 +176,8 @@ def test_round_trip_keeps_every_metric_exactly(tmp_path_factory, metric_pairs):
 
 
 def _write_selections(corpus, scored, path):
-    write_selections([scenario1(build_sets(corpus, scored))], scored, path)
+    problem = build_sets(corpus, scored)
+    write_selections(problem, {SCENARIO1: scenario1(problem)}, path)
 
 
 @pytest.mark.parametrize("write, schema, column", [
@@ -299,6 +302,8 @@ def test_the_corpus_holds_no_scoring_rule():
         assert "window" not in inspect.signature(loader).parameters, loader.__name__
     assert list(inspect.signature(score_product).parameters)[:3] == [
         "product", "profile", "library"]
+    # The citation half of the canonical tie-break is stated by selection alone.
+    assert not hasattr(Product, "max_citations")
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -65,9 +65,8 @@ def test_delta_zero_base_guard():
 
 
 def three_scenarios():
-    corpus, scored = mini_instance()
-    problem = build_sets(corpus, scored)
-    return corpus, scored, {
+    problem = build_sets(*mini_instance())
+    return problem, {
         SCENARIO1: scenario1(problem),
         SCENARIO2: scenario2(problem),
         SCENARIO3: scenario3(problem),
@@ -96,9 +95,10 @@ def mini_instance():
 
 
 def test_scenario_table_totals_are_column_sums():
-    _, _, selections = three_scenarios()
-    *rows, total = scenario_table(selections)
+    problem, selections = three_scenarios()
+    *rows, total = scenario_table(problem, selections)
     assert [row.uda for row in rows] == [3, 5]
+    assert [row.products_due for row in rows] == [2, 1]  # the quotas of R1 and R2
     assert total.uda is None
     assert total.products_due == sum(r.products_due for r in rows)
     for attr in ("s1", "s2", "s3"):
@@ -106,9 +106,9 @@ def test_scenario_table_totals_are_column_sums():
 
 
 def test_scenario_table_requires_all_three():
-    _, _, selections = three_scenarios()
+    problem, selections = three_scenarios()
     del selections[SCENARIO2]
-    assert scenario_table(selections) is None
+    assert scenario_table(problem, selections) is None
 
 
 def test_share_cell():
@@ -155,10 +155,9 @@ def test_average_render_percent():
 
 
 def test_rendering_is_deterministic():
-    corpus, scored, selections = three_scenarios()
-    problem = build_sets(corpus, scored)
+    problem, selections = three_scenarios()
     errors = error_metrics(problem)
-    table = scenario_table(selections)
+    table = scenario_table(problem, selections)
     first = render_report(problem, selections, errors, table)
     second = render_report(problem, selections, errors, table)
     assert first == second
@@ -167,8 +166,7 @@ def test_rendering_is_deterministic():
 
 
 def test_rendered_cells_reparse_close_to_unrounded():
-    _, _, selections = three_scenarios()
-    table = scenario_table(selections)
+    table = scenario_table(*three_scenarios())
     for row, cells in zip(table, render_scenario_csv(table)):
         for cell, exact in zip(cells[2:5], (row.s1, row.s2, row.s3)):
             assert abs(float(cell) - exact) <= 0.05
@@ -187,8 +185,7 @@ def test_rendered_cells_reparse_close_to_unrounded():
 
 
 def test_markdown_table_shape():
-    _, _, selections = three_scenarios()
-    text = render_scenario_markdown(scenario_table(selections))
+    text = render_scenario_markdown(scenario_table(*three_scenarios()))
     lines = text.strip().splitlines()
     assert lines[0].startswith("| Area ")
     assert len(lines) == 2 + 2 + 1  # header, rule, two areas, total

@@ -14,7 +14,9 @@ from assessopt.corpus import BIBLIOMETRIC_UDAS
 from assessopt.selection import (
     EXACT_FULL,
     EXACT_PROPOSED,
+    SCENARIO1,
     SHORTFALL_PENALTY,
+    Selection,
     build_sets,
     error_metrics,
     exact_over_full,
@@ -24,12 +26,14 @@ from assessopt.selection import (
     scenario2,
     scenario3,
     score_units,
+    write_selections,
 )
 
 import support
 from bruteforce import (
     best_total_score,
     canonical_assignment,
+    most_citations,
     random_instance,
     sized_instance,
     unpruned_exact,
@@ -130,7 +134,7 @@ def test_pools_hold_eligible_candidates_best_first_randomized():
                 and scored[(rid, a.product_id)].score > SHORTFALL_PENALTY
             ]
             expected_c = tuple(sorted(eligible, key=lambda pid: (
-                -scored[(rid, pid)].score, -corpus.products[pid].max_citations,
+                -scored[(rid, pid)].score, -most_citations(corpus.products[pid]),
                 corpus.products[pid].year, pid,
             )))
             expected_a = tuple(pid for pid in expected_c if pid in proposed)
@@ -226,21 +230,33 @@ def test_scenario1_priority_conflict():
         },
         quotas={"R1": 1, "R2": 2},
     )
-    s = scenario1(build_sets(corpus, scored))
-    assert s.assignment["R1"] == ("PX",)
-    assert s.assignment["R2"] == ("PY",)
-    assert s.shortfall == {"R1": 0, "R2": 1}
+    problem = build_sets(corpus, scored)
+    s = scenario1(problem)
+    assert s.assignment == {"R1": ("PX",), "R2": ("PY",)}
+    assert {rid: problem.quota[rid] - len(picks) for rid, picks in s.assignment.items()} == {
+        "R1": 0, "R2": 1}
     assert s.total_score == 1.0 + 0.5 - 0.5
 
 
-def test_scenario1_shortfall_penalty():
+def test_scenario1_shortfall_penalty(tmp_path):
     corpus, scored = simple_corpus(
         ["R1"],
         {("R1", "P1"): (1, 1.0), ("R1", "P2"): (2, 0.8)},
     )
-    s = scenario1(build_sets(corpus, scored))
-    assert s.shortfall["R1"] == 1
+    problem = build_sets(corpus, scored)
+    s = scenario1(problem)
+    assert s.assignment == {"R1": ("P1", "P2")}  # quota 3: one slot empty
     assert s.total_score == 1.8 - 0.5
+    # The writer fills the empty slot from the problem's quota.
+    write_selections(problem, {SCENARIO1: s}, tmp_path / "selection.csv")
+    assert (tmp_path / "selection.csv").read_text().splitlines()[1:] == [
+        "scenario1,R1,1,P1,1", "scenario1,R1,2,P2,0.8", "scenario1,R1,3,EMPTY,-0.5"]
+
+
+def test_a_selection_holds_its_picks_and_their_worth():
+    """Quotas and products due are the problem's, and the caller keys each
+    selection by the tag it ran under."""
+    assert Selection._fields == ("assignment", "total_score", "per_uda")
 
 
 def test_scenario1_equal_priority_tiebreaks():
@@ -371,7 +387,7 @@ def test_exact_single_researcher():
     )
     s = exact_over_proposed(build_sets(corpus, scored))
     assert s.total_score == 1.8 - 0.5
-    assert s.tag == EXACT_PROPOSED
+    assert s.assignment == {"R1": ("P1", "P2")}
 
 
 def test_exact_shared_product():
@@ -453,7 +469,12 @@ def test_pruning_keeps_the_canonical_optimum(instance):
     for pool, tag in ((problem.pool_a, EXACT_PROPOSED), (problem.pool_c, EXACT_FULL)):
         canonical = canonical_assignment(corpus, scored, pool.entries)
         quota = {rid: corpus.researchers[rid].quota for rid in problem.quota}
-        kept, _ = matching.prune(pool.entries, quota, pool.holders)
+        given_holders = {pid: list(rids) for pid, rids in pool.holders.items()}
+        kept, holders, _ = matching.prune(pool.entries, quota, pool.holders)
+        assert pool.holders == given_holders  # prune works on its own copy
+        # The holders returned are each shared product's researchers among the kept pools.
+        assert holders == {pid: [rid for rid in rids if pid in kept[rid]]
+                           for pid, rids in given_holders.items()}
         held = Counter(pid for pids in kept.values() for pid in pids)
         for rid in problem.quota:
             assert canonical[rid] <= set(kept[rid])
@@ -500,17 +521,20 @@ def test_selection_feasibility_randomized():
         problem = build_sets(corpus, scored)
         for engine in (scenario1, scenario2, scenario3, exact_over_proposed, exact_over_full):
             s = engine(problem)
+            assert list(s.assignment) == list(problem.quota)
             seen = []
+            empty_slots = 0
             for rid, picked in s.assignment.items():
                 quota = corpus.researchers[rid].quota
-                assert len(picked) + s.shortfall[rid] == quota
+                assert len(picked) <= quota
+                empty_slots += quota - len(picked)
                 assert len(set(picked)) == len(picked)
                 seen.extend(picked)
             assert len(seen) == len(set(seen))  # product uniqueness across researchers
             expected_units = sum(
                 sum(score_units(scored[(rid, pid)].score) for pid in picked)
                 for rid, picked in s.assignment.items()
-            ) - 5000 * sum(s.shortfall.values())
+            ) - 5000 * empty_slots
             assert s.total_score == expected_units / 10000
             assert sum(score_units(v) for v in s.per_uda.values()) == expected_units
 

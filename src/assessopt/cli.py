@@ -68,7 +68,9 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
                         help="evaluation window, e.g. 2004:2010")
 
 
-def _load_inputs(args):
+def _load_and_score(args):
+    """Load the three inputs and score every authorship: the one path every
+    command but build-dist takes, so each runs the same checks."""
     corpus = load_corpus_dir(args.corpus)
     log.info("corpus: %d researchers, %d products, %d authorships",
              len(corpus.researchers), len(corpus.products), len(corpus.authorships))
@@ -79,16 +81,7 @@ def _load_inputs(args):
     library = reference.load_reference_dir(args.ref)
     log.info("reference: %d distributions, %d merge-map entries",
              len(library.thresholds), len(library.merge_map))
-    return corpus, profiles, library
-
-
-def _load_and_score(args):
-    corpus, profiles, library = _load_inputs(args)
-    scored = gev.score_corpus(corpus, profiles, library, args.window)
-    if log.isEnabledFor(logging.INFO):  # counting the pairs takes a pass over scored
-        log.info("scored %d authorships, %d distinct (product, panel) pairs", len(scored),
-                 len({(sp.product_id, sp.routing_gev) for sp in scored.values()}))
-    return corpus, scored
+    return corpus, gev.score_corpus(corpus, profiles, library, args.window)
 
 
 def _run_pipeline(args, tags: list[str]):
@@ -105,7 +98,7 @@ def _run_pipeline(args, tags: list[str]):
 
 
 def cmd_validate(args) -> int:
-    _load_inputs(args)
+    _load_and_score(args)
     print("OK: corpus, profiles and reference library are consistent")
     return 0
 

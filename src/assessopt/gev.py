@@ -9,6 +9,7 @@ product is a pure function of (product, profile, reference library, window).
 from __future__ import annotations
 
 import json
+import logging
 from bisect import bisect_left, bisect_right
 from pathlib import Path
 from types import MappingProxyType
@@ -20,11 +21,12 @@ from .corpus import boolean, format_number, write_rows
 from .errors import ParseError, ValidationError
 from .reference import DistributionKey, ReferenceLibrary, classify
 
+log = logging.getLogger(__name__)
+
 DEFAULT_WINDOW = (2004, 2010)
 
 MERIT_SCORES = {"A": 1.0, "B": 0.8, "C": 0.5, "D": 0.0}
 MATRIX_OUTCOMES = ("A", "B", "C", "D", "IR")
-DEFINITE_OUTCOMES = frozenset({"A", "B", "C", "D"})
 
 FRAUD_SCORE = -2.0
 INADMISSIBLE_SCORE = -1.0
@@ -265,9 +267,7 @@ def score_product(
         if best is None or score > best[1]:
             best = (outcome, score)
     outcome, score = best
-    return ScoredProduct(
-        product.id, routing_gev, outcome, score, outcome in DEFINITE_OUTCOMES
-    )
+    return ScoredProduct(product.id, routing_gev, outcome, score, outcome in MERIT_SCORES)
 
 
 def routing_for(authorship, researcher) -> int:
@@ -306,6 +306,8 @@ def score_corpus(
             sp = memo[(a.product_id, gev)] = score_product(
                 corpus.products[a.product_id], profile, library, window)
         scored[(a.researcher_id, a.product_id)] = sp
+    log.info("scored %d authorships, %d distinct (product, panel) pairs",
+             len(scored), len(memo))
     return scored
 
 

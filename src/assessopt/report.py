@@ -88,38 +88,32 @@ class ScenarioRow(NamedTuple):
         return delta_strings(self.s1, self.s2, self.s3)
 
 
+def products_due(problem: SelectionProblem) -> dict[int | None, int]:
+    """The active researchers' quotas summed per area, areas ascending, then
+    the institution total under None."""
+    due: dict[int | None, int] = {}
+    for rid, quota in problem.quota.items():
+        uda = problem.corpus.researchers[rid].uda
+        due[uda] = due.get(uda, 0) + quota
+    return {**dict(sorted(due.items())), None: sum(due.values())}
+
+
 def scenario_table(
     problem: SelectionProblem, selections: dict[str, Selection]
 ) -> tuple[ScenarioRow, ...] | None:
-    """Per-area products due (the active researchers' quotas) and totals of the
-    three scenarios with pairwise deltas, plus an institution total row, or
-    None unless scenarios 1-3 all ran."""
+    """Per-area products due and totals of the three scenarios with pairwise
+    deltas, plus an institution total row, or None unless scenarios 1-3 all
+    ran."""
     try:
         s1, s2, s3 = selections[SCENARIO1], selections[SCENARIO2], selections[SCENARIO3]
     except KeyError:
         return None
 
-    due: dict[int, int] = {}
-    for rid, quota in problem.quota.items():
-        uda = problem.corpus.researchers[rid].uda
-        due[uda] = due.get(uda, 0) + quota
-    rows = []
-    for uda in sorted(due):
-        rows.append(ScenarioRow(
-            uda=uda,
-            products_due=due[uda],
-            s1=s1.per_uda.get(uda, 0.0),
-            s2=s2.per_uda.get(uda, 0.0),
-            s3=s3.per_uda.get(uda, 0.0),
-        ))
-    rows.append(ScenarioRow(
-        uda=None,
-        products_due=sum(r.products_due for r in rows),
-        s1=s1.total_score,
-        s2=s2.total_score,
-        s3=s3.total_score,
-    ))
-    return tuple(rows)
+    def total(selection: Selection, uda: int | None) -> float:
+        return selection.total_score if uda is None else selection.per_uda.get(uda, 0.0)
+
+    return tuple(ScenarioRow(uda, due, total(s1, uda), total(s2, uda), total(s3, uda))
+                 for uda, due in products_due(problem).items())
 
 
 class ErrorTableRow(NamedTuple):
@@ -148,11 +142,12 @@ def error_table(
     by_uda: dict[int, list[ResearcherErrors]] = {}
     for e in active:
         by_uda.setdefault(e.uda, []).append(e)
+    due = products_due(problem)
 
     def aggregate(uda: int | None, group: list[ResearcherErrors]) -> ErrorTableRow:
         return ErrorTableRow(
             uda=uda,
-            products_due=sum(problem.quota[e.researcher_id] for e in group),
+            products_due=due[uda],
             declared_count=sum(e.declared_count for e in group),
             inadmissible=sum(e.inadmissible_in_declared for e in group),
             nil_declared=sum(e.nil_in_declared for e in group),

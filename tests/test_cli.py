@@ -183,6 +183,24 @@ def test_validate_output_does_not_depend_on_the_hash_seed(tmp_path):
         assert (run.returncode, run.stderr) == (1, expected)
 
 
+@pytest.mark.parametrize("fixture", ["mini_university", "witness"])
+def test_simulate_output_does_not_depend_on_the_hash_seed(tmp_path, fixture):
+    root = FIXTURES / fixture
+    out = tmp_path / "out"
+    args = ["simulate", "--corpus", str(root), "--profiles", str(root / "profiles.json"),
+            "--ref", str(root / "ref"), "-o", str(out)]
+    runs = []
+    for seed in ("1", "2"):
+        run = _capped_main(args, env={**os.environ, "PYTHONHASHSEED": seed,
+                                      "ASSESS_OPT_LOG": "DEBUG"})
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        shutil.rmtree(out)
+        runs.append((run.returncode, run.stdout, run.stderr, files))
+    assert runs[0][0] == 0
+    assert "DEBUG assessopt.selection: exact-C: " in runs[0][2]
+    assert runs[0] == runs[1]
+
+
 def _append(name: str, text: str):
     def mutate(root: Path) -> None:
         with open(root / name, "a", encoding="utf-8") as fh:
@@ -455,6 +473,24 @@ def test_scoring_failure_exits_1(tmp_path, capsys, mutate, first_line):
     assert capsys.readouterr().err.splitlines()[0] == first_line
 
 
+@pytest.mark.parametrize("mutate, first_line", [
+    (_drop_profile_6, "validation: no profile configured for GEV 6"),
+    (_drop_distributions, "validation: no reference distribution for any of: "),
+], ids=["unprofiled-panel", "missing-distribution"])
+def test_validate_fails_where_score_fails(tmp_path, capsys, mutate, first_line):
+    root = tmp_path / "in"
+    shutil.copytree(MINI, root)
+    mutate(root)
+    args = ["--corpus", str(root), "--profiles", str(root / "profiles.json"),
+            "--ref", str(root / "ref")]
+    assert main(["validate", *args]) == 1
+    validate = capsys.readouterr()
+    assert main(["score", *args, "-o", str(tmp_path / "scored.csv")]) == 1
+    assert capsys.readouterr().err == validate.err
+    assert validate.out == ""
+    assert validate.err.startswith(first_line)
+
+
 def test_build_dist(tmp_path):
     src = tmp_path / "worldvalues.csv"
     src.write_text(
@@ -545,6 +581,8 @@ def test_simulate_logs_each_stage(tmp_path, caplog, capsys):
     assert len(pairs) < len(rows)  # the fixture has co-authors on one panel
     assert (f"scored {len(rows)} authorships, {len(pairs)} distinct (product, panel) pairs"
             in messages)
+    assert [r.name for r in caplog.records if r.getMessage().startswith("scored ")] == [
+        "assessopt.gev"]
     assert any("active researchers" in m for m in messages)
     for tag in selection.SCENARIO_TAGS:
         assert f"{tag}: total score" in stdout

@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import re
+import shutil
+from pathlib import Path
 
 import pytest
 
+from assessopt import gev
+from assessopt.corpus import load_corpus_dir
+from assessopt.reference import load_reference_dir
 from assessopt.report import (
     AverageScoreTable,
     average_table,
     delta_strings,
     error_table,
     pct_delta,
+    products_due,
     render_average_markdown,
     render_error_markdown,
     render_report,
@@ -103,6 +109,21 @@ def test_scenario_table_totals_are_column_sums():
     assert total.products_due == sum(r.products_due for r in rows)
     for attr in ("s1", "s2", "s3"):
         assert getattr(total, attr) == pytest.approx(sum(getattr(r, attr) for r in rows))
+
+
+def test_products_due_sums_active_quotas_per_area(tmp_path):
+    mini = Path(__file__).parent / "fixtures" / "mini_university"
+    root = tmp_path / "in"
+    shutil.copytree(mini, root)
+    with open(root / "researchers.csv", "a", encoding="utf-8") as fh:
+        fh.write("R13,L-ANT/01,10,3\n")  # peer-review-only
+        fh.write("R14,FIS/01,2,0\n")     # quota 0, alone in its area
+    corpus = load_corpus_dir(root)
+    scored = gev.score_corpus(corpus, gev.load_profiles(root / "profiles.json"),
+                              load_reference_dir(root / "ref"), gev.DEFAULT_WINDOW)
+    due = products_due(build_sets(corpus, scored))
+    assert list(due) == [1, 3, 6, None]
+    assert due == {1: 3 + 3 + 2, 3: 3 * 4, 6: 3 * 3 + 2, None: 31}
 
 
 def test_scenario_table_requires_all_three():

@@ -10,6 +10,7 @@ inputs produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import sys
@@ -203,6 +204,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A run's records hold no reference cycles: collecting would only rescan them.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ValidationError as exc:
@@ -212,6 +216,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

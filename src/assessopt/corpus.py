@@ -216,6 +216,12 @@ def format_number(value: float | int | None) -> str:
     return text[:-2] if text.endswith(".0") else text
 
 
+def number_texts(values: Iterable[float]) -> dict[float, str]:
+    """format_number of each distinct value but zero, which a writer formats
+    where it meets it: 0.0 and -0.0 are one key but two texts."""
+    return {value: format_number(value) for value in set(values) if value}
+
+
 RESEARCHER_COLUMNS = {"id": str, "sds": str, "uda": int, "quota": optional_int}
 PRODUCT_COLUMNS = {
     "id": str, "kind": str, "year": int, "fraud_flag": boolean,
@@ -230,12 +236,13 @@ AUTHORSHIP_COLUMNS = {
 }
 
 
-def _record(fields: Sequence, prefix: str, file: str, line: int) -> IndexRecord | None:
-    """The index record in a product row's four prefix_ fields; all empty means absent."""
+_ABSENT = ["", None, None, ""]  # a product row's four prefix_ fields without that record
+
+
+def _record(fields: Sequence, prefix: str, file: str, line: int) -> IndexRecord:
+    """The index record in a product row's four prefix_ fields, not all empty."""
     text, metric, citations, journal_id = fields
-    if text == "" and metric is None and citations is None and journal_id == "":
-        return None
-    categories = tuple(c for c in text.split(";") if c)
+    categories = tuple(filter(None, text.split(";")))
     if not categories:
         raise ParseError(
             f"{prefix} record present but has no subject categories", file=file, line=line
@@ -299,10 +306,12 @@ def load_corpus(
     products: dict[str, Product] = {}
     products_file = str(products_path)
     for line, row in read_rows(products_path, PRODUCT_COLUMNS):
-        if row[1] not in PRODUCT_KINDS:
-            raise ParseError(f"unknown product kind {row[1]!r}", file=products_file, line=line)
-        p = Product(*row[:4], _record(row[4:8], "wos", products_file, line),
-                    _record(row[8:], "scopus", products_file, line))
+        if row[1] not in PRODUCT_KINDS:  # the product is still registered, below
+            violation(products_path, line, f"unknown product kind {row[1]!r}")
+        wos, scopus = row[4:8], row[8:]
+        p = Product(*row[:4],
+                    None if wos == _ABSENT else _record(wos, "wos", products_file, line),
+                    None if scopus == _ABSENT else _record(scopus, "scopus", products_file, line))
         if not p.id:
             violation(products_path, line, "empty product id")
             continue
@@ -348,12 +357,8 @@ def load_corpus(
     if violations:
         raise ValidationError(violations)
 
-    authorships.sort(key=lambda a: (a.researcher_id, a.product_id))
-    return Corpus(
-        researchers=researchers,
-        products=products,
-        authorships=authorships,
-    )
+    authorships.sort()  # the (researcher, product) pairs are unique, so no later field is compared
+    return Corpus(researchers, products, authorships)
 
 
 def load_corpus_dir(directory: str | Path) -> Corpus:

@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple
 
 from . import reference
 from .corpus import BIBLIOMETRIC_UDAS, PRODUCT_KINDS, Corpus, IndexRecord, Product
-from .corpus import boolean, format_number, write_rows
+from .corpus import boolean, format_number, number_texts, write_rows
 from .errors import ParseError, ValidationError
 from .reference import DistributionKey, ReferenceLibrary, classify
 
@@ -170,27 +170,16 @@ def multi_category_class(
     Categories without a stored distribution are skipped; it is an error only
     when none of them resolves.
     """
-    best: int | None = None
+    best = 5  # worse than every class: no category resolved yet
     for category in record.subject_categories:
         thresholds = library.lookup(indicator, category, year, doc_split)
-        if thresholds is None:
-            continue
-        cls = classify(value, thresholds)
-        if best is None or cls < best:
+        if thresholds is not None and (cls := classify(value, thresholds)) < best:
             best = cls
-    if best is None:  # then every category is missing
+    if best == 5:  # then every category is missing
         raise ValidationError(["no reference distribution for any of: " + ", ".join(
             str(DistributionKey(indicator, library.resolve(category), year, doc_split))
             for category in record.subject_categories)])
     return best
-
-
-def _policy_records(product: Product, profile: GevProfile) -> list[IndexRecord]:
-    if profile.source_policy == WOS_ONLY:
-        candidates = [product.wos_record]
-    else:
-        candidates = [product.wos_record, product.scopus_record]
-    return [r for r in candidates if r is not None]
 
 
 def _evaluate_record(
@@ -255,17 +244,16 @@ def score_product(
                 product.id, routing_gev, "forced-ir", profile.ir_assumed_score, False
             )
 
-    records = _policy_records(product, profile)
-    if not records:
-        return ScoredProduct(
-            product.id, routing_gev, "non-indexed-fallback", profile.non_indexed_score, False
-        )
-
     best: tuple[str, float] | None = None
-    for record in records:
-        outcome, score = _evaluate_record(product, record, profile, library)
-        if best is None or score > best[1]:
-            best = (outcome, score)
+    for record in ((product.wos_record,) if profile.source_policy == WOS_ONLY
+                   else (product.wos_record, product.scopus_record)):
+        if record is not None:
+            outcome, score = _evaluate_record(product, record, profile, library)
+            if best is None or score > best[1]:
+                best = (outcome, score)
+    if best is None:
+        return ScoredProduct(product.id, routing_gev, "non-indexed-fallback",
+                             profile.non_indexed_score, False)
     outcome, score = best
     return ScoredProduct(product.id, routing_gev, outcome, score, outcome in MERIT_SCORES)
 
@@ -311,14 +299,13 @@ def score_corpus(
     return scored
 
 
-def write_scored(
-    scored: dict[tuple[str, str], ScoredProduct], path: str | Path
-) -> None:
-    write_rows(path, SCORED_COLUMNS, [
-        (pid, rid, sp.routing_gev, sp.outcome, format_number(sp.score),
+def write_scored(scored: dict[tuple[str, str], ScoredProduct], path: str | Path) -> None:
+    texts = number_texts(sp.score for sp in scored.values())
+    write_rows(path, SCORED_COLUMNS, sorted(
+        (pid, rid, sp.routing_gev, sp.outcome, texts.get(sp.score) or format_number(sp.score),
          "true" if sp.definite else "false")
-        for (rid, pid), sp in sorted(scored.items(), key=lambda item: (item[0][1], item[0][0]))
-    ])
+        for (rid, pid), sp in scored.items()
+    ))
 
 
 # --- profile configuration -------------------------------------------------

@@ -94,10 +94,10 @@ class ReferenceLibrary(NamedTuple):
     def lookup(
         self, indicator: str, category: str, year: int, doc_split: str = "any"
     ) -> ClassThresholds | None:
-        """Apply the merge map, then resolve the key to its thresholds, or None
-        when no distribution is stored for it."""
-        key = DistributionKey(indicator, self.resolve(category), year, doc_split)
-        return self.thresholds.get(key)
+        """The thresholds of the key with its category merged, or None if none are
+        stored; a plain tuple finds the equal DistributionKey without building one."""
+        return self.thresholds.get((indicator, self.merge_map.get(category, category),
+                                    year, doc_split))
 
 
 def _distribution_key(fields: Sequence, file: str, line: int) -> DistributionKey:

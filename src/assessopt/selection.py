@@ -16,11 +16,13 @@ rule (see optimize_exact) fixes which optimum it reports.
 from __future__ import annotations
 
 import logging
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from . import matching
-from .corpus import BIBLIOMETRIC_UDAS, Corpus, Product, format_number, write_rows
+from .corpus import BIBLIOMETRIC_UDAS, Corpus, Product, format_number, number_texts, write_rows
 from .gev import ScoredProduct
 
 log = logging.getLogger(__name__)
@@ -121,55 +123,60 @@ class SelectionProblem(NamedTuple):
     tiebreak: dict[str, int]
 
 
+def _most_citations(p: Product) -> int:
+    """The higher citation count of a product's index records; 0 when it has none."""
+    wos, scopus = p.wos_record, p.scopus_record
+    if wos is None:
+        return 0 if scopus is None else scopus.citations
+    return wos.citations if scopus is None else max(wos.citations, scopus.citations)
+
+
 def build_sets(corpus: Corpus, scored: ScoredMap) -> SelectionProblem:
     """Build the selection problem: score units, portfolio sets and pools.
 
-    Every authorship must already be scored under the researcher's routing.
+    Every authorship must already be scored under the researcher's routing,
+    and the authorships be in (researcher, product) order, as Corpus holds them.
     """
-    def rank(p: Product) -> tuple[int, int, str]:  # see SelectionProblem.tiebreak
-        citations = [r.citations for r in (p.wos_record, p.scopus_record) if r is not None]
-        return -max(citations, default=0), p.year, p.id
-
+    products, researchers = corpus.products, corpus.researchers
     units = {pair: score_units(sp.score) for pair, sp in scored.items()}
-    tiebreak = {p.id: i for i, p in enumerate(sorted(corpus.products.values(), key=rank))}
-    by_researcher: dict[str, list] = {}
-    for a in corpus.authorships:
-        by_researcher.setdefault(a.researcher_id, []).append(a)
+    # The tie-break order (see SelectionProblem.tiebreak) by stable sorts, last key first.
+    order = sorted(products.values(), key=attrgetter("id"))
+    order.sort(key=attrgetter("year"))
+    order.sort(key=_most_citations, reverse=True)
+    tiebreak = {p.id: i for i, p in enumerate(order)}
+    by_researcher = {rid: list(auths) for rid, auths in
+                     groupby(corpus.authorships, itemgetter(0))}
 
     portfolios: dict[str, ResearcherPortfolio] = {}
     pool_a: dict[str, tuple[str, ...]] = {}
     pool_c: dict[str, tuple[str, ...]] = {}
-    for rid in sorted(corpus.researchers):
-        researcher = corpus.researchers[rid]
-        auths = by_researcher.get(rid, [])
-        proposed = tuple(
-            a.product_id
-            for a in sorted(
-                (a for a in auths if a.declared_priority is not None),
-                key=lambda a: a.declared_priority,
-            )
-        )
-        unproposed = tuple(sorted(
-            a.product_id
-            for a in auths
-            if a.declared_priority is None and corpus.products[a.product_id].indexed
-        ))
-        ranked = sorted(proposed + unproposed,
-                        key=lambda pid: (-units[(rid, pid)], tiebreak[pid]))
+    for rid in sorted(researchers):
+        researcher = researchers[rid]
+        declared, unproposed = [], []
+        for a in by_researcher.get(rid, ()):
+            if a.declared_priority is not None:
+                declared.append((a.declared_priority, a.product_id))
+            elif products[a.product_id].indexed:
+                unproposed.append(a.product_id)
+        declared.sort()
+        proposed = tuple([pid for _, pid in declared])
+        ranked = sorted([(-units[(rid, pid)], tiebreak[pid], pid)
+                         for pid in (*proposed, *unproposed)])
         portfolios[rid] = ResearcherPortfolio(
             proposed=proposed,
-            unproposed_indexed=unproposed,
+            unproposed_indexed=tuple(unproposed),
             declared_pick=proposed[: researcher.quota],
-            best_pick=tuple(ranked[: researcher.quota]),
+            best_pick=tuple([pid for _, _, pid in ranked[: researcher.quota]]),
         )
         if researcher.quota > 0 and researcher.uda in BIBLIOMETRIC_UDAS:
-            pool_c[rid] = tuple(pid for pid in ranked if units[(rid, pid)] + _SHORTFALL_UNITS > 0)
-            pool_a[rid] = tuple(pid for pid in pool_c[rid] if pid in proposed)
+            pool = pool_c[rid] = tuple([pid for neg_units, _, pid in ranked
+                                        if _SHORTFALL_UNITS - neg_units > 0])
+            pool_a[rid] = tuple([pid for pid in pool if pid in proposed])
     return SelectionProblem(
         corpus=corpus,
         scored=scored,
         units=units,
-        quota={rid: corpus.researchers[rid].quota for rid in pool_c},
+        quota={rid: researchers[rid].quota for rid in pool_c},
         portfolios=portfolios,
         pool_a=_pool(pool_a),
         pool_c=_pool(pool_c),
@@ -324,8 +331,8 @@ def _greedy_best_score(problem: SelectionProblem, pool: Pool) -> Selection:
     """
     units, tiebreak = problem.units, problem.tiebreak
     candidates, holders = pool
-    pairs = [(rid, pid) for rid, pids in candidates.items() for pid in pids]
-    pairs.sort(key=lambda pair: (-units[pair], tiebreak[pair[1]], pair[0]))
+    order = sorted([(-units[(rid, pid)], tiebreak[pid], rid, pid)
+                    for rid, pids in candidates.items() for pid in pids])
 
     capacity = dict(problem.quota)
     consumed: set[str] = set()
@@ -338,7 +345,7 @@ def _greedy_best_score(problem: SelectionProblem, pool: Pool) -> Selection:
                 return units[(rid, pid)]
         return float("-inf")
 
-    for rid, pid in pairs:
+    for _, _, rid, pid in order:
         if pid in consumed or capacity[rid] == 0:
             continue
         claimants = [r for r in holders.get(pid, ()) if capacity[r] > 0]
@@ -426,13 +433,16 @@ def write_selections(
 ) -> None:
     """Write the selections, keyed by tag, to one CSV in SCENARIO_TAGS order;
     each researcher's unfilled slots carry the penalty."""
+    scored = problem.scored
+    texts = number_texts([SHORTFALL_PENALTY, *(sp.score for sp in scored.values())])
+
     def rows():
-        for tag in sorted(selections, key=SCENARIO_TAGS.index):
+        for tag in (tag for tag in SCENARIO_TAGS if tag in selections):
             for rid, picks in selections[tag].assignment.items():
-                slots = [(pid, problem.scored[(rid, pid)].score) for pid in picks]
+                slots = [(pid, scored[(rid, pid)].score) for pid in picks]
                 slots += [("EMPTY", SHORTFALL_PENALTY)] * (problem.quota[rid] - len(picks))
                 for slot, (pid, value) in enumerate(slots, 1):
-                    yield tag, rid, slot, pid, format_number(value)
+                    yield tag, rid, slot, pid, texts.get(value) or format_number(value)
 
     write_rows(path, SELECTION_COLUMNS, rows())
 

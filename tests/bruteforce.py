@@ -1,11 +1,13 @@
-"""Assignment oracles and randomized instance generator.
+"""Assignment oracles, restated orders and randomized instance generator.
 
 The exhaustive oracles enumerate every feasible assignment (memoized over
 remaining capacities, which prunes nothing from the search space, only
 repeated subproblems) and are independent of the augmenting-path optimizer
 they check. unpruned_exact is the optimizer's search run once over the whole
 pool, with no pruning and no split into components: it checks those two steps
-on instances far beyond what enumeration can reach.
+on instances far beyond what enumeration can reach. greedy_assignment,
+scored_rows and selection_rows restate the greedy rule and the two writers'
+row orders from the corpus and scored map alone, with plain sort keys.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from assessopt.corpus import Authorship, Corpus, Product, Researcher, IndexRecord
+from assessopt.corpus import Authorship, Corpus, Product, Researcher, IndexRecord, format_number
 from assessopt.gev import ScoredProduct
 
 SCALE = 10000
@@ -180,6 +182,80 @@ def unpruned_exact(problem, candidates: dict[str, tuple[str, ...]]) -> dict[str,
         owner[pid] = rid
         room[rid] -= 1
     return {rid: tuple(pid for pid in candidates[rid] if owner.get(pid) == rid) for rid in active}
+
+
+def greedy_assignment(corpus: Corpus, scored, full: bool) -> dict[str, tuple[str, ...]]:
+    """Scenario 2 (full False) or scenario 3 (full True): each active
+    researcher's picks, in the order the greedy rule makes them.
+
+    A researcher's candidates are the proposed products, plus under full the
+    indexed unproposed ones, whose score beats the empty-slot penalty, ranked
+    by score desc, citations desc, year asc, product id asc. Pairs are taken
+    in that order across researchers, researcher id breaking the last tie. A
+    free product goes to the claimant with capacity whose best other free
+    candidate scores lowest (none at all lowest of all), then to the smaller id.
+    """
+    units = {pair: round(sp.score * SCALE) for pair, sp in scored.items()}
+    products = corpus.products
+    tiebreak = {pid: i for i, pid in enumerate(sorted(
+        products, key=lambda pid: (-most_citations(products[pid]), products[pid].year, pid)))}
+    active = [
+        rid for rid in sorted(corpus.researchers)
+        if corpus.researchers[rid].quota > 0 and 1 <= corpus.researchers[rid].uda <= 9
+    ]
+    candidates: dict[str, list[str]] = {}
+    holders: dict[str, list[str]] = {}
+    for rid in active:
+        pids = [a.product_id for a in corpus.authorships if a.researcher_id == rid
+                and (a.declared_priority is not None or full and products[a.product_id].indexed)]
+        pids.sort(key=lambda pid: (-units[(rid, pid)], tiebreak[pid]))
+        candidates[rid] = [pid for pid in pids if units[(rid, pid)] + SHORT_UNITS > 0]
+        for pid in candidates[rid]:
+            holders.setdefault(pid, []).append(rid)
+    pairs = sorted(((rid, pid) for rid in active for pid in candidates[rid]),
+                   key=lambda pair: (-units[pair], tiebreak[pair[1]], pair[0]))
+
+    capacity = {rid: corpus.researchers[rid].quota for rid in active}
+    consumed: set[str] = set()
+    picks: dict[str, list[str]] = {rid: [] for rid in active}
+
+    def best_alternative(rid: str, excluding: str) -> float:
+        free = [units[(rid, pid)] for pid in candidates[rid]
+                if pid != excluding and pid not in consumed]
+        return max(free, default=float("-inf"))
+
+    for rid, pid in pairs:
+        if pid in consumed or capacity[rid] == 0:
+            continue
+        claimants = [r for r in holders[pid] if capacity[r] > 0]
+        winner = min(claimants, key=lambda r: (best_alternative(r, pid), r))
+        picks[winner].append(pid)
+        capacity[winner] -= 1
+        consumed.add(pid)
+    return {rid: tuple(p) for rid, p in picks.items()}
+
+
+def scored_rows(scored) -> list[list[str]]:
+    """scored.csv's data rows as text: by product id, then researcher id."""
+    return [
+        [pid, rid, str(sp.routing_gev), sp.outcome, format_number(sp.score),
+         "true" if sp.definite else "false"]
+        for (rid, pid), sp in sorted(scored.items(), key=lambda item: (item[0][1], item[0][0]))
+    ]
+
+
+def selection_rows(corpus: Corpus, scored, assignments: dict) -> list[list[str]]:
+    """selection.csv's data rows as text, from each scenario's picks by
+    researcher: scenarios in engine order, then researchers as given; each
+    active researcher's picks, then an EMPTY slot at -0.5 per unfilled one."""
+    order = ["scenario1", "scenario2", "scenario3", "exact-A", "exact-C"]
+    rows = []
+    for tag in sorted(assignments, key=order.index):
+        for rid, picks in assignments[tag].items():
+            slots = [(pid, format_number(scored[(rid, pid)].score)) for pid in picks]
+            slots += [("EMPTY", "-0.5")] * (corpus.researchers[rid].quota - len(picks))
+            rows += [[tag, rid, str(slot), pid, text] for slot, (pid, text) in enumerate(slots, 1)]
+    return rows
 
 
 SCORE_CHOICES = [1.0, 1.0, 0.8, 0.8, 0.5, 0.5, 0.25, 0.0, -1.0, -2.0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import importlib
 import importlib.util
 import json
@@ -241,8 +242,13 @@ INPUT_CHECKS = {
         _replace("products.csv", _P01, _P01.replace(",12,", ",,")), 2,
         "error: {root}/products.csv:2: wos record present but has no citation count\n"),
     "unknown-product-kind": (
-        _replace("products.csv", _P01, _P01.replace("journal-article", "poster")), 2,
-        "error: {root}/products.csv:2: unknown product kind 'poster'\n"),
+        _replace("products.csv", _P01, _P01.replace("journal-article", "poster")), 1,
+        "validation: {root}/products.csv:2: unknown product kind 'poster'\n"),
+    "two-unknown-product-kinds": (  # both reported, and P01 and P02 stay known to authorships
+        lambda root: (_replace("products.csv", "P01,journal-article", "P01,poster")(root),
+                      _replace("products.csv", "P02,journal-article", "P02,talk")(root)), 1,
+        "validation: {root}/products.csv:2: unknown product kind 'poster'\n"
+        "validation: {root}/products.csv:3: unknown product kind 'talk'\n"),
     "empty-researcher-id": (_append("researchers.csv", ",MAT/05,1,3\n"), 1,
                             "validation: {root}/researchers.csv:14: empty researcher id\n"),
     "empty-product-id": (_append("products.csv", ",journal-article,2006,false,,,,,,,,\n"), 1,
@@ -489,6 +495,27 @@ def test_validate_fails_where_score_fails(tmp_path, capsys, mutate, first_line):
     assert capsys.readouterr().err == validate.err
     assert validate.out == ""
     assert validate.err.startswith(first_line)
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("mutate, code", [
+    (lambda root: None, 0),
+    (_drop_profile_6, 1),
+    (lambda root: (root / "products.csv").unlink(), 2),
+], ids=["ok", "validation", "missing-file"])
+def test_main_leaves_the_cycle_collector_as_it_found_it(tmp_path, capsys, mutate, code,
+                                                         collecting):
+    root = tmp_path / "in"
+    shutil.copytree(MINI, root)
+    mutate(root)
+    was_enabled = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main(["score", "--corpus", str(root), "--profiles", str(root / "profiles.json"),
+                     "--ref", str(root / "ref"), "-o", str(tmp_path / "scored.csv")]) == code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_build_dist(tmp_path):

@@ -355,9 +355,9 @@ def test_record_needs_categories(tmp_path):
 
 def test_unknown_kind(tmp_path):
     bad = PRODUCTS + "P4,poem,2006,false,X,,3,,,,,\n"
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(ValidationError) as exc:
         load_corpus_dir(write_corpus(tmp_path, products=bad))
-    assert "poem" in str(exc.value)
+    assert exc.value.violations == [f"{tmp_path / 'products.csv'}:5: unknown product kind 'poem'"]
 
 
 def test_admissibility(tmp_path):

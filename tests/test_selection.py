@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import logging
 import random
 import re
@@ -11,10 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 from assessopt import matching
 from assessopt.corpus import BIBLIOMETRIC_UDAS
+from assessopt.gev import write_scored
 from assessopt.selection import (
     EXACT_FULL,
     EXACT_PROPOSED,
+    RUNNERS,
     SCENARIO1,
+    SCENARIO2,
+    SCENARIO3,
     SHORTFALL_PENALTY,
     Selection,
     build_sets,
@@ -33,8 +38,11 @@ import support
 from bruteforce import (
     best_total_score,
     canonical_assignment,
+    greedy_assignment,
     most_citations,
     random_instance,
+    scored_rows,
+    selection_rows,
     sized_instance,
     unpruned_exact,
 )
@@ -611,3 +619,36 @@ def test_witness_greedy_regression():
     assert exact_c.total_score == best_total_score(
         corpus, scored, {r: p.proposed + p.unproposed_indexed for r, p in sets.items()}
     )
+
+
+def _tied_instance(rng: random.Random):
+    """random_instance with citations and years drawn from two values each, so
+    that many products tie on the tie-break's first keys, and with some zero
+    scores made -0.0, which is written as "-0"."""
+    corpus, scored = random_instance(rng)
+    products = {
+        pid: p._replace(year=rng.choice([2006, 2007]), wos_record=p.wos_record and
+                        p.wos_record._replace(citations=rng.choice([0, 5])))
+        for pid, p in corpus.products.items()
+    }
+    scored = {pair: sp._replace(score=-0.0) if sp.score == 0 and rng.random() < 0.5 else sp
+              for pair, sp in scored.items()}
+    return corpus._replace(products=products), scored
+
+
+def test_greedy_and_writers_match_their_restatements_randomized(tmp_path):
+    rng = random.Random(16)
+    for _ in range(300):
+        corpus, scored = _tied_instance(rng)
+        problem = build_sets(corpus, scored)
+        selections = {tag: RUNNERS[tag](problem) for tag in rng.sample(list(RUNNERS), 3)}
+        for tag, full in ((SCENARIO2, False), (SCENARIO3, True)):
+            got = RUNNERS[tag](problem).assignment
+            assert list(got.items()) == list(greedy_assignment(corpus, scored, full).items())
+
+        write_scored(scored, tmp_path / "scored.csv")
+        write_selections(problem, selections, tmp_path / "selection.csv")
+        for name, rows in (("scored.csv", scored_rows(scored)), ("selection.csv", selection_rows(
+                corpus, scored, {tag: s.assignment for tag, s in selections.items()}))):
+            with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+                assert list(csv.reader(fh))[1:] == rows

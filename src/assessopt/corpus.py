@@ -1,8 +1,8 @@
 """Institutional corpus: roster, products, authorships, validation, and the CSV layer.
 
-Every CSV file the program reads or writes goes through read_rows and write_rows.
-read_rows yields each row as a list of its parsed fields in schema order, and
-the loaders build their records, which are NamedTuples, from it by position.
+Every CSV file the program reads or writes goes through read_rows (or, for a plain
+worldvalues.csv, read_plain_lines) and write_rows. read_rows yields each row as a list
+of its parsed fields in schema order; the loaders build their NamedTuples by position.
 
 A corpus is the institution's data only, immutable after loading; the rules
 of the exercise that judge it (its years, the kinds each panel accepts) live in
@@ -192,6 +192,37 @@ def read_rows(
         raise ParseError(
             f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})", file=str(path)
         ) from None
+
+
+class NotPlain(ParseError):
+    """A file that read_plain_lines leaves to read_rows."""
+
+
+def read_plain_lines(path: Path, schema: dict) -> Iterator[tuple[int, list[str]]]:
+    """Yield a plain CSV's lines after its header, line ends kept, in batches of
+    (number of the first line, lines). A plain file reads as read_rows reads it,
+    has the schema's exact header, and holds no quote, no NUL (the csv module of
+    Python 3.10 rejects it) and no line over csv.field_size_limit(), so csv.reader
+    would end its rows where these lines end and split them at every comma. Any
+    other file raises NotPlain."""
+    file = str(path)
+    limit = csv.field_size_limit()
+    line_no = 1
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            if next(fh, "").rstrip("\r\n") != ",".join(schema):
+                raise NotPlain("not the expected header", file, line_no)
+            line_no = 2
+            while lines := fh.readlines(1 << 14):
+                if '"' in (text := "".join(lines)) or "\0" in text or max(map(len, lines)) > limit:
+                    line = next(line for line in lines
+                                if '"' in line or "\0" in line or len(line) > limit)
+                    reason = "quoted field" if '"' in line else "NUL or line over the field limit"
+                    raise NotPlain(reason, file, line_no + lines.index(line))
+                yield line_no, lines
+                line_no += len(lines)
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        raise NotPlain("cannot be read as UTF-8 text", file, line_no) from None
 
 
 def write_rows(path: str | Path, schema: dict, rows: Iterable[Sequence]) -> None:

@@ -542,6 +542,28 @@ def test_build_dist_without_data_rows_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_build_dist_logs_a_quoted_worldvalues_file_only(tmp_path, caplog, capsys):
+    """A file the line-by-line reader declines is logged once, at INFO and on no
+    output, and read row by row to the same thresholds; a plain file logs nothing."""
+    caplog.set_level(logging.INFO, logger="assessopt")
+    rows = ["citations,X,2006,any,1", "citations,X,2006,any,2", 'citations,"X",2006,any,3']
+    outputs = {}
+    for name in ("plain", "quoted"):
+        src = tmp_path / f"{name}.csv"
+        lines = rows if name == "quoted" else [row.replace('"', "") for row in rows]
+        src.write_text(",".join(WORLDVALUE_COLUMNS) + "\n" + "\n".join(lines) + "\n",
+                       encoding="utf-8")
+        out = tmp_path / f"{name}-thresholds.csv"
+        assert main(["build-dist", "--worldvalues", str(src), "-o", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 1 distributions to {out}\n"
+        outputs[name] = out.read_bytes()
+    assert outputs["quoted"] == outputs["plain"]
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [(
+        "assessopt.reference", "INFO",
+        f"{tmp_path / 'quoted.csv'}:4: quoted field; reading row by row",
+    )]
+
+
 def test_simulate_writes_all_outputs_and_matches_golden(tmp_path):
     out = tmp_path / "out"
     code = main([

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import csv
+import logging
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from assessopt.corpus import IndexRecord
+from assessopt import reference
+from assessopt.corpus import IndexRecord, NotPlain
 from assessopt.errors import ParseError, ValidationError
 from assessopt.gev import multi_category_class
 from assessopt.reference import (
@@ -216,13 +220,133 @@ def test_worldvalues_fault_precedence_on_one_line(tmp_path, rows, line, message)
     assert str(exc.value) == f"{path}:{line}: {message}"
 
 
-def test_load_worldvalues_holds_values_as_8_byte_floats(tmp_path):
-    """100,000 values held as boxed floats in lists take ~3.5 MB at peak; as
-    8-byte floats in one array per key they take 0.8 MB, plus the sort of one key."""
+HEADER = "indicator,category_group,year,doc_split,value\n"
+
+
+def _by_rows(path: Path) -> dict | str:
+    """What load_worldvalues gives when the line-by-line reader declines every
+    file: thresholds, or the text of the ParseError."""
+    try:
+        with mock.patch.object(reference, "read_plain_lines", side_effect=NotPlain("declined")):
+            return load_worldvalues(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("last, message", [
+    ("citations,X1,2006,any,many", "value is not a number: 'many'"),
+    ("citations,Y,2006,letters,1", "unknown doc_split 'letters'"),
+    ("citations,X1,2006,any,1,2", "expected 5 fields, got 6"),
+    (f"citations,{'X' * (csv.field_size_limit() + 1)},2006,any,1",
+     f"field larger than field limit ({csv.field_size_limit()})"),
+], ids=["value-on-a-known-key", "doc_split-on-a-new-key", "six-fields", "overlong-line"])
+def test_worldvalues_fault_on_the_last_of_10000_plain_lines(tmp_path, last, message):
     path = tmp_path / "worldvalues.csv"
-    rows = [f"citations,X{i % 4},2006,any,{i}" for i in range(100_000)]
+    rows = [f"citations,X{i % 4},2006,any,{i}" for i in range(9_999)] + [last]
+    path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_worldvalues(path)
+    assert str(exc.value) == f"{path}:10001: {message}"
+
+
+@pytest.mark.parametrize("text, declined, sizes", [
+    (HEADER + 'citations,"X, Y",2006,any,1\ncitations,X,2006,,2\ncitations,"X, Y",2006,,3\n',
+     True, [1, 2]),
+    (HEADER + 'citations,"X\nY",2006,any,1\ncitations,"X\nY",2006,any,2\n', True, [2]),
+    ("\ufeff" + (HEADER + "citations,X,2006,any,1\ncitations,X,2006,,2\n\n\n").replace("\n", "\r\n"),
+     False, [2]),
+], ids=["quoted-comma", "quoted-newline", "bom-crlf-blank-lines"])
+def test_worldvalues_read_alike_by_lines_and_by_rows(tmp_path, caplog, text, declined, sizes):
+    path = tmp_path / "worldvalues.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with caplog.at_level(logging.INFO, logger="assessopt.reference"):
+        thresholds = load_worldvalues(path)
+    assert len(caplog.records) == declined
+    assert thresholds == _by_rows(path)
+    assert sorted(t.n for t in thresholds.values()) == sizes
+
+
+def test_a_plain_file_is_read_without_the_row_reader(tmp_path, monkeypatch):
+    path = tmp_path / "worldvalues.csv"
+    lines = ["citations,X,2006,any,3", "journal-metric,X,2006,any,0.5", "citations,X, 2006,,1"]
+    path.write_bytes(("\ufeff" + HEADER + "\n".join(lines) + "\n\n\n").replace("\n", "\r\n")
+                     .encode("utf-8"))
+
+    def refuse(*args):
+        raise AssertionError("read_rows called")
+
+    monkeypatch.setattr(reference, "read_rows", refuse)
+    assert load_worldvalues(path) == {
+        DistributionKey("citations", "X", 2006): build_thresholds([3, 1]),
+        DistributionKey("journal-metric", "X", 2006): build_thresholds([0.5]),
+    }
+
+
+_FIELD = {  # each field's valid texts, then its faulty ones
+    "indicator": (["citations", "journal-metric"], ["h-index"]),
+    "category_group": (["X", "Y", "", " X", "X\0", "X\u2028Y", 'X"Y', '"X, Y"', '"X\nY"',
+                        '"X\r\nY"'],
+                       ["X, Y", "X\nY", "X\rY"]),
+    "year": (["2006", "2007", " 2006"], ["20x6", ""]),
+    "doc_split": (["", "any", "review"], ["letters"]),
+    "value": (["1", "2.5", "0", "1_000", " 3"], ["-1", "nan", "inf", "1e400", "many", ""]),
+}
+_QUOTE = {False: lambda text: text, True: lambda text: '"' + text.replace('"', '""') + '"'}
+
+
+@st.composite
+def _worldvalues_texts(draw) -> str:
+    """worldvalues.csv texts: records, some with quoted fields, faulty fields, or
+    too few or too many fields, and blank lines or lines of spaces, each line with
+    its own line end. Each file draws how often a field is faulty, and quoted."""
+    faults = draw(st.sampled_from([0, 1, 4]))
+    quote = st.sampled_from([False] * 40 + [True] * draw(st.sampled_from([0, 0, 1, 8])))
+    fields = [st.sampled_from(valid * 20 + invalid * faults) for valid, invalid in _FIELD.values()]
+    record = st.builds(
+        lambda texts, quotes, width: ",".join(
+            [_QUOTE[q](t) for t, q in zip(texts, quotes)][:width] + ["1"] * (width - 5)),
+        st.tuples(*fields),
+        st.lists(quote, min_size=5, max_size=5),
+        st.sampled_from([5] * 40 + [4, 6] * faults),
+    )
+    line = st.one_of(record, record, record, st.sampled_from([""] * 8 + ["   "] * faults))
+    lines = draw(st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12))
+    header = ",".join(map(_QUOTE[draw(quote)], _FIELD)) + draw(st.sampled_from(
+        [""] * 40 + [",n"] * faults))
+    return draw(st.sampled_from(["", "\ufeff"])) + header + "\n" + "".join(map("".join, lines))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_worldvalues_texts())
+def test_worldvalues_read_by_lines_as_by_rows(tmp_path_factory, text):
+    """Whatever the file, load_worldvalues gives what the row reader alone gives:
+    the same thresholds, or a ParseError with the same text."""
+    path = tmp_path_factory.mktemp("worldvalues") / "worldvalues.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        outcome = load_worldvalues(path)
+    except ParseError as exc:
+        outcome = str(exc)
+    assert outcome == _by_rows(path)
+
+
+def _many_values(path: Path, count: int, quoted: bool) -> None:
+    """count values over four keys; quoted puts the last line's group in quotes,
+    so the line-by-line reader gives the whole file to the row reader there."""
+    rows = [f"citations,X{i % 4},2006,any,{i}" for i in range(count)]
+    if quoted:
+        rows[-1] = f'citations,"X{(count - 1) % 4}",2006,any,{count - 1}'
     path.write_text("indicator,category_group,year,doc_split,value\n" + "\n".join(rows) + "\n",
                     encoding="utf-8")
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_load_worldvalues_holds_values_as_8_byte_floats(tmp_path, quoted):
+    """100,000 values held as boxed floats in lists take ~3.5 MB at peak; as
+    8-byte floats in one array per key they take 0.8 MB, plus the sort of one key.
+    A quoted file is read twice: the first read's values are freed before the second."""
+    path = tmp_path / "worldvalues.csv"
+    _many_values(path, 100_000, quoted)
     tracemalloc.start()
     try:
         thresholds = load_worldvalues(path)
@@ -233,13 +357,12 @@ def test_load_worldvalues_holds_values_as_8_byte_floats(tmp_path):
     assert peak < 2_000_000
 
 
-def test_load_worldvalues_memory_does_not_grow_with_rows(tmp_path):
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_load_worldvalues_memory_does_not_grow_with_rows(tmp_path, quoted):
     """Rows are reduced to per-key value lists as they are read; no list of
     parsed rows is held. 20,000 parsed rows held at once would take several MB."""
     path = tmp_path / "worldvalues.csv"
-    rows = [f"citations,X{i % 4},2006,any,{i}" for i in range(20_000)]
-    path.write_text("indicator,category_group,year,doc_split,value\n" + "\n".join(rows) + "\n",
-                    encoding="utf-8")
+    _many_values(path, 20_000, quoted)
     tracemalloc.start()
     try:
         thresholds = load_worldvalues(path)

@@ -1,8 +1,8 @@
 """Institutional corpus: roster, products, authorships, validation, and the CSV layer.
 
-Every CSV file the program reads or writes goes through read_rows (or, for a plain
-worldvalues.csv, read_plain_lines) and write_rows. read_rows yields each row as a list
-of its parsed fields in schema order; the loaders build their NamedTuples by position.
+Every CSV file the program reads or writes goes through read_rows (or, for the plain
+lines of a worldvalues.csv, read_plain_lines) and write_rows. read_rows yields each row as
+a list of its parsed fields in schema order; the loaders build their NamedTuples by position.
 
 A corpus is the institution's data only, immutable after loading; the rules
 of the exercise that judge it (its years, the kinds each panel accepts) live in
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -148,14 +149,14 @@ def bad_field(column: str, parse: Callable[[str], object], text: str,
 
 
 def read_rows(
-    path: Path, schema: dict[str, Callable[[str], object]]
+    path: Path, schema: dict[str, Callable[[str], object]], skip: int = 0
 ) -> Iterator[tuple[int, list]]:
     """Yield a CSV's rows as (line, fields) pairs, one at a time, enforcing the
     schema's exact header. fields is a list of the parsed fields in schema order.
 
-    A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped,
-    and so are blank lines. A field its parser rejects is a ParseError naming
-    the file, line and column.
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped, and
+    so are blank lines and the skip lines after the header that the caller has read.
+    A field its parser rejects is a ParseError naming the file, line and column.
     """
     if not path.exists():
         raise ParseError("file not found", file=str(path))
@@ -173,21 +174,22 @@ def read_rows(
                 raise ParseError(
                     f"bad header {header!r}, expected {columns!r}", file=str(path), line=1
                 )
+            next(islice(fh, skip, skip), None)  # passes over skip lines
             for row in reader:
                 if len(row) != width:
                     if not row:
                         continue
                     raise ParseError(f"expected {width} fields, got {len(row)}",
-                                     file=str(path), line=reader.line_num)
+                                     file=str(path), line=skip + reader.line_num)
                 for i, parse in typed:
                     try:
                         row[i] = parse(row[i])
                     except ValueError:
                         raise bad_field(columns[i], parse, row[i], str(path),
-                                        reader.line_num) from None
-                yield reader.line_num, row
+                                        skip + reader.line_num) from None
+                yield skip + reader.line_num, row
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise ParseError(str(exc), file=str(path), line=reader.line_num) from None
+        raise ParseError(str(exc), file=str(path), line=skip + reader.line_num) from None
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})", file=str(path)
@@ -199,30 +201,32 @@ class NotPlain(ParseError):
 
 
 def read_plain_lines(path: Path, schema: dict) -> Iterator[tuple[int, list[str]]]:
-    """Yield a plain CSV's lines after its header, line ends kept, in batches of
-    (number of the first line, lines). A plain file reads as read_rows reads it,
-    has the schema's exact header, and holds no quote, no NUL (the csv module of
-    Python 3.10 rejects it) and no line over csv.field_size_limit(), so csv.reader
-    would end its rows where these lines end and split them at every comma. Any
-    other file raises NotPlain."""
-    file = str(path)
-    limit = csv.field_size_limit()
-    line_no = 1
+    """Yield a CSV's lines after its header, line ends kept, in batches of (number of
+    the first line, lines), and raise NotPlain at the first batch that is not plain.
+    A plain file has the schema's header and no quote, NUL (Python 3.10's csv rejects
+    it) or overlong line: csv.reader would read each line as a row split at its commas."""
+    file, limit, line_no = str(path), csv.field_size_limit(), 1
+
+    def odd(text: str) -> bool:  # a quote, a NUL, or over csv.field_size_limit()
+        return '"' in text or "\0" in text or len(text) > limit
+
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             if next(fh, "").rstrip("\r\n") != ",".join(schema):
                 raise NotPlain("not the expected header", file, line_no)
             line_no = 2
             while lines := fh.readlines(1 << 14):
-                if '"' in (text := "".join(lines)) or "\0" in text or max(map(len, lines)) > limit:
-                    line = next(line for line in lines
-                                if '"' in line or "\0" in line or len(line) > limit)
-                    reason = "quoted field" if '"' in line else "NUL or line over the field limit"
-                    raise NotPlain(reason, file, line_no + lines.index(line))
+                if odd("".join(lines)):  # the whole batch at once, then each line
+                    for n, line in enumerate(lines, line_no):
+                        if odd(line):
+                            raise NotPlain("quoted field" if '"' in line else
+                                           "NUL or line over the field limit", file, n)
                 yield line_no, lines
                 line_no += len(lines)
-    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
-        raise NotPlain("cannot be read as UTF-8 text", file, line_no) from None
+    except UnicodeDecodeError:
+        raise NotPlain(f"not UTF-8 text at line {line_no} or after it", file) from None
+    except (OSError, ValueError):  # e.g. a missing file, or a NUL in its name
+        raise NotPlain("cannot be opened or read", file) from None
 
 
 def write_rows(path: str | Path, schema: dict, rows: Iterable[Sequence]) -> None:

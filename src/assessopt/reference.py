@@ -13,7 +13,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import format_number, number, read_plain_lines, read_rows, write_rows
+from .corpus import NotPlain, bad_field, format_number, number, read_plain_lines, read_rows
+from .corpus import write_rows
 from .errors import ParseError
 
 JOURNAL_METRIC = "journal-metric"
@@ -21,7 +22,8 @@ CITATIONS = "citations"
 INDICATORS = (JOURNAL_METRIC, CITATIONS)
 DOC_SPLITS = ("any", "article", "review")
 
-# All text: load_worldvalues parses year and value itself, or has read_rows parse them.
+# worldvalues.csv is read in bulk, so load_worldvalues parses its year once per
+# key text, and its value as a bare float whose range it checks.
 WORLDVALUE_COLUMNS = {
     "indicator": str, "category_group": str, "year": str, "doc_split": str, "value": str,
 }
@@ -112,18 +114,19 @@ def _distribution_key(fields: Sequence, file: str, line: int) -> DistributionKey
 def load_worldvalues(path: str | Path) -> dict[DistributionKey, ClassThresholds]:
     """Read raw world values (one per row) and compute thresholds per key.
 
-    Each key's values are held as 8-byte floats in one array. A plain file (see
-    corpus.read_plain_lines) is read line by line, and its key text, all before
-    the last comma, is parsed and checked once per distinct text: key texts
-    naming one key (" 2006" and "2006", "" and "any") share its array. Any other
-    file, and any file with a fault, is read by read_rows, which alone names a
-    faulty line: year is checked first, then value, then the key, then the range.
+    Each key's values are held as 8-byte floats in one array. Many rows share
+    a key text: each distinct one is parsed and checked once, and key texts
+    naming one key (" 2006" and "2006", "" and "any") share its array.
+    Plain lines (see corpus.read_plain_lines) are read one by one, a key text
+    being all before the last comma. From the first batch that is not plain,
+    or the first faulty line, read_rows reads the rest and names any fault.
     """
     from array import array  # a shared library (~0.1 MB resident): loaded only where used
     path = Path(path)
     file = str(path)
     values: dict[DistributionKey, array] = {}
     appends = {}  # key text -> the append of its key's array
+    first, lines, skip = 2, [], None
     try:
         for first, lines in read_plain_lines(path, WORLDVALUE_COLUMNS):
             for line_no, line in enumerate(lines, first):
@@ -138,19 +141,34 @@ def load_worldvalues(path: str | Path) -> dict[DistributionKey, ClassThresholds]
                 if not 0 <= (value := float(text)) < math.inf:
                     raise ValueError(text)
                 append(value)
-    except (ValueError, ParseError) as exc:  # a bad field, not 5 fields, or NotPlain
+    except NotPlain as exc:  # raised before its batch: the lines before it are read
+        reason, skip = str(exc), first + len(lines) - 2
+    except (ValueError, ParseError):  # a bad field or not 5 fields: read up to this line
+        reason, skip = f"{file}:{line_no}: faulty line", line_no - 2
+    if skip is not None:
         import logging  # loaded by the CLI already
-        reason = str(exc) if isinstance(exc, ParseError) else f"{file}:{line_no}: faulty line"
         logging.getLogger(__name__).info("%s; reading row by row", reason)
-        values = appends = append = None  # frees the partial values before the next read
-    if values is None:
-        values = {}
-        for line, row in read_rows(path, {**WORLDVALUE_COLUMNS, "year": int, "value": float}):
-            value = row.pop()
-            key = _distribution_key(row, file, line)
+        buckets: dict[tuple, array] = {}
+        for line, row in read_rows(path, WORLDVALUE_COLUMNS, skip):
+            text = row.pop()
+            key_text = tuple(row)
+            bucket = buckets.get(key_text)
+            if bucket is None:  # on one line, year is checked first, then value, then the key
+                try:
+                    row[2] = int(row[2])
+                except ValueError:
+                    raise bad_field("year", int, row[2], file, line) from None
+            try:
+                value = float(text)
+            except ValueError:
+                raise bad_field("value", float, text, file, line) from None
+            if bucket is None:
+                key = _distribution_key(row, file, line)
+                bucket = buckets[key_text] = values.setdefault(key, array("d"))
             if not 0 <= value < math.inf:
-                raise ParseError(f"value is not a finite non-negative number: {value}", file, line)
-            values.setdefault(key, array("d")).append(value)
+                raise ParseError(f"value is not a finite non-negative number: {value}",
+                                 file=file, line=line)
+            bucket.append(value)
     return {key: build_thresholds(vals) for key, vals in values.items()}
 
 

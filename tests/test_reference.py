@@ -253,7 +253,8 @@ def test_worldvalues_fault_on_the_last_of_10000_plain_lines(tmp_path, last, mess
     (HEADER + 'citations,"X, Y",2006,any,1\ncitations,X,2006,,2\ncitations,"X, Y",2006,,3\n',
      True, [1, 2]),
     (HEADER + 'citations,"X\nY",2006,any,1\ncitations,"X\nY",2006,any,2\n', True, [2]),
-    ("\ufeff" + (HEADER + "citations,X,2006,any,1\ncitations,X,2006,,2\n\n\n").replace("\n", "\r\n"),
+    ("\ufeff" + (HEADER + "citations,X,2006,any,1\ncitations,X,2006,,2\n\n\n")
+     .replace("\n", "\r\n"),
      False, [2]),
 ], ids=["quoted-comma", "quoted-newline", "bom-crlf-blank-lines"])
 def test_worldvalues_read_alike_by_lines_and_by_rows(tmp_path, caplog, text, declined, sizes):
@@ -282,6 +283,56 @@ def test_a_plain_file_is_read_without_the_row_reader(tmp_path, monkeypatch):
     }
 
 
+def test_the_row_reader_reads_on_from_the_first_batch_that_is_not_plain(tmp_path, caplog):
+    """A late quote leaves only its batch and the rest to the row reader, which
+    still numbers the lines of the whole file."""
+    path = tmp_path / "worldvalues.csv"
+    rows = [f"citations,X{i % 4},2006,any,{i}" for i in range(10_000)]
+    rows[-2] = 'citations,"X2",2006,any,9998'
+    path.write_text(HEADER + "\n".join(rows) + "\ncitations,X1,2006,any,many\n", encoding="utf-8")
+    skips, read_rows = [], reference.read_rows
+
+    def recorded(path, schema, skip=0):
+        skips.append(skip)
+        return read_rows(path, schema, skip)
+
+    with mock.patch.object(reference, "read_rows", recorded), \
+            caplog.at_level(logging.INFO, logger="assessopt.reference"), \
+            pytest.raises(ParseError) as exc:
+        load_worldvalues(path)
+    assert str(exc.value) == f"{path}:10002: value is not a number: 'many'"
+    assert caplog.messages == [f"{path}:10000: quoted field; reading row by row"]
+    assert len(skips) == 1 and 9_000 < skips[0] <= 9_998
+    path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
+    thresholds = load_worldvalues(path)
+    assert thresholds == _by_rows(path)
+    assert [t.n for t in thresholds.values()] == [2_500] * 4
+
+
+@pytest.mark.parametrize("name, data, reason", [
+    ("missing.csv", None, "cannot be opened or read"),
+    ("latin1.csv", (HEADER + "citations,X,2006,any,1\ncitations,Caf\xe9,2006,any,2\n")
+     .encode("latin-1"), "not UTF-8 text at line 1 or after it"),
+    ("header.csv", b"indicator,category_group,year,value\n", "not the expected header"),
+    ("nul.csv", (HEADER + "citations,X,2006,any,1\ncitations,X\0,2006,any,2\n").encode(),
+     "NUL or line over the field limit"),
+])
+def test_worldvalues_decline_is_logged_with_its_reason(tmp_path, caplog, name, data, reason):
+    """Each decline names its reason, and the line where one is known; the row
+    reader then reports the file as it always has."""
+    path = tmp_path / name
+    if data is not None:
+        path.write_bytes(data)
+    with caplog.at_level(logging.INFO, logger="assessopt.reference"):
+        try:
+            outcome = load_worldvalues(path)
+        except ParseError as exc:
+            outcome = str(exc)
+    line = {"header.csv": ":1", "nul.csv": ":3"}.get(name, "")
+    assert caplog.messages == [f"{path}{line}: {reason}; reading row by row"]
+    assert outcome == _by_rows(path)
+
+
 _FIELD = {  # each field's valid texts, then its faulty ones
     "indicator": (["citations", "journal-metric"], ["h-index"]),
     "category_group": (["X", "Y", "", " X", "X\0", "X\u2028Y", 'X"Y', '"X, Y"', '"X\nY"',
@@ -298,7 +349,9 @@ _QUOTE = {False: lambda text: text, True: lambda text: '"' + text.replace('"', '
 def _worldvalues_texts(draw) -> str:
     """worldvalues.csv texts: records, some with quoted fields, faulty fields, or
     too few or too many fields, and blank lines or lines of spaces, each line with
-    its own line end. Each file draws how often a field is faulty, and quoted."""
+    its own line end. Each file draws how often a field is faulty, and quoted. Some
+    files start with enough plain records that the drawn lines come in a later batch
+    of the line-by-line reader, so the row reader takes over in mid-file."""
     faults = draw(st.sampled_from([0, 1, 4]))
     quote = st.sampled_from([False] * 40 + [True] * draw(st.sampled_from([0, 0, 1, 8])))
     fields = [st.sampled_from(valid * 20 + invalid * faults) for valid, invalid in _FIELD.values()]
@@ -313,7 +366,10 @@ def _worldvalues_texts(draw) -> str:
     lines = draw(st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12))
     header = ",".join(map(_QUOTE[draw(quote)], _FIELD)) + draw(st.sampled_from(
         [""] * 40 + [",n"] * faults))
-    return draw(st.sampled_from(["", "\ufeff"])) + header + "\n" + "".join(map("".join, lines))
+    padding = "".join(f"citations,P,2006,any,{i}\n" for i in range(draw(st.sampled_from(
+        [0, 0, 700, 1500]))))
+    return (draw(st.sampled_from(["", "\ufeff"])) + header + "\n" + padding
+            + "".join(map("".join, lines)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -331,11 +387,11 @@ def test_worldvalues_read_by_lines_as_by_rows(tmp_path_factory, text):
 
 
 def _many_values(path: Path, count: int, quoted: bool) -> None:
-    """count values over four keys; quoted puts the last line's group in quotes,
-    so the line-by-line reader gives the whole file to the row reader there."""
+    """count values over four keys; quoted puts the first line's group in quotes,
+    so the line-by-line reader leaves the whole file to the row reader."""
     rows = [f"citations,X{i % 4},2006,any,{i}" for i in range(count)]
     if quoted:
-        rows[-1] = f'citations,"X{(count - 1) % 4}",2006,any,{count - 1}'
+        rows[0] = 'citations,"X0",2006,any,0'
     path.write_text("indicator,category_group,year,doc_split,value\n" + "\n".join(rows) + "\n",
                     encoding="utf-8")
 
@@ -344,7 +400,7 @@ def _many_values(path: Path, count: int, quoted: bool) -> None:
 def test_load_worldvalues_holds_values_as_8_byte_floats(tmp_path, quoted):
     """100,000 values held as boxed floats in lists take ~3.5 MB at peak; as
     8-byte floats in one array per key they take 0.8 MB, plus the sort of one key.
-    A quoted file is read twice: the first read's values are freed before the second."""
+    The quoted file is read by the row reader from its first line."""
     path = tmp_path / "worldvalues.csv"
     _many_values(path, 100_000, quoted)
     tracemalloc.start()

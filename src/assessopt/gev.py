@@ -150,7 +150,6 @@ class ScoredProduct(NamedTuple):
     definite is True only for the four graded matrix results.
     """
 
-    product_id: str
     routing_gev: int
     outcome: str
     score: float
@@ -224,38 +223,25 @@ def score_product(
     Under best-of-both the higher-scoring record wins, ties going to the
     first (WoS) record. Citation counts are used exactly as recorded.
     """
-    routing_gev = profile.gev_id
     if product.fraud_flag:
-        return ScoredProduct(product.id, routing_gev, "fraud", FRAUD_SCORE, False)
-
-    if not window[0] <= product.year <= window[1] or product.kind not in profile.allowed_kinds:
-        return ScoredProduct(product.id, routing_gev, "inadmissible", INADMISSIBLE_SCORE, False)
-
+        outcome, score = "fraud", FRAUD_SCORE
+    elif not window[0] <= product.year <= window[1] or product.kind not in profile.allowed_kinds:
+        outcome, score = "inadmissible", INADMISSIBLE_SCORE
     # Journal-list forcing routes the product before any source is picked,
     # so it fires identically under both source policies.
-    if profile.forced_ir_journals and product.kind == "review":
-        journal_ids = {
-            r.journal_id
-            for r in (product.wos_record, product.scopus_record)
-            if r is not None and r.journal_id is not None
-        }
-        if journal_ids & profile.forced_ir_journals:
-            return ScoredProduct(
-                product.id, routing_gev, "forced-ir", profile.ir_assumed_score, False
-            )
-
-    best: tuple[str, float] | None = None
-    for record in ((product.wos_record,) if profile.source_policy == WOS_ONLY
-                   else (product.wos_record, product.scopus_record)):
-        if record is not None:
-            outcome, score = _evaluate_record(product, record, profile, library)
-            if best is None or score > best[1]:
-                best = (outcome, score)
-    if best is None:
-        return ScoredProduct(product.id, routing_gev, "non-indexed-fallback",
-                             profile.non_indexed_score, False)
-    outcome, score = best
-    return ScoredProduct(product.id, routing_gev, outcome, score, outcome in MERIT_SCORES)
+    elif product.kind == "review" and not profile.forced_ir_journals.isdisjoint(
+            r.journal_id for r in (product.wos_record, product.scopus_record) if r is not None):
+        outcome, score = "forced-ir", profile.ir_assumed_score
+    else:
+        best: tuple[str, float] | None = None
+        for record in ((product.wos_record,) if profile.source_policy == WOS_ONLY
+                       else (product.wos_record, product.scopus_record)):
+            if record is not None:
+                result = _evaluate_record(product, record, profile, library)
+                if best is None or result[1] > best[1]:
+                    best = result
+        outcome, score = best or ("non-indexed-fallback", profile.non_indexed_score)
+    return ScoredProduct(profile.gev_id, outcome, score, outcome in MERIT_SCORES)
 
 
 def routing_for(authorship, researcher) -> int:
@@ -362,31 +348,6 @@ def default_profiles() -> dict[int, GevProfile]:
     return profiles
 
 
-def _profile_to_json(profile: GevProfile) -> dict:
-    return {
-        "gev_id": profile.gev_id,
-        "name": profile.name,
-        "allowed_kinds": sorted(profile.allowed_kinds),
-        "source_policy": profile.source_policy,
-        "split_citation_doctype": profile.split_citation_doctype,
-        "no_metric_score": profile.no_metric_score,
-        "non_indexed_score": profile.non_indexed_score,
-        "ir_assumed_score": profile.ir_assumed_score,
-        "age_bands": [
-            {"years": [y0, y1], "matrix": [list(row) for row in matrix.cells]}
-            for (y0, y1), matrix in profile.age_bands
-        ],
-        "ir_journal_class_list": dict(sorted(profile.ir_journal_class_list.items())),
-        "forced_ir_journals": sorted(profile.forced_ir_journals),
-    }
-
-
-def dump_profiles(profiles: dict[int, GevProfile], path: str | Path) -> None:
-    path = Path(path)
-    payload = {"profiles": [_profile_to_json(profiles[g]) for g in sorted(profiles)]}
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
 _JSON_TYPE_NAMES = {bool: "true or false", str: "a string", int: "an integer",
                     (int, float): "a number", list: "a list", dict: "an object"}
 
@@ -398,47 +359,64 @@ def _typed(value, kind, key: str):
     raise TypeError(f"{key} must be {_JSON_TYPE_NAMES[kind]}, got {json.dumps(value)}")
 
 
-def _year_span(value) -> tuple[int, int]:
-    years = _typed(value, list, "age_bands years")
-    if len(years) != 2:
-        raise ValueError(f"age_bands years must be [first, last], got {json.dumps(years)}")
-    return _typed(years[0], int, "age_bands years"), _typed(years[1], int, "age_bands years")
-
-
-def _number(value, key: str) -> float:
-    return float(_typed(value, (int, float), key))
-
-
 def _strings(value, key: str) -> list[str]:
     return [_typed(item, str, f"{key}[{i}]") for i, item in enumerate(_typed(value, list, key))]
 
 
-def _string_set(value, key: str) -> frozenset[str]:
-    return frozenset(_strings(value, key))
+def _band(value, key: str) -> tuple[tuple[int, int], ClassificationMatrix]:
+    """An object of [first, last] years and a matrix given as a list of row lists; a
+    row written as one string would read as its characters."""
+    band = _typed(value, dict, key)
+    years = _typed(band["years"], list, "age_bands years")
+    if len(years) != 2:
+        raise ValueError(f"age_bands years must be [first, last], got {json.dumps(years)}")
+    span = _typed(years[0], int, "age_bands years"), _typed(years[1], int, "age_bands years")
+    rows = _typed(band["matrix"], list, "age_bands matrix")
+    return span, ClassificationMatrix.from_rows(
+        [_strings(row, f"age_bands matrix[{i}]") for i, row in enumerate(rows)])
 
 
-def _matrix(value) -> ClassificationMatrix:
-    """A list of row lists; a row written as one string would read as its characters."""
-    rows = _typed(value, list, "age_bands matrix")
-    return ClassificationMatrix.from_rows(
-        [_strings(row, f"age_bands matrix[{i}]") for i, row in enumerate(rows)]
-    )
+def _plain(kind):
+    """Read a value of JSON type kind as it stands, and write it back the same."""
+    return (lambda value, key: _typed(value, kind, key)), (lambda value: value)
 
 
-# Profile keys a pack may omit, so that the GevProfile default applies. Each
-# parser takes the JSON value and its key, and rejects a wrong JSON type.
-_OPTIONAL_PROFILE_KEYS = {
-    "source_policy": lambda v, key: _typed(v, str, key),
-    "split_citation_doctype": lambda v, key: _typed(v, bool, key),
-    "ir_journal_class_list": lambda v, key: {
-        journal: _typed(cls, int, f"{key}[{json.dumps(journal)}]")
-        for journal, cls in _typed(v, dict, key).items()
-    },
-    "forced_ir_journals": _string_set,
-    "no_metric_score": _number,
-    "non_indexed_score": _number,
-    "ir_assumed_score": _number,
+_SCORE = (lambda value, key: float(_typed(value, (int, float), key))), (lambda value: value)
+_STRING_SET = (lambda value, key: frozenset(_strings(value, key))), sorted
+
+# Every key of a profiles.json entry, in the order an entry is read and written:
+# key -> (read: JSON value, key -> GevProfile field, rejecting a wrong JSON type in
+# _typed's words; write: field -> JSON value). Of two faults in an entry, the earlier
+# key's is reported. A key not in _REQUIRED_KEYS may be omitted for its GevProfile
+# default; name's is "GEV <gev_id>".
+_REQUIRED_KEYS = ("gev_id", "allowed_kinds", "age_bands")
+_PROFILE_KEYS = {
+    "gev_id": _plain(int),
+    "name": _plain(str),
+    "allowed_kinds": _STRING_SET,
+    "source_policy": _plain(str),
+    "split_citation_doctype": _plain(bool),
+    "no_metric_score": _SCORE,
+    "non_indexed_score": _SCORE,
+    "ir_assumed_score": _SCORE,
+    "age_bands": (
+        lambda value, key: tuple(_band(band, f"{key}[{i}]")
+                                 for i, band in enumerate(_typed(value, list, key))),
+        lambda bands: [{"years": list(years), "matrix": [list(row) for row in matrix.cells]}
+                       for years, matrix in bands]),
+    "ir_journal_class_list": (
+        lambda value, key: {journal: _typed(cls, int, f"{key}[{json.dumps(journal)}]")
+                            for journal, cls in _typed(value, dict, key).items()},
+        lambda classes: dict(sorted(classes.items()))),
+    "forced_ir_journals": _STRING_SET,
 }
+
+
+def dump_profiles(profiles: dict[int, GevProfile], path: str | Path) -> None:
+    payload = {"profiles": [
+        {key: write(getattr(profiles[g], key)) for key, (_, write) in _PROFILE_KEYS.items()}
+        for g in sorted(profiles)]}
+    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def load_profiles(path: str | Path) -> dict[int, GevProfile]:
@@ -458,20 +436,12 @@ def load_profiles(path: str | Path) -> dict[int, GevProfile]:
 
     profiles: dict[int, GevProfile] = {}
     try:
-        entries = payload["profiles"]
-        for entry in entries:
-            bands = tuple(
-                (_year_span(band["years"]), _matrix(band["matrix"]))
-                for band in entry["age_bands"]
-            )
-            profile = GevProfile(
-                gev_id=_typed(entry["gev_id"], int, "gev_id"),
-                name=_typed(entry.get("name", f"GEV {entry['gev_id']}"), str, "name"),
-                allowed_kinds=_string_set(entry["allowed_kinds"], "allowed_kinds"),
-                age_bands=bands,
-                **{key: parse(entry[key], key) for key, parse in _OPTIONAL_PROFILE_KEYS.items()
-                   if key in entry},
-            )
+        entries = _typed(_typed(payload, dict, "top level")["profiles"], list, "profiles")
+        for i, entry in enumerate(entries):
+            entry = _typed(entry, dict, f"profiles[{i}]")
+            fields = {key: read(entry[key], key) for key, (read, _) in _PROFILE_KEYS.items()
+                      if key in entry or key in _REQUIRED_KEYS}
+            profile = GevProfile(**{"name": f"GEV {fields['gev_id']}", **fields})
             if profile.gev_id in profiles:
                 raise ParseError(
                     f"duplicate profile for GEV {profile.gev_id}", file=str(path)

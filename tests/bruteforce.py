@@ -329,7 +329,6 @@ def sized_instance(rng: random.Random, n_res: int, n_prod: int) -> tuple[Corpus,
         key = (a.researcher_id, a.product_id)
         outcome, definite = _OUTCOMES[scores[key]]
         scored[key] = ScoredProduct(
-            product_id=a.product_id,
             routing_gev=corpus.researchers[a.researcher_id].uda,
             outcome=outcome, score=scores[key], definite=definite,
         )

@@ -111,7 +111,6 @@ def synth_scored(corpus_, scores: dict[tuple[str, str], float], routing: int = 3
         score = scores[key]
         outcome, definite = _OUTCOME_BY_SCORE[score]
         scored[key] = ScoredProduct(
-            product_id=a.product_id, routing_gev=routing,
-            outcome=outcome, score=score, definite=definite,
+            routing_gev=routing, outcome=outcome, score=score, definite=definite,
         )
     return scored

@@ -272,6 +272,10 @@ INPUT_CHECKS = {
     "unknown-matrix-outcome": (
         _replace("profiles.json", '"A"', '"Z"'), 2,
         "error: {root}/profiles.json: malformed profile entry: unknown matrix outcome 'Z'\n"),
+    "age-bands-not-a-list": (
+        _edit_profiles(lambda ps: ps[0].update(age_bands={})), 2,
+        "error: {root}/profiles.json: malformed profile entry: "
+        "age_bands must be a list, got {{}}\n"),
     "panel-outside-1-9": (_edit_profiles(lambda ps: ps[0].update(gev_id=10)), 1,
                           "validation: profile 10: gev_id 10 outside 1..9\n"),
     "unknown-source-policy": (

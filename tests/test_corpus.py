@@ -191,7 +191,7 @@ def test_written_scores_read_back_exactly(tmp_path, write, schema, column):
         [support.authored("R1", "P1", priority=1)],
     )
     # a profile's assumed score need not have a short decimal form
-    scored = {("R1", "P1"): ScoredProduct("P1", 3, "IR", 1 / 3, False)}
+    scored = {("R1", "P1"): ScoredProduct(3, "IR", 1 / 3, False)}
     write(corpus, scored, tmp_path / "out.csv")
     [(_, row)] = read_rows(tmp_path / "out.csv", schema)
     assert row[list(schema).index(column)] == 1 / 3

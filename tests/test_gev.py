@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -435,6 +438,8 @@ def test_profiles_json_rejects_bad_matrix(tmp_path):
     ("age_bands years", [2004]),
     ("age_bands matrix", ["ABCD", "ABCD", "ABCD", "ABCD"]),
     ("age_bands matrix", "AAAA"),
+    ("age_bands", {}),
+    ("age_bands", "x"),
 ])
 def test_profiles_json_rejects_wrong_json_types(tmp_path, key, value):
     path = tmp_path / "profiles.json"
@@ -447,6 +452,73 @@ def test_profiles_json_rejects_wrong_json_types(tmp_path, key, value):
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ParseError, match=f"malformed profile entry: {key}"):
         load_profiles(path)
+
+
+_BAND = {"years": [2004, 2010], "matrix": [["A"] * 4] * 4}
+
+
+@pytest.mark.parametrize("pack, message", [
+    ([], "top level must be an object, got []"),
+    ({"profiles": {"gev_id": 3}}, 'profiles must be a list, got {"gev_id": 3}'),
+    ({"profiles": [[3]]}, "profiles[0] must be an object, got [3]"),
+    ({"profiles": [{"gev_id": 3, "allowed_kinds": [], "age_bands": [_BAND, [2004, 2010]]}]},
+     "age_bands[1] must be an object, got [2004, 2010]"),
+], ids=["top-level", "profiles", "entry", "band"])
+def test_profiles_json_rejects_wrong_json_types_around_the_keys(tmp_path, pack, message):
+    """The containers a pack's keys sit in are type-checked like the keys."""
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps(pack), encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        load_profiles(path)
+    assert str(caught.value) == f"{path}: malformed profile entry: {message}"
+
+
+# One fault per key, listed in the order in which an entry is read.
+_ONE_FAULT = {
+    "gev_id": (3.7, "gev_id must be an integer, got 3.7"),
+    "name": (5, "name must be a string, got 5"),
+    "allowed_kinds": ("review", 'allowed_kinds must be a list, got "review"'),
+    "source_policy": (5, "source_policy must be a string, got 5"),
+    "split_citation_doctype": ("no", 'split_citation_doctype must be true or false, got "no"'),
+    "no_metric_score": ("0.5", 'no_metric_score must be a number, got "0.5"'),
+    "non_indexed_score": (None, "non_indexed_score must be a number, got null"),
+    "ir_assumed_score": (True, "ir_assumed_score must be a number, got true"),
+    "age_bands": ([{"years": [2004.5, 2010]}], "age_bands years must be an integer, got 2004.5"),
+    "ir_journal_class_list": ([], "ir_journal_class_list must be an object, got []"),
+    "forced_ir_journals": ("J1", 'forced_ir_journals must be a list, got "J1"'),
+}
+_FAULTS = [*combinations(_ONE_FAULT, 1), *combinations(_ONE_FAULT, 2)]
+
+
+@pytest.mark.parametrize("keys", _FAULTS, ids=["+".join(keys) for keys in _FAULTS])
+def test_of_two_faults_in_an_entry_the_first_read_is_reported(tmp_path, keys):
+    """One fault reports its own message; of two, the key read first reports."""
+    path = tmp_path / "profiles.json"
+    dump_profiles({3: support.profile()}, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    for key in keys:
+        payload["profiles"][0][key] = _ONE_FAULT[key][0]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        load_profiles(path)
+    assert str(caught.value) == f"{path}: malformed profile entry: {_ONE_FAULT[keys[0]][1]}"
+
+
+@pytest.mark.parametrize("fixture", ["mini_university", "witness"])
+def test_profiles_json_load_then_dump_keeps_the_bytes(tmp_path, fixture):
+    source = Path(__file__).parent / "fixtures" / fixture / "profiles.json"
+    dump_profiles(load_profiles(source), tmp_path / "profiles.json")
+    assert (tmp_path / "profiles.json").read_bytes() == source.read_bytes()
+
+
+# SHA-256 of dump_profiles(default_profiles()): its keys, their order and its layout
+DEFAULT_PACK_SHA256 = "5db50710f90d2dafae21fbfe3c86c9c572213cb617c1dab44522110c4ee029fe"
+
+
+def test_default_profiles_dump_keeps_its_bytes(tmp_path):
+    path = tmp_path / "profiles.json"
+    dump_profiles(default_profiles(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_PACK_SHA256
 
 
 def test_validate_profiles_band_coverage():

@@ -353,10 +353,13 @@ _JSON_TYPE_NAMES = {bool: "true or false", str: "a string", int: "an integer",
 
 
 def _typed(value, kind, key: str):
-    """value itself if it has the JSON type kind; true and false are no numbers."""
+    """value itself if it has the JSON type kind; true and false are no numbers. The
+    message echoes the first 60 characters of value's JSON text."""
     if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
         return value
-    raise TypeError(f"{key} must be {_JSON_TYPE_NAMES[kind]}, got {json.dumps(value)}")
+    text = json.dumps(value)
+    text = text if len(text) <= 60 else text[:60] + "..."
+    raise TypeError(f"{key} must be {_JSON_TYPE_NAMES[kind]}, got {text}")
 
 
 def _strings(value, key: str) -> list[str]:
@@ -387,8 +390,8 @@ _STRING_SET = (lambda value, key: frozenset(_strings(value, key))), sorted
 # Every key of a profiles.json entry, in the order an entry is read and written:
 # key -> (read: JSON value, key -> GevProfile field, rejecting a wrong JSON type in
 # _typed's words; write: field -> JSON value). Of two faults in an entry, the earlier
-# key's is reported. A key not in _REQUIRED_KEYS may be omitted for its GevProfile
-# default; name's is "GEV <gev_id>".
+# key's is reported; a key not listed here is reported last. A key not in
+# _REQUIRED_KEYS may be omitted for its GevProfile default; name's is "GEV <gev_id>".
 _REQUIRED_KEYS = ("gev_id", "allowed_kinds", "age_bands")
 _PROFILE_KEYS = {
     "gev_id": _plain(int),
@@ -441,6 +444,9 @@ def load_profiles(path: str | Path) -> dict[int, GevProfile]:
             entry = _typed(entry, dict, f"profiles[{i}]")
             fields = {key: read(entry[key], key) for key, (read, _) in _PROFILE_KEYS.items()
                       if key in entry or key in _REQUIRED_KEYS}
+            unknown = [key for key in entry if key not in _PROFILE_KEYS]
+            if unknown:
+                raise ValueError(f"profiles[{i}] has unknown key {json.dumps(unknown[0])}")
             profile = GevProfile(**{"name": f"GEV {fields['gev_id']}", **fields})
             if profile.gev_id in profiles:
                 raise ParseError(

@@ -5,7 +5,7 @@ quota of them; each product goes to at most one researcher. The solver works
 on plain dicts keyed by researcher and product id, in three steps:
 prune cuts every pool to what an optimum can use, components walks prune's
 holders to split the researchers into independent groups, and solve runs
-successive longest augmenting paths over one group.
+successive longest augmenting paths over one group's weights.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from collections import deque
 from typing import Iterator
 
 Pools = dict[str, tuple[str, ...]]
-Holders = dict[str, list[str]]  # product -> the researchers holding it, by id
+Holders = dict[str, list[str]]  # product -> the researchers holding it
 
 
 def prune(
@@ -54,9 +54,9 @@ def prune(
 
 
 def components(kept: Pools, holders: Holders) -> Iterator[list[str]]:
-    """Yield the researchers linked by shared kept products, each group in id
-    order; researchers who kept nothing belong to none. holders is prune's:
-    each shared product's researchers among the kept pools."""
+    """Yield the researchers linked by shared kept products, each group in
+    walk order; researchers who kept nothing belong to none. holders is
+    prune's: each shared product's researchers among the kept pools."""
     seen: set[str] = set()
     for start, pool in kept.items():
         if start in seen or not pool:
@@ -69,31 +69,18 @@ def components(kept: Pools, holders: Holders) -> Iterator[list[str]]:
                     if other not in seen:
                         seen.add(other)
                         members.append(other)
-        yield sorted(members)
+        yield members
 
 
-def solve(
-    members: list[str], kept: Pools, units: dict[tuple[str, str], int], offset: int,
-    room: dict[str, int], owner: dict[str, str],
-) -> int:
-    """Assign one group's products into owner (product -> researcher) by
-    successive longest augmenting paths; return the number of edges scanned.
-
-    A pick of pair (r, p) gains units[(r, p)] + offset > 0. Pair k of the
-    group's E pairs, numbered by members' order and then pool order, weighs
-    (gain << E) | (1 << (E-1-k)), so the optimum is unique. room holds each
-    researcher's free slots and is used up.
-    """
-    pairs = [(rid, pid) for rid in members for pid in kept[rid]]
-    size = len(pairs)
-    weights: dict[str, dict[str, int]] = {rid: {} for rid in members}
-    for k, (rid, pid) in enumerate(pairs):
-        gain = units[(rid, pid)] + offset
-        weights[rid][pid] = (gain << size) | (1 << (size - 1 - k))
-
+def solve(weights: dict[str, dict[str, int]], room: dict[str, int], owner: dict[str, str]) -> int:
+    """Assign one group's products into owner (product -> researcher) so that
+    the picked weights sum to the most, by successive longest augmenting
+    paths; return the number of edges scanned. weights maps each researcher
+    of the group to its products' weights, all positive; room holds each
+    researcher's free slots and is used up."""
     scans = 0
     while True:
-        best = {rid: 0 for rid in members if room[rid] > 0}
+        best = {rid: 0 for rid in weights if room[rid] > 0}
         via: dict[str, tuple[str, str]] = {}  # researcher -> (previous, product)
         queue = deque((rid, 0) for rid in best)
         end_gain, end = 0, None

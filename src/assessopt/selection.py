@@ -389,12 +389,17 @@ def optimize_exact(problem: SelectionProblem, pool: Pool, tag: str) -> Selection
     room = dict(problem.quota)
     owner: dict[str, str] = {}  # product -> the researcher it is assigned to
     components = largest = largest_pairs = scans = 0
-    for members in matching.components(kept, holders):
-        pairs = sum(len(kept[rid]) for rid in members)
-        components += 1
-        if (len(members), pairs) > (largest, largest_pairs):
-            largest, largest_pairs = len(members), pairs
-        scans += matching.solve(members, kept, problem.units, _SHORTFALL_UNITS, room, owner)
+    for components, members in enumerate(matching.components(kept, holders), 1):
+        members.sort()  # the rule numbers pairs by researcher id, then pool order
+        pairs = [(rid, pid) for rid in members for pid in kept[rid]]
+        size = len(pairs)
+        weights: dict[str, dict[str, int]] = {rid: {} for rid in members}
+        for k, (rid, pid) in enumerate(pairs):
+            gain = problem.units[(rid, pid)] + _SHORTFALL_UNITS
+            weights[rid][pid] = (gain << size) | (1 << (size - 1 - k))
+        if (len(members), size) > (largest, largest_pairs):
+            largest, largest_pairs = len(members), size
+        scans += matching.solve(weights, room, owner)
 
     # Each augmenting path assigns one more product.
     log.debug(

@@ -123,6 +123,17 @@ def test_window_years_outside_four_digits_are_a_usage_error():
     assert "window years must lie in 1000-9999, got '2004:99999999999999999999'" in run.stderr
 
 
+@pytest.mark.parametrize("window, message", [
+    ("2004-2010", "window must look like 2004:2010, got '2004-2010'"),
+    ("2010:2004", "window '2010:2004' is reversed"),
+])
+def test_a_malformed_window_is_a_usage_error(capsys, window, message):
+    with pytest.raises(SystemExit) as caught:
+        main(["validate", *MINI_ARGS, "--window", window])
+    assert caught.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --window: {message}\n")
+
+
 def test_validate_accepts_one_age_band_spanning_a_trillion_years(tmp_path):
     path = tmp_path / "profiles.json"
     pack = json.loads((MINI / "profiles.json").read_text(encoding="utf-8"))
@@ -276,6 +287,10 @@ INPUT_CHECKS = {
         _edit_profiles(lambda ps: ps[0].update(age_bands={})), 2,
         "error: {root}/profiles.json: malformed profile entry: "
         "age_bands must be a list, got {{}}\n"),
+    "misspelt-profile-key": (
+        _replace("profiles.json", '"no_metric_score": 0.25', '"no_metric_scor": 0.9'), 2,
+        "error: {root}/profiles.json: malformed profile entry: "
+        'profiles[0] has unknown key "no_metric_scor"\n'),
     "panel-outside-1-9": (_edit_profiles(lambda ps: ps[0].update(gev_id=10)), 1,
                           "validation: profile 10: gev_id 10 outside 1..9\n"),
     "unknown-source-policy": (

@@ -63,6 +63,12 @@ def test_matrix_cells_match_published_grids():
         assert RECENT_PRODUCTS_MATRIX.lookup(ic, ir) == expected
 
 
+@pytest.mark.parametrize("ic, ir", [(0, 1), (1, 5)])
+def test_matrix_lookup_rejects_classes_outside_1_4(ic, ir):
+    with pytest.raises(ValueError, match=rf"^classes must be 1\.\.4, got \({ic}, {ir}\)$"):
+        MATURE_PRODUCTS_MATRIX.lookup(ic, ir)
+
+
 def test_score_map():
     assert MERIT_SCORES == {"A": 1.0, "B": 0.8, "C": 0.5, "D": 0.0}
     assert FRAUD_SCORE == -2.0
@@ -473,6 +479,18 @@ def test_profiles_json_rejects_wrong_json_types_around_the_keys(tmp_path, pack, 
     assert str(caught.value) == f"{path}: malformed profile entry: {message}"
 
 
+def test_a_wrong_type_message_echoes_the_start_of_a_long_value(tmp_path):
+    pack = tmp_path / "pack.json"
+    dump_profiles(default_profiles(), pack)
+    path = tmp_path / "profiles.json"
+    path.write_text('{"profiles": ' + pack.read_text(encoding="utf-8") + "}", encoding="utf-8")
+    with pytest.raises(ParseError) as caught:
+        load_profiles(path)
+    message = str(caught.value).removeprefix(f"{path}: ")
+    assert message.startswith('malformed profile entry: profiles must be a list, got {"profiles"')
+    assert len(message) < 150 and message.endswith("...")
+
+
 # One fault per key, listed in the order in which an entry is read.
 _ONE_FAULT = {
     "gev_id": (3.7, "gev_id must be an integer, got 3.7"),
@@ -519,6 +537,10 @@ def test_default_profiles_dump_keeps_its_bytes(tmp_path):
     path = tmp_path / "profiles.json"
     dump_profiles(default_profiles(), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_PACK_SHA256
+
+
+def test_validate_profiles_names_a_profile_keyed_under_another_panel():
+    assert validate_profiles({4: support.profile(3)}) == ["profile keyed 4 declares gev_id 3"]
 
 
 def test_validate_profiles_band_coverage():

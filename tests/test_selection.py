@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -520,6 +525,62 @@ def test_exact_work_stays_linear_in_pairs(caplog):
         pairs, kept, scans = map(int, match.groups())
         assert kept < pairs
         assert scans < 50 * pairs
+
+
+def _solve(weights, quota):
+    owner: dict[str, str] = {}
+    room = dict(quota)
+    matching.solve(weights, room, owner)
+    assert all(room[rid] == quota[rid] - list(owner.values()).count(rid) for rid in quota)
+    return owner
+
+
+def test_solve_breaks_a_tie_by_the_bits_it_is_handed():
+    # Both one-to-one assignments gain 2; only the low-order tie bits differ.
+    first = {("R1", "P1"): 8, ("R1", "P2"): 4, ("R2", "P1"): 2, ("R2", "P2"): 1}
+
+    def weights(bits):
+        return {rid: {pid: (1 << 4) | bits[(rid, pid)] for pid in ("P1", "P2")}
+                for rid in ("R1", "R2")}
+
+    quota = {"R1": 1, "R2": 1}
+    assert _solve(weights(first), quota) == {"P1": "R1", "P2": "R2"}
+    swapped = {**first, ("R1", "P1"): 4, ("R1", "P2"): 8}
+    assert _solve(weights(swapped), quota) == {"P1": "R2", "P2": "R1"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_solve_finds_the_unique_optimum_of_the_weights_it_is_handed(seed):
+    rng = random.Random(seed)
+    products = [f"P{j}" for j in range(rng.randint(1, 6))]
+    pools = {f"R{i}": rng.sample(products, rng.randint(1, len(products)))
+             for i in range(rng.randint(1, 4))}
+    quota = {rid: rng.randint(1, 3) for rid in pools}
+    pairs = [(rid, pid) for rid, pool in pools.items() for pid in pool]
+    size = len(pairs)
+    weights: dict[str, dict[str, int]] = {rid: {} for rid in pools}
+    for k, (rid, pid) in enumerate(pairs):
+        weights[rid][pid] = (rng.randint(1, 4) << size) | (1 << (size - 1 - k))
+
+    # Every way to give each product to one of its holders or to nobody.
+    choices = [[None, *(rid for rid in pools if pid in weights[rid])] for pid in products]
+    feasible = [
+        choice for choice in itertools.product(*choices)
+        if all(choice.count(rid) <= quota[rid] for rid in pools)
+    ]
+    best = max(feasible, key=lambda choice: sum(
+        weights[rid][pid] for pid, rid in zip(products, choice) if rid is not None))
+    assert _solve(weights, quota) == {
+        pid: rid for pid, rid in zip(products, best) if rid is not None}
+
+
+def test_matching_imports_no_other_assessopt_module():
+    src = str(Path(matching.__file__).parents[1])
+    code = "import sys, assessopt.matching; print(sorted(m for m in sys.modules if 'assessopt' in m))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert run.stdout == "['assessopt', 'assessopt.matching']\n"
 
 
 def test_selection_feasibility_randomized():

@@ -352,14 +352,17 @@ _JSON_TYPE_NAMES = {bool: "true or false", str: "a string", int: "an integer",
                     (int, float): "a number", list: "a list", dict: "an object"}
 
 
+def _echo(value) -> str:
+    """The first 60 characters of value's JSON text, with "..." when cut."""
+    text = json.dumps(value)
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def _typed(value, kind, key: str):
-    """value itself if it has the JSON type kind; true and false are no numbers. The
-    message echoes the first 60 characters of value's JSON text."""
+    """value itself if it has the JSON type kind; true and false are no numbers."""
     if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
         return value
-    text = json.dumps(value)
-    text = text if len(text) <= 60 else text[:60] + "..."
-    raise TypeError(f"{key} must be {_JSON_TYPE_NAMES[kind]}, got {text}")
+    raise TypeError(f"{key} must be {_JSON_TYPE_NAMES[kind]}, got {_echo(value)}")
 
 
 def _strings(value, key: str) -> list[str]:
@@ -372,7 +375,7 @@ def _band(value, key: str) -> tuple[tuple[int, int], ClassificationMatrix]:
     band = _typed(value, dict, key)
     years = _typed(band["years"], list, "age_bands years")
     if len(years) != 2:
-        raise ValueError(f"age_bands years must be [first, last], got {json.dumps(years)}")
+        raise ValueError(f"age_bands years must be [first, last], got {_echo(years)}")
     span = _typed(years[0], int, "age_bands years"), _typed(years[1], int, "age_bands years")
     rows = _typed(band["matrix"], list, "age_bands matrix")
     return span, ClassificationMatrix.from_rows(

@@ -62,6 +62,7 @@ class ResearcherPortfolio(NamedTuple):
     """One researcher's product sets.
 
     proposed:            products the researcher declared, in priority order
+    priorities:          each proposed product's declared priority, same order
     unproposed_indexed:  indexed products they authored but did not propose
     declared_pick:       the quota-many highest-priority proposed products
     best_pick:           the quota-many best products over the whole pool,
@@ -69,6 +70,7 @@ class ResearcherPortfolio(NamedTuple):
     """
 
     proposed: tuple[str, ...]
+    priorities: tuple[int, ...]
     unproposed_indexed: tuple[str, ...]
     declared_pick: tuple[str, ...]
     best_pick: tuple[str, ...]
@@ -164,6 +166,7 @@ def build_sets(corpus: Corpus, scored: ScoredMap) -> SelectionProblem:
                          for pid in (*proposed, *unproposed)])
         portfolios[rid] = ResearcherPortfolio(
             proposed=proposed,
+            priorities=tuple([priority for priority, _ in declared]),
             unproposed_indexed=tuple(unproposed),
             declared_pick=proposed[: researcher.quota],
             best_pick=tuple([pid for _, _, pid in ranked[: researcher.quota]]),
@@ -274,48 +277,31 @@ def scenario1(problem: SelectionProblem) -> Selection:
 
     Proceeds in simultaneous rounds: every researcher with remaining
     capacity claims their highest-priority still-available proposed product.
-    A contested product goes to the claimant with the numerically smallest
-    priority; on equal priority, to the claimant with fewer remaining
-    proposed products, then to the lexicographically smaller researcher id.
+    The round's contested products are settled in product-id order. Each goes
+    to the claimant with the numerically smallest priority; on equal priority,
+    to the claimant with fewer remaining proposed products, counted as the
+    product is settled, then to the lexicographically smaller researcher id.
     Losers fall through to their next priority. Products are claimed in
     priority order regardless of score, so penalized products do get
     submitted when researchers ranked them high.
     """
     sets = problem.portfolios
-    priority: dict[tuple[str, str], int] = {
-        (a.researcher_id, a.product_id): a.declared_priority
-        for a in problem.corpus.authorships
-        if a.declared_priority is not None
-    }
     capacity = dict(problem.quota)
     consumed: set[str] = set()
     assignment: dict[str, list[str]] = {rid: [] for rid in capacity}
-
-    def next_claim(rid: str) -> str | None:
-        for pid in sets[rid].proposed:
-            if pid not in consumed:
-                return pid
-        return None
-
-    def remaining_proposed(rid: str) -> int:
-        return sum(1 for pid in sets[rid].proposed if pid not in consumed)
-
     while True:
-        claims: dict[str, list[str]] = {}
-        for rid in capacity:
-            if capacity[rid] == 0:
-                continue
-            pid = next_claim(rid)
-            if pid is not None:
-                claims.setdefault(pid, []).append(rid)
+        claims: dict[str, list[tuple[int, str]]] = {}  # product -> (priority, claimant)
+        for rid, room in capacity.items():
+            if room:
+                for priority, pid in zip(sets[rid].priorities, sets[rid].proposed):
+                    if pid not in consumed:
+                        claims.setdefault(pid, []).append((priority, rid))
+                        break
         if not claims:
             break
         for pid in sorted(claims):
-            claimants = claims[pid]
-            winner = min(
-                claimants,
-                key=lambda rid: (priority[(rid, pid)], remaining_proposed(rid), rid),
-            )
+            _, _, winner = min((priority, sum(q not in consumed for q in sets[rid].proposed), rid)
+                               for priority, rid in claims[pid])
             assignment[winner].append(pid)
             capacity[winner] -= 1
             consumed.add(pid)

@@ -5,9 +5,10 @@ remaining capacities, which prunes nothing from the search space, only
 repeated subproblems) and are independent of the augmenting-path optimizer
 they check. unpruned_exact is the optimizer's search run once over the whole
 pool, with no pruning and no split into components: it checks those two steps
-on instances far beyond what enumeration can reach. greedy_assignment,
-scored_rows and selection_rows restate the greedy rule and the two writers'
-row orders from the corpus and scored map alone, with plain sort keys.
+on instances far beyond what enumeration can reach. declared_assignment,
+greedy_assignment, scored_rows and selection_rows restate the declared-priority
+rule, the greedy rule and the two writers' row orders from the corpus and
+scored map alone, with plain sort keys.
 """
 
 from __future__ import annotations
@@ -182,6 +183,43 @@ def unpruned_exact(problem, candidates: dict[str, tuple[str, ...]]) -> dict[str,
         owner[pid] = rid
         room[rid] -= 1
     return {rid: tuple(pid for pid in candidates[rid] if owner.get(pid) == rid) for rid in active}
+
+
+def declared_assignment(corpus: Corpus) -> dict[str, tuple[str, ...]]:
+    """Scenario 1: each active researcher's picks, in the order the
+    declared-priority rule makes them.
+
+    Rounds repeat until nobody claims. In a round, each active researcher
+    whose picks are fewer than the quota claims the product they proposed at
+    the smallest priority among those nobody has taken yet. The claimed
+    products are then settled one by one, by product id: a product goes to
+    the claimant who proposed it at the smallest priority, then to the one
+    with the fewest proposed products still untaken at that moment, then to
+    the smaller researcher id.
+    """
+    active = [
+        rid for rid in sorted(corpus.researchers)
+        if corpus.researchers[rid].quota > 0 and 1 <= corpus.researchers[rid].uda <= 9
+    ]
+    proposals = {rid: sorted((a.declared_priority, a.product_id) for a in corpus.authorships
+                             if a.researcher_id == rid and a.declared_priority is not None)
+                 for rid in active}
+    taken: set[str] = set()
+    picks: dict[str, list[str]] = {rid: [] for rid in active}
+    while True:
+        claims = []  # (product, priority, researcher)
+        for rid in active:
+            untaken = [(priority, pid) for priority, pid in proposals[rid] if pid not in taken]
+            if len(picks[rid]) < corpus.researchers[rid].quota and untaken:
+                claims.append((untaken[0][1], untaken[0][0], rid))
+        if not claims:
+            return {rid: tuple(p) for rid, p in picks.items()}
+        for pid in sorted({pid for pid, _, _ in claims}):
+            contest = [(priority, len([q for _, q in proposals[rid] if q not in taken]), rid)
+                       for claimed, priority, rid in claims if claimed == pid]
+            winner = min(contest)[2]
+            picks[winner].append(pid)
+            taken.add(pid)
 
 
 def greedy_assignment(corpus: Corpus, scored, full: bool) -> dict[str, tuple[str, ...]]:

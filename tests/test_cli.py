@@ -287,6 +287,14 @@ INPUT_CHECKS = {
         _edit_profiles(lambda ps: ps[0].update(age_bands={})), 2,
         "error: {root}/profiles.json: malformed profile entry: "
         "age_bands must be a list, got {{}}\n"),
+    "one-year-band": (
+        _edit_profiles(lambda ps: ps[0]["age_bands"][0].update(years=[2004])), 2,
+        "error: {root}/profiles.json: malformed profile entry: "
+        "age_bands years must be [first, last], got [2004]\n"),
+    "thousand-year-band": (  # the echo stops at 60 characters of the list's JSON
+        _edit_profiles(lambda ps: ps[0]["age_bands"][0].update(years=list(range(1000, 2000)))),
+        2, "error: {root}/profiles.json: malformed profile entry: age_bands years must be "
+        "[first, last], got [1000, 1001, 1002, 1003, 1004, 1005, 1006, 1007, 1008, 1009,...\n"),
     "misspelt-profile-key": (
         _replace("profiles.json", '"no_metric_score": 0.25', '"no_metric_scor": 0.9'), 2,
         "error: {root}/profiles.json: malformed profile entry: "

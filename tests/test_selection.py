@@ -13,11 +13,13 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from assessopt import matching
-from assessopt.corpus import BIBLIOMETRIC_UDAS
-from assessopt.gev import write_scored
+from assessopt.corpus import BIBLIOMETRIC_UDAS, load_corpus_dir
+from assessopt.gev import DEFAULT_WINDOW, load_profiles, score_corpus, write_scored
+from assessopt.reference import load_reference_dir
 from assessopt.selection import (
     EXACT_FULL,
     EXACT_PROPOSED,
@@ -43,6 +45,7 @@ import support
 from bruteforce import (
     best_total_score,
     canonical_assignment,
+    declared_assignment,
     greedy_assignment,
     most_citations,
     random_instance,
@@ -307,6 +310,45 @@ def test_scenario1_submits_penalized_products():
     s = scenario1(build_sets(corpus, scored))
     assert s.assignment["R1"] == ("P1", "P2")
     assert s.total_score == -0.2  # exact: -1.0 + 0.8 in quantized units
+
+
+def _declared_instance(rng: random.Random):
+    """sized_instance with each researcher's priorities redrawn, distinct but
+    with gaps, from a range so small that co-authors often declare the same
+    priority, and with about a fifth of the researchers at quota 0."""
+    corpus, scored = sized_instance(rng, rng.randint(1, 10), rng.randint(1, 16))
+    researchers = {rid: r._replace(quota=0) if rng.random() < 0.2 else r
+                   for rid, r in corpus.researchers.items()}
+    priority = {}
+    for rid in researchers:
+        pids = [a.product_id for a in corpus.authorships
+                if a.researcher_id == rid and a.declared_priority is not None]
+        drawn = rng.sample(range(1, len(pids) + rng.randint(1, 6)), len(pids))
+        priority.update({(rid, pid): p for pid, p in zip(pids, drawn)})
+    authorships = [a._replace(declared_priority=priority.get((a.researcher_id, a.product_id)))
+                   for a in corpus.authorships]
+    return corpus._replace(researchers=researchers, authorships=authorships), scored
+
+
+def test_scenario1_matches_its_restatement_randomized():
+    rng = random.Random(20)
+    for _ in range(150):
+        for corpus, scored in (random_instance(rng), _declared_instance(rng),
+                               sized_instance(rng, rng.randint(5, 25), rng.randint(5, 40))):
+            got = scenario1(build_sets(corpus, scored)).assignment
+            assert list(got.items()) == list(declared_assignment(corpus).items())
+
+
+@pytest.mark.parametrize("fixture", ["mini_university", "witness"])
+def test_scenario1_reads_only_the_problem_model(fixture):
+    """The declared priorities are the portfolios'; the authorships are not read again."""
+    root = Path(__file__).parent / "fixtures" / fixture
+    corpus = load_corpus_dir(root)
+    scored = score_corpus(corpus, load_profiles(root / "profiles.json"),
+                          load_reference_dir(root / "ref"), DEFAULT_WINDOW)
+    problem = build_sets(corpus, scored)
+    bare = problem._replace(corpus=problem.corpus._replace(authorships=[]))
+    assert scenario1(bare) == scenario1(problem)
 
 
 # --- scenarios 2 and 3 -------------------------------------------------------

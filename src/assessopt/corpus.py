@@ -1,8 +1,8 @@
 """Institutional corpus: roster, products, authorships, validation, and the CSV layer.
 
-Every CSV file the program reads or writes goes through read_rows (or, for the plain
-lines of a worldvalues.csv, read_plain_lines) and write_rows. read_rows yields each row as
-a list of its parsed fields in schema order; the loaders build their NamedTuples by position.
+Every CSV the program reads or writes goes through read_rows (read_plain_lines reads the plain
+lines of a worldvalues.csv, _chunks a corpus with no fault) and write_rows. read_rows yields
+each row as a list of its parsed fields in schema order; loaders build records by position.
 
 A corpus is the institution's data only, immutable after loading; the rules
 of the exercise that judge it (its years, the kinds each panel accepts) live in
@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import csv
 import math
-from itertools import islice
+from contextlib import suppress
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -142,10 +144,16 @@ _EXPECTED = {int: "an integer", optional_int: "an integer", float: "a number",
              number: "a finite number", optional_number: "a finite number", boolean: "a boolean"}
 
 
+def echo(text: str) -> str:
+    """text as a message quotes it: its first 60 characters, with "..." when cut."""
+    return text if len(text) <= 60 else text[:60] + "..."
+
+
 def bad_field(column: str, parse: Callable[[str], object], text: str,
               file: str, line: int) -> ParseError:
     """The error for a field that parse rejected with ValueError."""
-    return ParseError(f"{column} is not {_EXPECTED[parse]}: {text!r}", file=file, line=line)
+    return ParseError(f"{column} is not {_EXPECTED[parse]}: {echo(repr(text))}",
+                      file=file, line=line)
 
 
 def read_rows(
@@ -297,6 +305,72 @@ def _record_fields(record: IndexRecord | None) -> tuple:
             record.citations, record.journal_id)
 
 
+class _Decline(ValueError):
+    """A doubt of the column path, which sends load_corpus to its row loops."""
+
+
+_KINDS = dict(zip(PRODUCT_KINDS, PRODUCT_KINDS))
+_RANGES = {"uda": (1, 14), "quota": (0, MAX_QUOTA), "declared_priority": (1, math.inf),
+           "gev_override": (1, 9), "wos_metric": (0, math.inf), "wos_citations": (0, math.inf),
+           "scopus_metric": (0, math.inf), "scopus_citations": (0, math.inf)}
+_NO_RECORD = {("", None, ""): None}  # a missing record's other fields; others are a KeyError
+
+
+def _chunks(path: Path, schema: dict) -> Iterator[list]:
+    """A CSV's rows after its header as columns, up to 512 at a time, each distinct typed
+    text parsed and range-checked once; a blank row is dropped, and another width declined."""
+    typed = [(i, {}, parse, *_RANGES.get(column, (-math.inf, math.inf)))
+             for i, (column, parse) in enumerate(schema.items()) if parse is not str]
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != list(schema):
+            raise _Decline
+        while rows := list(islice(reader, 512)):  # faster than 2,048 rows, and less memory
+            if set(map(len, rows)) - {0, len(schema)}:
+                raise _Decline
+            if columns := list(zip(*filter(None, rows))):
+                for i, known, parse, low, high in typed:
+                    for text in set(columns[i]).difference(known):
+                        value = known[text] = parse(text)
+                        if value is not None and not low <= value <= high:
+                            raise _Decline
+                    columns[i] = list(map(known.__getitem__, columns[i]))
+                yield columns
+
+
+def _load_columns(researchers_path: Path, products_path: Path, authorships_path: Path) -> Corpus:
+    """load_corpus by columns: each rule of its row loops is a test over columns or ids."""
+    researchers, products, categories, journals, rows = {}, {}, {}, {}, 0
+    for ids, sds, udas, quotas in _chunks(researchers_path, RESEARCHER_COLUMNS):
+        if any(SDS_AREA_BY_PREFIX.get(s.split("/")[0], u) != u for s, u in set(zip(sds, udas))):
+            raise _Decline
+        researchers.update(zip(ids, map(tuple.__new__, repeat(Researcher), zip(ids, sds, udas, map(
+            {None: Researcher._field_defaults["quota"]}.get, quotas, quotas)))))
+        rows += len(ids)
+    for ids, kinds, years, flags, *texts in _chunks(products_path, PRODUCT_COLUMNS):
+        categories.update((text, names) for text in set(texts[0] + texts[4]).difference(categories)
+                          if (names := tuple(filter(None, text.split(";")))))
+        journals.update((text, text or None)
+                        for text in set(texts[3] + texts[7]).difference(journals))
+        wos, scopus = ([tuple.__new__(IndexRecord, (categories[c], n, m, journals[j]))
+                        if n is not None else _NO_RECORD[c, m, j]
+                        for c, m, n, j in zip(*texts[i:i + 4])] for i in (0, 4))
+        products.update(zip(ids, map(tuple.__new__, repeat(Product), zip(
+            ids, map(_KINDS.__getitem__, kinds), years, flags, wos, scopus))))
+        rows += len(ids)
+    rids, pids = (dict(zip(ids, ids)) for ids in (researchers, products))  # one str per id
+    authorships = list(chain.from_iterable(map(tuple.__new__, repeat(Authorship), zip(
+        map(rids.__getitem__, rid), map(pids.__getitem__, pid), priorities, overrides))
+        for rid, pid, priorities, overrides in _chunks(authorships_path, AUTHORSHIP_COLUMNS)))
+    claims = list(filter(itemgetter(1), map(itemgetter(0, 2), authorships)))  # priorities >= 1
+    if ("" in researchers or "" in products or len(researchers) + len(products) != rows
+            or len(set(map(itemgetter(0, 1), authorships))) < len(authorships)
+            or len(set(claims)) < len(claims)):
+        raise _Decline
+    authorships.sort()  # the pairs are unique, so no later field is compared
+    return Corpus(researchers, products, authorships)
+
+
 def load_corpus(
     researchers_path: str | Path,
     products_path: str | Path,
@@ -310,6 +384,8 @@ def load_corpus(
     researchers_path = Path(researchers_path)
     products_path = Path(products_path)
     authorships_path = Path(authorships_path)
+    with suppress(ValueError, KeyError, csv.Error, OSError):  # the row loops below name faults
+        return _load_columns(researchers_path, products_path, authorships_path)
     violations: list[str] = []
 
     def violation(path: Path, line: int, message: str) -> None:

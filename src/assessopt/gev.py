@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple
 
 from . import reference
 from .corpus import BIBLIOMETRIC_UDAS, PRODUCT_KINDS, Corpus, IndexRecord, Product
-from .corpus import boolean, format_number, number_texts, write_rows
+from .corpus import boolean, echo, format_number, number_texts, write_rows
 from .errors import ParseError, ValidationError
 from .reference import DistributionKey, ReferenceLibrary, classify
 
@@ -352,17 +352,11 @@ _JSON_TYPE_NAMES = {bool: "true or false", str: "a string", int: "an integer",
                     (int, float): "a number", list: "a list", dict: "an object"}
 
 
-def _echo(value) -> str:
-    """The first 60 characters of value's JSON text, with "..." when cut."""
-    text = json.dumps(value)
-    return text if len(text) <= 60 else text[:60] + "..."
-
-
 def _typed(value, kind, key: str):
     """value itself if it has the JSON type kind; true and false are no numbers."""
     if isinstance(value, kind) and (kind is bool or not isinstance(value, bool)):
         return value
-    raise TypeError(f"{key} must be {_JSON_TYPE_NAMES[kind]}, got {_echo(value)}")
+    raise TypeError(f"{key} must be {_JSON_TYPE_NAMES[kind]}, got {echo(json.dumps(value))}")
 
 
 def _strings(value, key: str) -> list[str]:
@@ -375,7 +369,7 @@ def _band(value, key: str) -> tuple[tuple[int, int], ClassificationMatrix]:
     band = _typed(value, dict, key)
     years = _typed(band["years"], list, "age_bands years")
     if len(years) != 2:
-        raise ValueError(f"age_bands years must be [first, last], got {_echo(years)}")
+        raise ValueError(f"age_bands years must be [first, last], got {echo(json.dumps(years))}")
     span = _typed(years[0], int, "age_bands years"), _typed(years[1], int, "age_bands years")
     rows = _typed(band["matrix"], list, "age_bands matrix")
     return span, ClassificationMatrix.from_rows(

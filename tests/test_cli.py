@@ -252,6 +252,10 @@ INPUT_CHECKS = {
     "record-without-citations": (
         _replace("products.csv", _P01, _P01.replace(",12,", ",,")), 2,
         "error: {root}/products.csv:2: wos record present but has no citation count\n"),
+    "hundred-character-year": (  # the echo stops at 60 characters of the quoted text
+        _replace("products.csv", _P01, _P01.replace(",2006,", "," + "soon" * 25 + ",")), 2,
+        "error: {root}/products.csv:2: year is not an integer: "
+        "'soonsoonsoonsoonsoonsoonsoonsoonsoonsoonsoonsoonsoonsoonsoo...\n"),
     "unknown-product-kind": (
         _replace("products.csv", _P01, _P01.replace("journal-article", "poster")), 1,
         "validation: {root}/products.csv:2: unknown product kind 'poster'\n"),

@@ -3,20 +3,25 @@
 from __future__ import annotations
 
 import ast
+import csv
 import importlib
 import inspect
+import io
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import assessopt
+from assessopt import corpus as corpus_module
 from assessopt.corpus import (
     AUTHORSHIP_COLUMNS,
     PRODUCT_COLUMNS,
+    PRODUCT_KINDS,
     RESEARCHER_COLUMNS,
     Authorship,
     Corpus,
@@ -378,3 +383,176 @@ def test_admissibility(tmp_path):
     assert outcome(early) == "inadmissible"
     # same product inside a wider window
     assert outcome(early, (2003, 2010)) == "non-indexed-fallback"
+
+
+# --- the column path against the row loops ------------------------------------
+
+
+def _loaded(directory: Path) -> tuple:
+    """load_corpus_dir's outcome with the order of each dict: a corpus, or the
+    type and text of the error."""
+    try:
+        corpus = load_corpus_dir(directory)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return corpus, list(corpus.researchers), list(corpus.products)
+
+
+def _by_rows(directory: Path) -> tuple:
+    """What load_corpus_dir gives when its column path declines every corpus."""
+    with mock.patch.object(corpus_module, "_load_columns", side_effect=corpus_module._Decline):
+        return _loaded(directory)
+
+
+def _with_rows_refused(monkeypatch) -> None:
+    def refuse(*args):
+        raise AssertionError("read_rows called")
+
+    monkeypatch.setattr(corpus_module, "read_rows", refuse)
+
+
+def test_a_plain_corpus_is_read_without_the_row_reader(monkeypatch):
+    expected = _by_rows(MINI)
+    assert isinstance(expected[0], Corpus)
+    _with_rows_refused(monkeypatch)
+    assert _loaded(MINI) == expected
+
+
+def test_quoted_categories_with_commas_are_read_without_the_row_reader(tmp_path, monkeypatch):
+    products = PRODUCTS.replace("Organic Chemistry;Applied Chemistry",
+                                '"Chemistry, Organic;Chemistry, Applied"')
+    root = write_corpus(tmp_path, products=products)
+    expected = _by_rows(root)
+    assert expected[0].products["P2"].wos_record.subject_categories == (
+        "Chemistry, Organic", "Chemistry, Applied")
+    _with_rows_refused(monkeypatch)
+    assert _loaded(root) == expected
+
+
+def test_a_type_error_in_the_column_path_surfaces(monkeypatch):
+    """The column path's doubts are the errors a faulty file raises; any other
+    error is a fault of the program, which falling back would hide."""
+    monkeypatch.setattr(corpus_module, "_load_columns", mock.Mock(side_effect=TypeError("bug")))
+    with pytest.raises(TypeError, match="bug"):
+        load_corpus_dir(MINI)
+
+
+# Each fault puts one text into one field of the first data row (or of every row, for
+# "*"), adds a row after the last ("row", or "copy" of the first), or replaces the
+# header: (file, where, text). R1 authors P1 and P2 in every corpus drawn.
+_FAULTS = {
+    "empty-researcher-id": ("researchers", "row", ",MAT/05,1,3"),
+    "duplicate-researcher-id": ("researchers", "row", "R1,,3,3"),
+    "quota-above-max": ("researchers", "quota", "7"),
+    "quota-negative": ("researchers", "quota", "-1"),
+    "uda-above-14": ("researchers", "uda", "15"),
+    "uda-zero": ("researchers", "uda", "0"),
+    "uda-empty": ("researchers", "uda", ""),
+    "sds-of-another-area": ("researchers", "sds", "CHIM/06"),
+    "uda-not-an-integer": ("researchers", "uda", "1.0"),
+    "unknown-kind": ("products", "kind", "poster"),
+    "empty-product-id": ("products", "row", ",book,2006,,,,,,,,,"),
+    "duplicate-product-id": ("products", "row", "P1,book,2006,,,,,,,,,"),
+    "year-not-an-integer": ("products", "year", "soon"),
+    "year-empty": ("products", "year", ""),
+    "bad-boolean": ("products", "fraud_flag", "yes"),
+    "no-categories": ("products", "wos_categories", ""),
+    "only-separators": ("products", "wos_categories", ";"),
+    "categories-alone": ("products", "*scopus_categories", "X"),
+    "no-citations": ("products", "wos_citations", ""),
+    "negative-citations": ("products", "wos_citations", "-1"),
+    "citations-not-an-integer": ("products", "scopus_citations", "many"),
+    "negative-metric": ("products", "wos_metric", "-0.5"),
+    "nan-metric": ("products", "wos_metric", "nan"),
+    "infinite-metric": ("products", "scopus_metric", "1e400"),
+    "metric-not-a-number": ("products", "wos_metric", "2,5"),
+    "journal-alone": ("products", "*scopus_journal_id", "J9"),
+    "unknown-researcher": ("authorships", "researcher_id", "R99"),
+    "unknown-product": ("authorships", "product_id", "P99"),
+    "duplicate-pair": ("authorships", "copy", ""),
+    "priority-zero": ("authorships", "declared_priority", "0"),
+    "priority-twice": ("authorships", "*declared_priority", "1"),
+    "priority-not-an-integer": ("authorships", "declared_priority", "first"),
+    "override-above-9": ("authorships", "gev_override", "10"),
+    "override-zero": ("authorships", "gev_override", "0"),
+    "short-row": ("authorships", "row", "R1,P1,"),
+    "long-row": ("researchers", "row", "R9,,1,3,extra"),
+    "bad-header": ("products", "header", "id,kind,year"),
+}
+_SCHEMAS = {"researchers": RESEARCHER_COLUMNS, "products": PRODUCT_COLUMNS,
+            "authorships": AUTHORSHIP_COLUMNS}
+_AREAS = {"": 1, "MAT/05": 1, "CHIM/06": 3, "IUS/01": 12, "XYZ/1": 14}
+_CATEGORIES = ["A", "A;B", ";A;", "Chemistry, Organic;Physics", 'The "Journal"', "X\nY", "Ä"]
+
+
+@st.composite
+def _corpus_texts(draw, fault: str | None) -> dict[str, str]:
+    """The three files of a corpus, valid or with the given fault: quoted fields, with
+    commas, quotes or line breaks, blank lines, a byte-order mark, CRLF line ends."""
+    def pick(values: list):
+        return draw(st.sampled_from(values))
+
+    rows: dict[str, list[list[str]]] = {}
+    rows["researchers"] = [[f"R{i}", sds, str(_AREAS[sds]), pick(["", "0", "2", "3", "6"])]
+                           for i, sds in enumerate(draw(st.lists(
+                               st.sampled_from(list(_AREAS)), min_size=1, max_size=4)), 1)]
+
+    def record() -> list[str]:
+        if draw(st.booleans()):
+            return ["", "", "", ""]
+        return [pick(_CATEGORIES), pick(["", "2.5", "0", "-0.0", "1e3"]), pick(["0", "14", " 7"]),
+                pick(["", "J1", "J 2"])]
+
+    rows["products"] = [[f"P{j}", pick(PRODUCT_KINDS), pick(["2006", "2010"]),
+                         pick(["", "false", "true", "0", "1", " TRUE"]), *record(), *record()]
+                        for j in range(1, draw(st.integers(2, 5)) + 1)]
+    pairs = [("R1", "P1"), ("R1", "P2")] + draw(st.lists(st.tuples(
+        st.sampled_from([r[0] for r in rows["researchers"]]),
+        st.sampled_from([p[0] for p in rows["products"]])), max_size=6))
+    pairs = sorted(set(pairs), key=pairs.index)
+    ranks: dict[str, int] = {}
+    rows["authorships"] = []
+    for rid, pid in pairs:
+        priority = ""
+        if draw(st.booleans()):
+            priority = str(ranks.setdefault(rid, 0) + 1)
+            ranks[rid] += 1
+        rows["authorships"].append([rid, pid, priority, pick(["", "1", "9"])])
+    headers = {name: list(schema) for name, schema in _SCHEMAS.items()}
+    if fault is not None:
+        name, where, text = _FAULTS[fault]
+        if where == "row":
+            rows[name].append(text.split(","))
+        elif where == "copy":
+            rows[name].append(list(rows[name][0]))
+        elif where == "header":
+            headers[name] = text.split(",")
+        else:
+            column = headers[name].index(where.lstrip("*"))
+            for row in rows[name] if where.startswith("*") else rows[name][:1]:
+                row[column] = text
+    texts = {}
+    for name in _SCHEMAS:
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator=pick(["\n", "\r\n"]),
+                            quoting=pick([csv.QUOTE_MINIMAL, csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+        writer.writerow(headers[name])
+        for row in rows[name]:
+            writer.writerow(row)
+            out.write(pick(["", "", "", "\n", "\r\n\n"]))  # blank lines
+        texts[name] = pick(["", "\ufeff"]) + out.getvalue()
+    return texts
+
+
+@pytest.mark.parametrize("fault", [None, *_FAULTS])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_the_column_path_loads_as_the_row_loops(tmp_path_factory, fault, data):
+    """Whatever the corpus, load_corpus gives what its row loops alone give: an
+    equal corpus with its dicts in the same order, or the same error. Valid
+    corpora are drawn ten to an example."""
+    for _ in range(1 if fault else 10):
+        root = tmp_path_factory.mktemp("corpus")
+        for name, text in data.draw(_corpus_texts(fault)).items():
+            (root / f"{name}.csv").write_bytes(text.encode("utf-8"))
+        assert _loaded(root) == _by_rows(root)

@@ -515,6 +515,33 @@ def test_exact_matches_linear_sum_assignment_at_scale():
         assert got.assignment == unpruned_exact(problem, pool.entries)
 
 
+def test_exact_totals_match_the_b_matching_lp_at_1000_researchers():
+    """The LP over every eligible pair, unpruned: each researcher takes at most
+    quota products, each product goes to at most one researcher. Bipartite, so
+    its optimum is integral, and independent of prune, components and tie bits."""
+    import numpy as np
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
+    problem = build_sets(*sized_instance(random.Random(1), 1000, 3000))
+    shortfall = -score_units(SHORTFALL_PENALTY)  # a filled slot's gain over an empty one
+    for pool, tag in ((problem.pool_a, EXACT_PROPOSED), (problem.pool_c, EXACT_FULL)):
+        pairs = [(rid, pid) for rid in problem.quota for pid in pool.entries[rid]]
+        row = {rid: i for i, rid in enumerate(problem.quota)}
+        products = dict.fromkeys(pid for _, pid in pairs)
+        column = {pid: len(row) + j for j, pid in enumerate(products)}
+        gains = [score_units(problem.scored[pair].score) + shortfall for pair in pairs]
+        limits = coo_matrix((np.ones(2 * len(pairs)), (
+            [row[rid] for rid, _ in pairs] + [column[pid] for _, pid in pairs],
+            list(range(len(pairs))) * 2)), shape=(len(row) + len(column), len(pairs)))
+        lp = linprog(-np.array(gains, dtype=float), A_ub=limits.tocsr(),
+                     b_ub=list(problem.quota.values()) + [1] * len(column),
+                     bounds=(0, 1), method="highs")
+        assert lp.status == 0
+        optimum = round(-lp.fun) - shortfall * sum(problem.quota.values())
+        assert optimize_exact(problem, pool, tag).total_score == optimum / 10000
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 10)))
 def test_pruning_keeps_the_canonical_optimum(instance):

@@ -5,30 +5,28 @@ violations, missing distributions, peer-review-only areas); 2 ParseError or
 OSError (IO or parse failure), or an unknown ASSESS_OPT_LOG level. Set
 ASSESS_OPT_LOG=DEBUG|INFO|... for diagnostics on stderr. Reruns on identical
 inputs produce byte-identical output files.
+
+Each command is a short process, so it imports only what it runs: logging
+only when ASSESS_OPT_LOG is set, selection and report only in errors,
+simulate and report, and matching (from selection) only for an exact engine.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import logging
 import os
 import sys
 from pathlib import Path
 
-from . import gev, reference, report, selection
+from . import gev, reference
 from .corpus import load_corpus_dir, write_rows
-from .errors import ParseError, ValidationError
+from .errors import Log, ParseError, ValidationError
 
-log = logging.getLogger("assessopt")
+log = Log("assessopt")
 
-SCENARIO_FLAGS = {
-    "1": selection.SCENARIO1,
-    "2": selection.SCENARIO2,
-    "3": selection.SCENARIO3,
-    "exact-A": selection.EXACT_PROPOSED,
-    "exact-C": selection.EXACT_FULL,
-}
+# The --scenarios tokens, in selection.SCENARIO_TAGS order.
+SCENARIO_FLAGS = ("1", "2", "3", "exact-A", "exact-C")
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -47,17 +45,16 @@ def _parse_window(text: str) -> tuple[int, int]:
 
 
 def _parse_scenarios(text: str) -> list[str]:
-    tags = []
+    tokens = []
     for token in text.split(","):
         token = token.strip()
         if token not in SCENARIO_FLAGS:
             raise argparse.ArgumentTypeError(
                 f"unknown scenario {token!r}; pick from {', '.join(SCENARIO_FLAGS)}"
             )
-        tag = SCENARIO_FLAGS[token]
-        if tag not in tags:
-            tags.append(tag)
-    return tags
+        if token not in tokens:
+            tokens.append(token)
+    return tokens
 
 
 def _add_input_args(parser: argparse.ArgumentParser) -> None:
@@ -85,14 +82,16 @@ def _load_and_score(args):
     return corpus, gev.score_corpus(corpus, profiles, library, args.window)
 
 
-def _run_pipeline(args, tags: list[str]):
+def _run_pipeline(args, tokens: list[str]):
+    from . import selection
     problem = selection.build_sets(*_load_and_score(args))
     log.info("%d active researchers; eligible pairs: pool A %d, pool C %d",
              len(problem.quota), sum(map(len, problem.pool_a.entries.values())),
              sum(map(len, problem.pool_c.entries.values())))
     errors = selection.error_metrics(problem)
     selections = {}
-    for tag in tags:
+    for token in tokens:
+        tag = selection.SCENARIO_TAGS[SCENARIO_FLAGS.index(token)]
         selections[tag] = selection.RUNNERS[tag](problem)
         log.info("%s: total score %g", tag, selections[tag].total_score)
     return problem, errors, selections
@@ -121,6 +120,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_errors(args) -> int:
+    from . import selection
     _, errors, _ = _run_pipeline(args, [])
     selection.write_errors(errors, args.output)
     print(f"wrote error metrics for {len(errors)} researchers to {args.output}")
@@ -130,6 +130,7 @@ def cmd_errors(args) -> int:
 def cmd_simulate(args) -> int:
     """simulate and report: write report.md, plus report.csv when scenarios 1-3
     all ran; simulate also writes scored.csv, selection.csv and errors.csv."""
+    from . import report, selection
     problem, errors, selections = _run_pipeline(args, args.scenarios)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -146,8 +147,8 @@ def cmd_simulate(args) -> int:
     gev.write_scored(problem.scored, outdir / "scored.csv")
     selection.write_selections(problem, selections, outdir / "selection.csv")
     selection.write_errors(errors, outdir / "errors.csv")
-    for tag in args.scenarios:
-        print(f"{tag}: total score {selections[tag].total_score:g}")
+    for tag, chosen in selections.items():
+        print(f"{tag}: total score {chosen.total_score:g}")
     print(f"outputs in {outdir}")
     return 0
 
@@ -184,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         _add_input_args(p)
         p.add_argument("--scenarios", type=_parse_scenarios,
-                       default=list(SCENARIO_FLAGS.values()),
+                       default=list(SCENARIO_FLAGS),
                        help="comma list from: 1,2,3,exact-A,exact-C")
         p.add_argument("-o", "--output", required=True, help="output directory")
         p.set_defaults(func=cmd_simulate)
@@ -193,15 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("ASSESS_OPT_LOG") or "WARNING"
-    if not isinstance(logging.getLevelName(level.upper()), int):
-        print(f"error: ASSESS_OPT_LOG: unknown level {level!r}", file=sys.stderr)
-        return 2
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=level.upper(),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    level = os.environ.get("ASSESS_OPT_LOG")
+    if level:  # until something imports logging, errors.Log drops every record
+        import logging
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            print(f"error: ASSESS_OPT_LOG: unknown level {level!r}", file=sys.stderr)
+            return 2
+        logging.basicConfig(stream=sys.stderr, level=level.upper(),
+                            format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     # A run's records hold no reference cycles: collecting would only rescan them.

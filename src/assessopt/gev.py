@@ -9,7 +9,6 @@ product is a pure function of (product, profile, reference library, window).
 from __future__ import annotations
 
 import json
-import logging
 from bisect import bisect_left, bisect_right
 from pathlib import Path
 from types import MappingProxyType
@@ -18,10 +17,10 @@ from typing import Mapping, NamedTuple
 from . import reference
 from .corpus import BIBLIOMETRIC_UDAS, PRODUCT_KINDS, Corpus, IndexRecord, Product
 from .corpus import boolean, echo, format_number, number_texts, write_rows
-from .errors import ParseError, ValidationError
+from .errors import Log, ParseError, ValidationError
 from .reference import DistributionKey, ReferenceLibrary, classify
 
-log = logging.getLogger(__name__)
+log = Log(__name__)
 
 DEFAULT_WINDOW = (2004, 2010)
 

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import NotPlain, bad_field, format_number, number, read_plain_lines, read_rows
 from .corpus import write_rows
-from .errors import ParseError
+from .errors import Log, ParseError
 
 JOURNAL_METRIC = "journal-metric"
 CITATIONS = "citations"
@@ -146,8 +146,7 @@ def load_worldvalues(path: str | Path) -> dict[DistributionKey, ClassThresholds]
     except (ValueError, ParseError):  # a bad field or not 5 fields: read up to this line
         reason, skip = f"{file}:{line_no}: faulty line", line_no - 2
     if skip is not None:
-        import logging  # loaded by the CLI already
-        logging.getLogger(__name__).info("%s; reading row by row", reason)
+        Log(__name__).info("%s; reading row by row", reason)
         buckets: dict[tuple, array] = {}
         for line, row in read_rows(path, WORLDVALUE_COLUMNS, skip):
             text = row.pop()

@@ -15,17 +15,16 @@ rule (see optimize_exact) fixes which optimum it reports.
 
 from __future__ import annotations
 
-import logging
 from itertools import groupby
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from . import matching
 from .corpus import BIBLIOMETRIC_UDAS, Corpus, Product, format_number, number_texts, write_rows
+from .errors import Log
 from .gev import ScoredProduct
 
-log = logging.getLogger(__name__)
+log = Log(__name__)
 
 SCORE_SCALE = 10000
 SHORTFALL_PENALTY = -0.5
@@ -371,6 +370,7 @@ def optimize_exact(problem: SelectionProblem, pool: Pool, tag: str) -> Selection
     A component numbers its own pairs in that same order; the bit positions
     of different components are disjoint, so the objective is separable.
     """
+    from . import matching  # only a run of an exact engine loads the solver
     kept, holders, passes = matching.prune(pool.entries, problem.quota, pool.holders)
     room = dict(problem.quota)
     owner: dict[str, str] = {}  # product -> the researcher it is assigned to

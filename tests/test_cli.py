@@ -595,6 +595,91 @@ def test_build_dist_logs_a_quoted_worldvalues_file_only(tmp_path, caplog, capsys
     )]
 
 
+# Runs main in a fresh interpreter and prints, as the last line of stdout,
+# the modules that the import of the CLI and the command loaded.
+_MAIN_THEN_MODULES = """
+import sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv.pop(1))
+from assessopt.cli import main
+code = main(sys.argv[1:])
+print(*set(sys.modules) - before)
+sys.exit(code)
+"""
+LAZY_MODULES = {"logging", "assessopt.selection", "assessopt.report", "assessopt.matching"}
+
+
+def _fresh_main(args: list[str], log_level: str | None = None):
+    """Run main on args in a fresh process, with ASSESS_OPT_LOG set to
+    log_level or unset; return the process, its stdout before the module
+    line, and the modules of LAZY_MODULES it loaded."""
+    env = {name: value for name, value in os.environ.items() if name != "ASSESS_OPT_LOG"}
+    if log_level is not None:
+        env["ASSESS_OPT_LOG"] = log_level
+    src = str(Path(assessopt.__file__).parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-c", _MAIN_THEN_MODULES, src, *args],
+        capture_output=True, text=True, timeout=120, env=env)
+    *lines, loaded = run.stdout.splitlines()
+    return run, lines, set(loaded.split()) & LAZY_MODULES
+
+
+@pytest.mark.parametrize("command, options, loaded", [
+    ("validate", [], set()),
+    ("score", ["-o", "{tmp}/scored.csv"], set()),
+    ("errors", ["-o", "{tmp}/errors.csv"], {"assessopt.selection"}),
+    ("simulate", ["--scenarios", "1,2,3", "-o", "{tmp}/out"],
+     {"assessopt.selection", "assessopt.report"}),
+    ("simulate", ["--scenarios", "1,2,3,exact-A,exact-C", "-o", "{tmp}/out"],
+     {"assessopt.selection", "assessopt.report", "assessopt.matching"}),
+], ids=["validate", "score", "errors", "simulate-1,2,3", "simulate-all"])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, command, options, loaded):
+    """With ASSESS_OPT_LOG unset no command loads logging; selection and report
+    load only where they run, and matching only for an exact engine."""
+    options = [option.format(tmp=tmp_path) for option in options]
+    run, _, modules = _fresh_main([command, *MINI_ARGS, *options])
+    assert (run.returncode, run.stderr) == (0, "")
+    assert modules == loaded
+    if "1,2,3,exact-A,exact-C" in options:  # the golden run
+        for name in OUTPUT_FILES:
+            assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# score's stderr on mini_university with ASSESS_OPT_LOG=INFO, as written when
+# every module logged through logging.getLogger.
+_SCORE_INFO = (
+    "INFO assessopt: corpus: 12 researchers, 39 products, 43 authorships\n"
+    "INFO assessopt: reference: 54 distributions, 2 merge-map entries\n"
+    "INFO assessopt.gev: scored 43 authorships, 39 distinct (product, panel) pairs\n"
+)
+
+
+@pytest.mark.parametrize("level", [None, "INFO"], ids=["unset", "INFO"])
+def test_log_lines_reach_stderr_only_on_request(tmp_path, level):
+    """ASSESS_OPT_LOG=INFO writes every stage line and the reference decline
+    line to stderr in a fresh process; unset, stderr stays empty and logging
+    is never imported. The outputs are the same either way."""
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text(",".join(WORLDVALUE_COLUMNS) + '\ncitations,"X",2006,any,3\n',
+                      encoding="utf-8")
+    score, score_out, score_modules = _fresh_main(
+        ["score", *MINI_ARGS, "-o", str(tmp_path / "scored.csv")], level)
+    dist, dist_out, dist_modules = _fresh_main(
+        ["build-dist", "--worldvalues", str(quoted), "-o", str(tmp_path / "t.csv")], level)
+    assert (score.returncode, dist.returncode) == (0, 0)
+    assert score_out == [f"scored 43 authorships to {tmp_path / 'scored.csv'}"]
+    assert dist_out == [f"wrote 1 distributions to {tmp_path / 't.csv'}"]
+    assert (tmp_path / "scored.csv").read_bytes() == (GOLDEN / "scored.csv").read_bytes()
+    if level is None:
+        assert (score.stderr, dist.stderr) == ("", "")
+        assert score_modules == dist_modules == set()
+    else:
+        assert score.stderr == _SCORE_INFO
+        assert dist.stderr == (
+            f"INFO assessopt.reference: {quoted}:2: quoted field; reading row by row\n")
+        assert score_modules == dist_modules == {"logging"}
+
+
 def test_simulate_writes_all_outputs_and_matches_golden(tmp_path):
     out = tmp_path / "out"
     code = main([
@@ -661,8 +746,8 @@ def test_simulate_logs_each_stage(tmp_path, caplog, capsys):
     assert len(pairs) < len(rows)  # the fixture has co-authors on one panel
     assert (f"scored {len(rows)} authorships, {len(pairs)} distinct (product, panel) pairs"
             in messages)
-    assert [r.name for r in caplog.records if r.getMessage().startswith("scored ")] == [
-        "assessopt.gev"]
+    assert [(r.name, r.funcName) for r in caplog.records
+            if r.getMessage().startswith("scored ")] == [("assessopt.gev", "score_corpus")]
     assert any("active researchers" in m for m in messages)
     for tag in selection.SCENARIO_TAGS:
         assert f"{tag}: total score" in stdout

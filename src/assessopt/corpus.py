@@ -1,8 +1,8 @@
 """Institutional corpus: roster, products, authorships, validation, and the CSV layer.
 
-Every CSV the program reads or writes goes through read_rows (read_plain_lines reads the plain
-lines of a worldvalues.csv, _chunks a corpus with no fault) and write_rows. read_rows yields
-each row as a list of its parsed fields in schema order; loaders build records by position.
+Every CSV the program reads or writes goes through read_rows (read_plain_lines and split_line
+read a worldvalues.csv by lines, _chunks a corpus with no fault) and write_rows. read_rows
+yields each row as a list of its parsed fields in schema order; loaders build records by position.
 
 A corpus is the institution's data only, immutable after loading; the rules
 of the exercise that judge it (its years, the kinds each panel accepts) live in
@@ -149,22 +149,15 @@ def echo(text: str) -> str:
     return text if len(text) <= 60 else text[:60] + "..."
 
 
-def bad_field(column: str, parse: Callable[[str], object], text: str,
-              file: str, line: int) -> ParseError:
-    """The error for a field that parse rejected with ValueError."""
-    return ParseError(f"{column} is not {_EXPECTED[parse]}: {echo(repr(text))}",
-                      file=file, line=line)
-
-
 def read_rows(
-    path: Path, schema: dict[str, Callable[[str], object]], skip: int = 0
+    path: Path, schema: dict[str, Callable[[str], object]]
 ) -> Iterator[tuple[int, list]]:
     """Yield a CSV's rows as (line, fields) pairs, one at a time, enforcing the
     schema's exact header. fields is a list of the parsed fields in schema order.
 
     A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped, and
-    so are blank lines and the skip lines after the header that the caller has read.
-    A field its parser rejects is a ParseError naming the file, line and column.
+    so are blank lines. A field its parser rejects is a ParseError naming the file,
+    line and column.
     """
     if not path.exists():
         raise ParseError("file not found", file=str(path))
@@ -182,26 +175,34 @@ def read_rows(
                 raise ParseError(
                     f"bad header {header!r}, expected {columns!r}", file=str(path), line=1
                 )
-            next(islice(fh, skip, skip), None)  # passes over skip lines
             for row in reader:
                 if len(row) != width:
                     if not row:
                         continue
                     raise ParseError(f"expected {width} fields, got {len(row)}",
-                                     file=str(path), line=skip + reader.line_num)
+                                     file=str(path), line=reader.line_num)
                 for i, parse in typed:
                     try:
                         row[i] = parse(row[i])
                     except ValueError:
-                        raise bad_field(columns[i], parse, row[i], str(path),
-                                        skip + reader.line_num) from None
-                yield skip + reader.line_num, row
+                        message = f"{columns[i]} is not {_EXPECTED[parse]}: {echo(repr(row[i]))}"
+                        raise ParseError(message, str(path), reader.line_num) from None
+                yield reader.line_num, row
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise ParseError(str(exc), file=str(path), line=skip + reader.line_num) from None
+        raise ParseError(str(exc), file=str(path), line=reader.line_num) from None
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})", file=str(path)
         ) from None
+
+
+def split_line(line: str) -> list[str]:
+    """The fields that csv.reader reads in line; a quote still open at its end takes
+    the rest. csv.Error, as Python 3.10 raises at a NUL, is raised as ValueError."""
+    try:
+        return next(csv.reader((line,)))
+    except csv.Error as exc:
+        raise ValueError(str(exc)) from None
 
 
 class NotPlain(ParseError):
@@ -211,24 +212,24 @@ class NotPlain(ParseError):
 def read_plain_lines(path: Path, schema: dict) -> Iterator[tuple[int, list[str]]]:
     """Yield a CSV's lines after its header, line ends kept, in batches of (number of
     the first line, lines), and raise NotPlain at the first batch that is not plain.
-    A plain file has the schema's header and no quote, NUL (Python 3.10's csv rejects
-    it) or overlong line: csv.reader would read each line as a row split at its commas."""
+    A plain file has the schema's header, as split_line reads it, and no NUL (Python
+    3.10's csv rejects it) or line over csv.field_size_limit(); it may hold quotes."""
     file, limit, line_no = str(path), csv.field_size_limit(), 1
 
-    def odd(text: str) -> bool:  # a quote, a NUL, or over csv.field_size_limit()
-        return '"' in text or "\0" in text or len(text) > limit
+    def odd(text: str) -> bool:
+        return "\0" in text or len(text) > limit
 
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            if next(fh, "").rstrip("\r\n") != ",".join(schema):
+            header = next(fh, "")
+            if odd(header) or split_line(header) != list(schema):
                 raise NotPlain("not the expected header", file, line_no)
             line_no = 2
             while lines := fh.readlines(1 << 14):
                 if odd("".join(lines)):  # the whole batch at once, then each line
                     for n, line in enumerate(lines, line_no):
                         if odd(line):
-                            raise NotPlain("quoted field" if '"' in line else
-                                           "NUL or line over the field limit", file, n)
+                            raise NotPlain("NUL or line over the field limit", file, n)
                 yield line_no, lines
                 line_no += len(lines)
     except UnicodeDecodeError:

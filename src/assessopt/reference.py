@@ -13,7 +13,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import NotPlain, bad_field, format_number, number, read_plain_lines, read_rows
+from .corpus import NotPlain, format_number, number, read_plain_lines, read_rows, split_line
 from .corpus import write_rows
 from .errors import Log, ParseError
 
@@ -22,10 +22,8 @@ CITATIONS = "citations"
 INDICATORS = (JOURNAL_METRIC, CITATIONS)
 DOC_SPLITS = ("any", "article", "review")
 
-# worldvalues.csv is read in bulk, so load_worldvalues parses its year once per
-# key text, and its value as a bare float whose range it checks.
 WORLDVALUE_COLUMNS = {
-    "indicator": str, "category_group": str, "year": str, "doc_split": str, "value": str,
+    "indicator": str, "category_group": str, "year": int, "doc_split": str, "value": float,
 }
 THRESHOLD_COLUMNS = {
     "indicator": str, "category_group": str, "year": int, "doc_split": str,
@@ -114,19 +112,17 @@ def _distribution_key(fields: Sequence, file: str, line: int) -> DistributionKey
 def load_worldvalues(path: str | Path) -> dict[DistributionKey, ClassThresholds]:
     """Read raw world values (one per row) and compute thresholds per key.
 
-    Each key's values are held as 8-byte floats in one array. Many rows share
-    a key text: each distinct one is parsed and checked once, and key texts
-    naming one key (" 2006" and "2006", "" and "any") share its array.
-    Plain lines (see corpus.read_plain_lines) are read one by one, a key text
-    being all before the last comma. From the first batch that is not plain,
-    or the first faulty line, read_rows reads the rest and names any fault.
+    Each key's values are held as 8-byte floats in one array. Many lines share a
+    key text, all before the last comma: the first line with it is split and
+    checked, and key texts naming one key (" 2006" and "2006", "" and "any")
+    share its array. If read_plain_lines declines the file, or a line is not one
+    whole record or is faulty, read_rows reads it again from line 2 to name a fault.
     """
     from array import array  # a shared library (~0.1 MB resident): loaded only where used
     path = Path(path)
     file = str(path)
     values: dict[DistributionKey, array] = {}
     appends = {}  # key text -> the append of its key's array
-    first, lines, skip = 2, [], None
     try:
         for first, lines in read_plain_lines(path, WORLDVALUE_COLUMNS):
             for line_no, line in enumerate(lines, first):
@@ -135,39 +131,29 @@ def load_worldvalues(path: str | Path) -> dict[DistributionKey, ClassThresholds]
                 if append is None:
                     if not line.strip("\r\n"):
                         continue  # a blank line, which read_rows skips too
-                    indicator, group, year, split = key_text.split(",")
+                    indicator, group, year, split, last = split_line(line)
+                    if last != text.rstrip("\r\n"):  # a quoted value may hold the last comma
+                        raise ValueError(last)
                     key = _distribution_key((indicator, group, int(year), split), file, line_no)
                     append = appends[key_text] = values.setdefault(key, array("d")).append
                 if not 0 <= (value := float(text)) < math.inf:
                     raise ValueError(text)
                 append(value)
-    except NotPlain as exc:  # raised before its batch: the lines before it are read
-        reason, skip = str(exc), first + len(lines) - 2
-    except (ValueError, ParseError):  # a bad field or not 5 fields: read up to this line
-        reason, skip = f"{file}:{line_no}: faulty line", line_no - 2
-    if skip is not None:
+        reason = None
+    except NotPlain as exc:
+        reason = str(exc)
+    except (ValueError, ParseError):  # not 5 fields on one line, or a bad field
+        reason = f"{file}:{line_no}: not a one-line record"
+    if reason:
         Log(__name__).info("%s; reading row by row", reason)
-        buckets: dict[tuple, array] = {}
-        for line, row in read_rows(path, WORLDVALUE_COLUMNS, skip):
-            text = row.pop()
-            key_text = tuple(row)
-            bucket = buckets.get(key_text)
-            if bucket is None:  # on one line, year is checked first, then value, then the key
-                try:
-                    row[2] = int(row[2])
-                except ValueError:
-                    raise bad_field("year", int, row[2], file, line) from None
-            try:
-                value = float(text)
-            except ValueError:
-                raise bad_field("value", float, text, file, line) from None
-            if bucket is None:
-                key = _distribution_key(row, file, line)
-                bucket = buckets[key_text] = values.setdefault(key, array("d"))
+        values = {}
+        for line, row in read_rows(path, WORLDVALUE_COLUMNS):
+            value = row.pop()
+            key = _distribution_key(row, file, line)
             if not 0 <= value < math.inf:
                 raise ParseError(f"value is not a finite non-negative number: {value}",
                                  file=file, line=line)
-            bucket.append(value)
+            values.setdefault(key, array("d")).append(value)
     return {key: build_thresholds(vals) for key, vals in values.items()}
 
 

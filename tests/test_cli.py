@@ -422,8 +422,6 @@ TYPED_COLUMNS = [
     )
     for column, parse in schema.items()
     if parse is not str
-] + [  # load_worldvalues parses these text columns itself
-    ("ref/worldvalues.csv", "year"), ("ref/worldvalues.csv", "value"),
 ]
 
 
@@ -573,25 +571,25 @@ def test_build_dist_without_data_rows_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_build_dist_logs_a_quoted_worldvalues_file_only(tmp_path, caplog, capsys):
-    """A file the line-by-line reader declines is logged once, at INFO and on no
-    output, and read row by row to the same thresholds; a plain file logs nothing."""
+def test_build_dist_logs_a_two_line_worldvalues_record_only(tmp_path, caplog, capsys):
+    """A file with a record over two lines is logged once, at INFO and on no output,
+    and read row by row to the same thresholds; a plain or a quoted file logs nothing."""
     caplog.set_level(logging.INFO, logger="assessopt")
-    rows = ["citations,X,2006,any,1", "citations,X,2006,any,2", 'citations,"X",2006,any,3']
+    last = {"plain": "citations,X,2006,any,3", "quoted": 'citations,"X",2006,any,3',
+            "two-line": 'citations,X,"2006\n",any,3'}
     outputs = {}
-    for name in ("plain", "quoted"):
+    for name, row in last.items():
         src = tmp_path / f"{name}.csv"
-        lines = rows if name == "quoted" else [row.replace('"', "") for row in rows]
-        src.write_text(",".join(WORLDVALUE_COLUMNS) + "\n" + "\n".join(lines) + "\n",
-                       encoding="utf-8")
+        src.write_text(",".join(WORLDVALUE_COLUMNS) + "\ncitations,X,2006,any,1\n"
+                       f"citations,X,2006,any,2\n{row}\n", encoding="utf-8")
         out = tmp_path / f"{name}-thresholds.csv"
         assert main(["build-dist", "--worldvalues", str(src), "-o", str(out)]) == 0
         assert capsys.readouterr().out == f"wrote 1 distributions to {out}\n"
         outputs[name] = out.read_bytes()
-    assert outputs["quoted"] == outputs["plain"]
+    assert outputs["two-line"] == outputs["quoted"] == outputs["plain"]
     assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [(
         "assessopt.reference", "INFO",
-        f"{tmp_path / 'quoted.csv'}:4: quoted field; reading row by row",
+        f"{tmp_path / 'two-line.csv'}:4: not a one-line record; reading row by row",
     )]
 
 
@@ -659,13 +657,13 @@ def test_log_lines_reach_stderr_only_on_request(tmp_path, level):
     """ASSESS_OPT_LOG=INFO writes every stage line and the reference decline
     line to stderr in a fresh process; unset, stderr stays empty and logging
     is never imported. The outputs are the same either way."""
-    quoted = tmp_path / "quoted.csv"
-    quoted.write_text(",".join(WORLDVALUE_COLUMNS) + '\ncitations,"X",2006,any,3\n',
-                      encoding="utf-8")
+    two_line = tmp_path / "two-line.csv"
+    two_line.write_text(",".join(WORLDVALUE_COLUMNS) + '\ncitations,X,"2006\n",any,3\n',
+                        encoding="utf-8")
     score, score_out, score_modules = _fresh_main(
         ["score", *MINI_ARGS, "-o", str(tmp_path / "scored.csv")], level)
     dist, dist_out, dist_modules = _fresh_main(
-        ["build-dist", "--worldvalues", str(quoted), "-o", str(tmp_path / "t.csv")], level)
+        ["build-dist", "--worldvalues", str(two_line), "-o", str(tmp_path / "t.csv")], level)
     assert (score.returncode, dist.returncode) == (0, 0)
     assert score_out == [f"scored 43 authorships to {tmp_path / 'scored.csv'}"]
     assert dist_out == [f"wrote 1 distributions to {tmp_path / 't.csv'}"]
@@ -676,7 +674,7 @@ def test_log_lines_reach_stderr_only_on_request(tmp_path, level):
     else:
         assert score.stderr == _SCORE_INFO
         assert dist.stderr == (
-            f"INFO assessopt.reference: {quoted}:2: quoted field; reading row by row\n")
+            f"INFO assessopt.reference: {two_line}:2: not a one-line record; reading row by row\n")
         assert score_modules == dist_modules == {"logging"}
 
 

@@ -251,7 +251,7 @@ def test_worldvalues_fault_on_the_last_of_10000_plain_lines(tmp_path, last, mess
 
 @pytest.mark.parametrize("text, declined, sizes", [
     (HEADER + 'citations,"X, Y",2006,any,1\ncitations,X,2006,,2\ncitations,"X, Y",2006,,3\n',
-     True, [1, 2]),
+     False, [1, 2]),
     (HEADER + 'citations,"X\nY",2006,any,1\ncitations,"X\nY",2006,any,2\n', True, [2]),
     ("\ufeff" + (HEADER + "citations,X,2006,any,1\ncitations,X,2006,,2\n\n\n")
      .replace("\n", "\r\n"),
@@ -283,30 +283,55 @@ def test_a_plain_file_is_read_without_the_row_reader(tmp_path, monkeypatch):
     }
 
 
-def test_the_row_reader_reads_on_from_the_first_batch_that_is_not_plain(tmp_path, caplog):
-    """A late quote leaves only its batch and the rest to the row reader, which
-    still numbers the lines of the whole file."""
+def test_a_declined_file_is_read_again_from_line_2(tmp_path, caplog):
+    """A record over two lines late in the file sends the whole file to the row
+    reader, once, which names the fault after it by its line in the file."""
     path = tmp_path / "worldvalues.csv"
-    rows = [f"citations,X{i % 4},2006,any,{i}" for i in range(10_000)]
-    rows[-2] = 'citations,"X2",2006,any,9998'
+    rows = [f"citations,X{i % 4},2006,any,{i}" for i in range(9_998)]
+    rows.append('citations,"X2\nY",2006,any,1')  # lines 10,000 and 10,001
     path.write_text(HEADER + "\n".join(rows) + "\ncitations,X1,2006,any,many\n", encoding="utf-8")
-    skips, read_rows = [], reference.read_rows
+    calls, read_rows = [], reference.read_rows
 
-    def recorded(path, schema, skip=0):
-        skips.append(skip)
-        return read_rows(path, schema, skip)
+    def recorded(*args):
+        calls.append(args)
+        return read_rows(*args)
 
     with mock.patch.object(reference, "read_rows", recorded), \
             caplog.at_level(logging.INFO, logger="assessopt.reference"), \
             pytest.raises(ParseError) as exc:
         load_worldvalues(path)
     assert str(exc.value) == f"{path}:10002: value is not a number: 'many'"
-    assert caplog.messages == [f"{path}:10000: quoted field; reading row by row"]
-    assert len(skips) == 1 and 9_000 < skips[0] <= 9_998
+    assert caplog.messages == [f"{path}:10000: not a one-line record; reading row by row"]
+    assert calls == [(path, reference.WORLDVALUE_COLUMNS)]
     path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
     thresholds = load_worldvalues(path)
     assert thresholds == _by_rows(path)
-    assert [t.n for t in thresholds.values()] == [2_500] * 4
+    assert sorted(t.n for t in thresholds.values()) == [1, 2_499, 2_499, 2_500, 2_500]
+
+
+@pytest.mark.parametrize("quoting", [csv.QUOTE_MINIMAL, csv.QUOTE_NONNUMERIC],
+                         ids=["quoted-comma-groups", "quote-nonnumeric"])
+def test_quoted_files_are_read_without_the_row_reader(tmp_path, monkeypatch, quoting):
+    """Subject categories hold commas, so a real worldvalues.csv quotes them, and
+    R's write.csv quotes every text, the header too: each loads by lines to the
+    thresholds of the same values, as a plain file would give them."""
+    groups = ["Chemistry, Physical", "Engineering, Electrical & Electronic", "Physics"]
+    records = [(INDICATORS[i % 2], groups[i % 3], 2006 + i % 2, DOC_SPLITS[i % 3], i / 4)
+               for i in range(3_000)]
+    path = tmp_path / "worldvalues.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, quoting=quoting)
+        writer.writerow(reference.WORLDVALUE_COLUMNS)
+        writer.writerows(records)
+    plain: dict[DistributionKey, list[float]] = {}
+    for *key, value in records:
+        plain.setdefault(DistributionKey(*key), []).append(value)
+
+    def refuse(*args):
+        raise AssertionError("read_rows called")
+
+    monkeypatch.setattr(reference, "read_rows", refuse)
+    assert load_worldvalues(path) == {key: build_thresholds(v) for key, v in plain.items()}
 
 
 @pytest.mark.parametrize("name, data, reason", [
@@ -316,6 +341,12 @@ def test_the_row_reader_reads_on_from_the_first_batch_that_is_not_plain(tmp_path
     ("header.csv", b"indicator,category_group,year,value\n", "not the expected header"),
     ("nul.csv", (HEADER + "citations,X,2006,any,1\ncitations,X\0,2006,any,2\n").encode(),
      "NUL or line over the field limit"),
+    ("nul-header.csv", (HEADER.replace("year", "ye\0ar") + "citations,X,2006,any,1\n").encode(),
+     "not the expected header"),
+    # the text after line 2's last comma reads as a float, but that comma is in a
+    # quoted value that goes on to line 3, which alone would be a whole record
+    ("comma-value.csv", (HEADER + 'citations,X,2006,any,"x,1\ncitations,"X",2006,any,2\n')
+     .encode(), "not a one-line record"),
 ])
 def test_worldvalues_decline_is_logged_with_its_reason(tmp_path, caplog, name, data, reason):
     """Each decline names its reason, and the line where one is known; the row
@@ -328,7 +359,8 @@ def test_worldvalues_decline_is_logged_with_its_reason(tmp_path, caplog, name, d
             outcome = load_worldvalues(path)
         except ParseError as exc:
             outcome = str(exc)
-    line = {"header.csv": ":1", "nul.csv": ":3"}.get(name, "")
+    line = {"header.csv": ":1", "nul.csv": ":3", "nul-header.csv": ":1",
+            "comma-value.csv": ":2"}.get(name, "")
     assert caplog.messages == [f"{path}{line}: {reason}; reading row by row"]
     assert outcome == _by_rows(path)
 
@@ -387,11 +419,11 @@ def test_worldvalues_read_by_lines_as_by_rows(tmp_path_factory, text):
 
 
 def _many_values(path: Path, count: int, quoted: bool) -> None:
-    """count values over four keys; quoted puts the first line's group in quotes,
-    so the line-by-line reader leaves the whole file to the row reader."""
+    """count values over four keys; quoted puts the first record's year in quotes
+    over two lines, so the row reader reads the whole file."""
     rows = [f"citations,X{i % 4},2006,any,{i}" for i in range(count)]
     if quoted:
-        rows[0] = 'citations,"X0",2006,any,0'
+        rows[0] = 'citations,X0,"2006\n",any,0'
     path.write_text("indicator,category_group,year,doc_split,value\n" + "\n".join(rows) + "\n",
                     encoding="utf-8")
 

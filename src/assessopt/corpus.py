@@ -1,8 +1,9 @@
 """Institutional corpus: roster, products, authorships, validation, and the CSV layer.
 
-Every CSV the program reads or writes goes through read_rows (read_plain_lines and split_line
-read a worldvalues.csv by lines, _chunks a corpus with no fault) and write_rows. read_rows
-yields each row as a list of its parsed fields in schema order; loaders build records by position.
+Every CSV the program reads goes through read_lines (read_rows reads on by rows from its first
+line; a worldvalues.csv is read by lines) or _chunks (a corpus with no fault), and every one it
+writes through write_rows. read_rows yields each row as a list of its parsed fields in schema
+order; loaders build records by position.
 
 A corpus is the institution's data only, immutable after loading; the rules
 of the exercise that judge it (its years, the kinds each panel accepts) live in
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -149,93 +150,69 @@ def echo(text: str) -> str:
     return text if len(text) <= 60 else text[:60] + "..."
 
 
-def read_rows(
-    path: Path, schema: dict[str, Callable[[str], object]]
-) -> Iterator[tuple[int, list]]:
-    """Yield a CSV's rows as (line, fields) pairs, one at a time, enforcing the
-    schema's exact header. fields is a list of the parsed fields in schema order.
+@contextmanager
+def read_lines(path: Path, schema: dict) -> Iterator[tuple[Iterator, Callable, int]]:
+    """A CSV's lines after its header as (line, text) pairs, line ends kept; with
+    rows_from(line, text), which yields the rows that read_rows yields from that line
+    on, a csv.reader reading text and then the lines; and csv.field_size_limit().
 
-    A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped, and
-    so are blank lines. A field its parser rejects is a ParseError naming the file,
-    line and column.
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped. A
+    missing or empty file, a header other than the schema's columns and text that is
+    not UTF-8 are ParseErrors.
     """
-    if not path.exists():
-        raise ParseError("file not found", file=str(path))
-    columns = list(schema)
-    width = len(columns)
+    file, columns, width = str(path), list(schema), len(schema)
     typed = [(i, parse) for i, parse in enumerate(schema.values()) if parse is not str]
+    if not path.exists():
+        raise ParseError("file not found", file=file)
+
+    def rows_from(first: int, text: str) -> Iterator[tuple[int, list]]:
+        reader, offset = csv.reader(chain((text,), rest)), first - 1
+        try:
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    raise ParseError(f"expected {width} fields, got {len(row)}",
+                                     file, offset + reader.line_num)
+                for i, parse in typed:
+                    try:
+                        row[i] = parse(row[i])
+                    except ValueError:
+                        message = f"{columns[i]} is not {_EXPECTED[parse]}: {echo(repr(row[i]))}"
+                        raise ParseError(message, file, offset + reader.line_num) from None
+                yield offset + reader.line_num, row
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise ParseError(str(exc), file, offset + reader.line_num) from None
+
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
             except StopIteration:
-                raise ParseError("empty file, header row required", file=str(path)) from None
+                raise ParseError("empty file, header row required", file=file) from None
+            except csv.Error as exc:
+                raise ParseError(str(exc), file, reader.line_num) from None
             if header != columns:
-                raise ParseError(
-                    f"bad header {header!r}, expected {columns!r}", file=str(path), line=1
-                )
-            for row in reader:
-                if len(row) != width:
-                    if not row:
-                        continue
-                    raise ParseError(f"expected {width} fields, got {len(row)}",
-                                     file=str(path), line=reader.line_num)
-                for i, parse in typed:
-                    try:
-                        row[i] = parse(row[i])
-                    except ValueError:
-                        message = f"{columns[i]} is not {_EXPECTED[parse]}: {echo(repr(row[i]))}"
-                        raise ParseError(message, str(path), reader.line_num) from None
-                yield reader.line_num, row
-    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-        raise ParseError(str(exc), file=str(path), line=reader.line_num) from None
+                raise ParseError(f"bad header {header!r}, expected {columns!r}", file, 1)
+            lines = enumerate(fh, 2)  # a valid header is one line
+            rest = map(itemgetter(1), lines)
+            yield lines, rows_from, csv.field_size_limit()
     except UnicodeDecodeError as exc:
         raise ParseError(
-            f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})", file=str(path)
+            f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})", file=file
         ) from None
 
 
-def split_line(line: str) -> list[str]:
-    """The fields that csv.reader reads in line; a quote still open at its end takes
-    the rest. csv.Error, as Python 3.10 raises at a NUL, is raised as ValueError."""
-    try:
-        return next(csv.reader((line,)))
-    except csv.Error as exc:
-        raise ValueError(str(exc)) from None
-
-
-class NotPlain(ParseError):
-    """A file that read_plain_lines leaves to read_rows."""
-
-
-def read_plain_lines(path: Path, schema: dict) -> Iterator[tuple[int, list[str]]]:
-    """Yield a CSV's lines after its header, line ends kept, in batches of (number of
-    the first line, lines), and raise NotPlain at the first batch that is not plain.
-    A plain file has the schema's header, as split_line reads it, and no NUL (Python
-    3.10's csv rejects it) or line over csv.field_size_limit(); it may hold quotes."""
-    file, limit, line_no = str(path), csv.field_size_limit(), 1
-
-    def odd(text: str) -> bool:
-        return "\0" in text or len(text) > limit
-
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            header = next(fh, "")
-            if odd(header) or split_line(header) != list(schema):
-                raise NotPlain("not the expected header", file, line_no)
-            line_no = 2
-            while lines := fh.readlines(1 << 14):
-                if odd("".join(lines)):  # the whole batch at once, then each line
-                    for n, line in enumerate(lines, line_no):
-                        if odd(line):
-                            raise NotPlain("NUL or line over the field limit", file, n)
-                yield line_no, lines
-                line_no += len(lines)
-    except UnicodeDecodeError:
-        raise NotPlain(f"not UTF-8 text at line {line_no} or after it", file) from None
-    except (OSError, ValueError):  # e.g. a missing file, or a NUL in its name
-        raise NotPlain("cannot be opened or read", file) from None
+def read_rows(path: Path, schema: dict) -> Iterator[tuple[int, list]]:
+    """Yield a CSV's rows as (line, fields) pairs, one at a time, enforcing the
+    schema's exact header as read_lines does. fields is a list of the parsed fields
+    in schema order. Blank lines are skipped. A field its parser rejects is a
+    ParseError naming the file, line and column.
+    """
+    with read_lines(path, schema) as (lines, rows_from, _):
+        for line, text in lines:  # one csv.reader reads on from the first line
+            yield from rows_from(line, text)
 
 
 def write_rows(path: str | Path, schema: dict, rows: Iterable[Sequence]) -> None:

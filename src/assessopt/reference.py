@@ -13,9 +13,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import NotPlain, format_number, number, read_plain_lines, read_rows, split_line
-from .corpus import write_rows
-from .errors import Log, ParseError
+from .corpus import format_number, number, read_lines, read_rows, write_rows
+from .errors import ParseError
 
 JOURNAL_METRIC = "journal-metric"
 CITATIONS = "citations"
@@ -112,48 +111,40 @@ def _distribution_key(fields: Sequence, file: str, line: int) -> DistributionKey
 def load_worldvalues(path: str | Path) -> dict[DistributionKey, ClassThresholds]:
     """Read raw world values (one per row) and compute thresholds per key.
 
-    Each key's values are held as 8-byte floats in one array. Many lines share a
-    key text, all before the last comma: the first line with it is split and
-    checked, and key texts naming one key (" 2006" and "2006", "" and "any")
-    share its array. If read_plain_lines declines the file, or a line is not one
-    whole record or is faulty, read_rows reads it again from line 2 to name a fault.
+    Each key's values are held as 8-byte floats in one array, shared by the key texts
+    that name the key (" 2006" and "2006", "" and "any"). The file is read in one pass:
+    a line whose text before its last comma is the key text of an earlier one-line
+    record, and whose text after it is a finite non-negative number within the csv
+    field limit, is taken as it stands; csv reads any other line as the record it
+    starts, with read_rows' checks.
     """
     from array import array  # a shared library (~0.1 MB resident): loaded only where used
     path = Path(path)
     file = str(path)
     values: dict[DistributionKey, array] = {}
     appends = {}  # key text -> the append of its key's array
-    try:
-        for first, lines in read_plain_lines(path, WORLDVALUE_COLUMNS):
-            for line_no, line in enumerate(lines, first):
-                key_text, _, text = line.rpartition(",")
-                append = appends.get(key_text)
-                if append is None:
-                    if not line.strip("\r\n"):
-                        continue  # a blank line, which read_rows skips too
-                    indicator, group, year, split, last = split_line(line)
-                    if last != text.rstrip("\r\n"):  # a quoted value may hold the last comma
-                        raise ValueError(last)
-                    key = _distribution_key((indicator, group, int(year), split), file, line_no)
-                    append = appends[key_text] = values.setdefault(key, array("d")).append
-                if not 0 <= (value := float(text)) < math.inf:
-                    raise ValueError(text)
+    with read_lines(path, WORLDVALUE_COLUMNS) as (lines, rows_from, limit):
+        for line_no, line in lines:
+            key_text, _, text = line.rpartition(",")
+            append = appends.get(key_text)
+            try:
+                if append and 0 <= (value := float(text)) < math.inf and len(text) <= limit:
+                    append(value)
+                    continue
+            except ValueError:
+                pass
+            for last, row in rows_from(line_no, line):  # csv reads the record from here
+                value = row.pop()
+                if not append:  # the first four fields of a known key text are its own
+                    key = _distribution_key(row, file, last)
+                    append = values.setdefault(key, array("d")).append
+                    if last == line_no:  # a record on one line: its key text names its key
+                        appends[key_text] = append
+                if not 0 <= value < math.inf:
+                    raise ParseError(f"value is not a finite non-negative number: {value}",
+                                     file=file, line=last)
                 append(value)
-        reason = None
-    except NotPlain as exc:
-        reason = str(exc)
-    except (ValueError, ParseError):  # not 5 fields on one line, or a bad field
-        reason = f"{file}:{line_no}: not a one-line record"
-    if reason:
-        Log(__name__).info("%s; reading row by row", reason)
-        values = {}
-        for line, row in read_rows(path, WORLDVALUE_COLUMNS):
-            value = row.pop()
-            key = _distribution_key(row, file, line)
-            if not 0 <= value < math.inf:
-                raise ParseError(f"value is not a finite non-negative number: {value}",
-                                 file=file, line=line)
-            values.setdefault(key, array("d")).append(value)
+                break  # the loop above reads on by lines
     return {key: build_thresholds(vals) for key, vals in values.items()}
 
 

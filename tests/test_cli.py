@@ -571,9 +571,9 @@ def test_build_dist_without_data_rows_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_build_dist_logs_a_two_line_worldvalues_record_only(tmp_path, caplog, capsys):
-    """A file with a record over two lines is logged once, at INFO and on no output,
-    and read row by row to the same thresholds; a plain or a quoted file logs nothing."""
+def test_build_dist_reads_a_two_line_worldvalues_record_unlogged(tmp_path, caplog, capsys):
+    """A file with a record over two lines, a plain file and a quoted file give the
+    same thresholds, and none of them logs a record, not even at INFO."""
     caplog.set_level(logging.INFO, logger="assessopt")
     last = {"plain": "citations,X,2006,any,3", "quoted": 'citations,"X",2006,any,3',
             "two-line": 'citations,X,"2006\n",any,3'}
@@ -587,10 +587,7 @@ def test_build_dist_logs_a_two_line_worldvalues_record_only(tmp_path, caplog, ca
         assert capsys.readouterr().out == f"wrote 1 distributions to {out}\n"
         outputs[name] = out.read_bytes()
     assert outputs["two-line"] == outputs["quoted"] == outputs["plain"]
-    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [(
-        "assessopt.reference", "INFO",
-        f"{tmp_path / 'two-line.csv'}:4: not a one-line record; reading row by row",
-    )]
+    assert caplog.records == []
 
 
 # Runs main in a fresh interpreter and prints, as the last line of stdout,
@@ -654,9 +651,9 @@ _SCORE_INFO = (
 
 @pytest.mark.parametrize("level", [None, "INFO"], ids=["unset", "INFO"])
 def test_log_lines_reach_stderr_only_on_request(tmp_path, level):
-    """ASSESS_OPT_LOG=INFO writes every stage line and the reference decline
-    line to stderr in a fresh process; unset, stderr stays empty and logging
-    is never imported. The outputs are the same either way."""
+    """ASSESS_OPT_LOG=INFO writes every stage line to stderr in a fresh process,
+    and build-dist on a record over two lines writes none; unset, stderr stays
+    empty and logging is never imported. The outputs are the same either way."""
     two_line = tmp_path / "two-line.csv"
     two_line.write_text(",".join(WORLDVALUE_COLUMNS) + '\ncitations,X,"2006\n",any,3\n',
                         encoding="utf-8")
@@ -672,9 +669,7 @@ def test_log_lines_reach_stderr_only_on_request(tmp_path, level):
         assert (score.stderr, dist.stderr) == ("", "")
         assert score_modules == dist_modules == set()
     else:
-        assert score.stderr == _SCORE_INFO
-        assert dist.stderr == (
-            f"INFO assessopt.reference: {two_line}:2: not a one-line record; reading row by row\n")
+        assert (score.stderr, dist.stderr) == (_SCORE_INFO, "")
         assert score_modules == dist_modules == {"logging"}
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from assessopt import reference
-from assessopt.corpus import IndexRecord, NotPlain
+from assessopt.corpus import IndexRecord, read_rows
 from assessopt.errors import ParseError, ValidationError
 from assessopt.gev import multi_category_class
 from assessopt.reference import (
@@ -224,13 +225,20 @@ HEADER = "indicator,category_group,year,doc_split,value\n"
 
 
 def _by_rows(path: Path) -> dict | str:
-    """What load_worldvalues gives when the line-by-line reader declines every
-    file: thresholds, or the text of the ParseError."""
+    """What the row reader alone gives for a worldvalues.csv: read_rows, each row's
+    key and the range check of its value, to thresholds or the text of the ParseError."""
+    values: dict[DistributionKey, list[float]] = {}
     try:
-        with mock.patch.object(reference, "read_plain_lines", side_effect=NotPlain("declined")):
-            return load_worldvalues(path)
+        for line, row in read_rows(path, reference.WORLDVALUE_COLUMNS):
+            value = row.pop()
+            key = reference._distribution_key(row, str(path), line)
+            if not 0 <= value < math.inf:
+                raise ParseError(f"value is not a finite non-negative number: {value}",
+                                 str(path), line)
+            values.setdefault(key, []).append(value)
     except ParseError as exc:
         return str(exc)
+    return {key: build_thresholds(v) for key, v in values.items()}
 
 
 @pytest.mark.parametrize("last, message", [
@@ -239,7 +247,10 @@ def _by_rows(path: Path) -> dict | str:
     ("citations,X1,2006,any,1,2", "expected 5 fields, got 6"),
     (f"citations,{'X' * (csv.field_size_limit() + 1)},2006,any,1",
      f"field larger than field limit ({csv.field_size_limit()})"),
-], ids=["value-on-a-known-key", "doc_split-on-a-new-key", "six-fields", "overlong-line"])
+    (f"citations,X1,2006,any,{'0' * csv.field_size_limit()}1",  # a finite number
+     f"field larger than field limit ({csv.field_size_limit()})"),
+], ids=["value-on-a-known-key", "doc_split-on-a-new-key", "six-fields", "overlong-line",
+        "long-value-on-a-known-key"])
 def test_worldvalues_fault_on_the_last_of_10000_plain_lines(tmp_path, last, message):
     path = tmp_path / "worldvalues.csv"
     rows = [f"citations,X{i % 4},2006,any,{i}" for i in range(9_999)] + [last]
@@ -249,20 +260,21 @@ def test_worldvalues_fault_on_the_last_of_10000_plain_lines(tmp_path, last, mess
     assert str(exc.value) == f"{path}:10001: {message}"
 
 
-@pytest.mark.parametrize("text, declined, sizes", [
+@pytest.mark.parametrize("text, sizes", [
     (HEADER + 'citations,"X, Y",2006,any,1\ncitations,X,2006,,2\ncitations,"X, Y",2006,,3\n',
-     False, [1, 2]),
-    (HEADER + 'citations,"X\nY",2006,any,1\ncitations,"X\nY",2006,any,2\n', True, [2]),
+     [1, 2]),
+    (HEADER + 'citations,"X\nY",2006,any,1\ncitations,"X\nY",2006,any,2\n', [2]),
     ("\ufeff" + (HEADER + "citations,X,2006,any,1\ncitations,X,2006,,2\n\n\n")
-     .replace("\n", "\r\n"),
-     False, [2]),
-], ids=["quoted-comma", "quoted-newline", "bom-crlf-blank-lines"])
-def test_worldvalues_read_alike_by_lines_and_by_rows(tmp_path, caplog, text, declined, sizes):
+     .replace("\n", "\r\n"), [2]),
+    # the text before the last comma of line 2 opens a group that ends on line 3,
+    # so it names no key when line 4 starts with it again
+    (HEADER + 'citations,"X,2006,any,1\nY",2006,any,2\ncitations,"X,2006,any,3\nY",2006,any,4\n',
+     [1, 1]),
+], ids=["quoted-comma", "quoted-newline", "bom-crlf-blank-lines", "group-over-two-lines"])
+def test_worldvalues_read_alike_by_lines_and_by_rows(tmp_path, text, sizes):
     path = tmp_path / "worldvalues.csv"
     path.write_bytes(text.encode("utf-8"))
-    with caplog.at_level(logging.INFO, logger="assessopt.reference"):
-        thresholds = load_worldvalues(path)
-    assert len(caplog.records) == declined
+    thresholds = load_worldvalues(path)
     assert thresholds == _by_rows(path)
     assert sorted(t.n for t in thresholds.values()) == sizes
 
@@ -283,9 +295,10 @@ def test_a_plain_file_is_read_without_the_row_reader(tmp_path, monkeypatch):
     }
 
 
-def test_a_declined_file_is_read_again_from_line_2(tmp_path, caplog):
-    """A record over two lines late in the file sends the whole file to the row
-    reader, once, which names the fault after it by its line in the file."""
+def test_a_two_line_record_late_in_the_file_is_read_in_one_pass(tmp_path, caplog):
+    """csv reads a record over two lines late in the file where it stands, and the
+    fault after it is named by its line in the file; nothing is logged, and the row
+    reader is not called."""
     path = tmp_path / "worldvalues.csv"
     rows = [f"citations,X{i % 4},2006,any,{i}" for i in range(9_998)]
     rows.append('citations,"X2\nY",2006,any,1')  # lines 10,000 and 10,001
@@ -297,12 +310,12 @@ def test_a_declined_file_is_read_again_from_line_2(tmp_path, caplog):
         return read_rows(*args)
 
     with mock.patch.object(reference, "read_rows", recorded), \
-            caplog.at_level(logging.INFO, logger="assessopt.reference"), \
+            caplog.at_level(logging.DEBUG, logger="assessopt"), \
             pytest.raises(ParseError) as exc:
         load_worldvalues(path)
     assert str(exc.value) == f"{path}:10002: value is not a number: 'many'"
-    assert caplog.messages == [f"{path}:10000: not a one-line record; reading row by row"]
-    assert calls == [(path, reference.WORLDVALUE_COLUMNS)]
+    assert caplog.records == []
+    assert calls == []
     path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
     thresholds = load_worldvalues(path)
     assert thresholds == _by_rows(path)
@@ -334,7 +347,38 @@ def test_quoted_files_are_read_without_the_row_reader(tmp_path, monkeypatch, quo
     assert load_worldvalues(path) == {key: build_thresholds(v) for key, v in plain.items()}
 
 
-@pytest.mark.parametrize("name, data, reason", [
+def _bad_byte_after_a_value_fault(lines_on: int) -> bytes:
+    """A value fault on line 2, and a byte that is not UTF-8 lines_on lines after it."""
+    plain = "".join(f"citations,X,2006,any,{i}\n" for i in range(lines_on - 1))
+    return ((HEADER + "citations,X,2006,any,many\n" + plain).encode()
+            + b"citations,Caf\xe9,2006,any,2\n")
+
+
+@pytest.mark.parametrize("text", [
+    HEADER + "".join(f"citations,X{i % 4},2006,any,{i}\n" for i in range(9_999))
+    + "citations,X1,2006,any,many\n",
+    HEADER + "citations,X,2006,any,1\ncitations,X,2006,any,2\n" + 'citations,X,"2006\n",any,3\n',
+    HEADER + 'citations,"X\nY",2006,any,1\ncitations,"X\nY",2006,any,2\n',
+], ids=["bad-value-on-the-last-of-10000-lines", "two-line-record", "quoted-newline"])
+def test_refused_lines_are_read_without_the_row_reader(tmp_path, monkeypatch, text):
+    """A line the line loop refuses is read by csv where it stands, to the row
+    reader's outcome, and the rest of the file by lines."""
+    path = tmp_path / "worldvalues.csv"
+    path.write_text(text, encoding="utf-8")
+    expected = _by_rows(path)
+
+    def refuse(*args):
+        raise AssertionError("read_rows called")
+
+    monkeypatch.setattr(reference, "read_rows", refuse)
+    try:
+        outcome = load_worldvalues(path)
+    except ParseError as exc:
+        outcome = str(exc)
+    assert outcome == expected
+
+
+@pytest.mark.parametrize("name, data, what", [
     ("missing.csv", None, "cannot be opened or read"),
     ("latin1.csv", (HEADER + "citations,X,2006,any,1\ncitations,Caf\xe9,2006,any,2\n")
      .encode("latin-1"), "not UTF-8 text at line 1 or after it"),
@@ -347,22 +391,39 @@ def test_quoted_files_are_read_without_the_row_reader(tmp_path, monkeypatch, quo
     # quoted value that goes on to line 3, which alone would be a whole record
     ("comma-value.csv", (HEADER + 'citations,X,2006,any,"x,1\ncitations,"X",2006,any,2\n')
      .encode(), "not a one-line record"),
+    *((f"bad-byte-{n}-on.csv", _bad_byte_after_a_value_fault(n),
+       f"a bad byte {n} line(s) after a value fault") for n in (1, 5_000)),
 ])
-def test_worldvalues_decline_is_logged_with_its_reason(tmp_path, caplog, name, data, reason):
-    """Each decline names its reason, and the line where one is known; the row
-    reader then reports the file as it always has."""
+def test_worldvalues_decline_is_logged_with_its_reason(tmp_path, caplog, name, data, what):
+    """Files that are missing, not UTF-8, with another header, a NUL, a quoted value
+    over two lines or a bad byte after a value fault are each read in one pass, log
+    nothing, and give the row reader's outcome."""
     path = tmp_path / name
     if data is not None:
         path.write_bytes(data)
-    with caplog.at_level(logging.INFO, logger="assessopt.reference"):
+    with caplog.at_level(logging.DEBUG, logger="assessopt"):
         try:
             outcome = load_worldvalues(path)
         except ParseError as exc:
             outcome = str(exc)
-    line = {"header.csv": ":1", "nul.csv": ":3", "nul-header.csv": ":1",
-            "comma-value.csv": ":2"}.get(name, "")
-    assert caplog.messages == [f"{path}{line}: {reason}; reading row by row"]
-    assert outcome == _by_rows(path)
+    assert caplog.records == []
+    assert outcome == _by_rows(path), what
+
+
+@pytest.mark.parametrize("lines_on, message", [
+    (1, ": not UTF-8 text (byte 0xe9)"),
+    (400, ":2: value is not a number: 'many'"),
+    (5_000, ":2: value is not a number: 'many'"),
+])
+def test_a_bad_byte_is_met_as_lines_are_read_one_by_one(tmp_path, lines_on, message):
+    """Text is decoded 8 KB at a time as its lines are read one by one, so a bad byte
+    in the block of a value fault is met first, and one in a later block (400 lines
+    on is about 10 KB on) is not met at all."""
+    path = tmp_path / "worldvalues.csv"
+    path.write_bytes(_bad_byte_after_a_value_fault(lines_on))
+    with pytest.raises(ParseError) as exc:
+        load_worldvalues(path)
+    assert str(exc.value) == f"{path}{message}"
 
 
 _FIELD = {  # each field's valid texts, then its faulty ones
@@ -382,8 +443,8 @@ def _worldvalues_texts(draw) -> str:
     """worldvalues.csv texts: records, some with quoted fields, faulty fields, or
     too few or too many fields, and blank lines or lines of spaces, each line with
     its own line end. Each file draws how often a field is faulty, and quoted. Some
-    files start with enough plain records that the drawn lines come in a later batch
-    of the line-by-line reader, so the row reader takes over in mid-file."""
+    files start with enough plain records that the drawn lines come after the key
+    text of P is known and in a later 8 KB block of the text decoder."""
     faults = draw(st.sampled_from([0, 1, 4]))
     quote = st.sampled_from([False] * 40 + [True] * draw(st.sampled_from([0, 0, 1, 8])))
     fields = [st.sampled_from(valid * 20 + invalid * faults) for valid, invalid in _FIELD.values()]
@@ -420,7 +481,7 @@ def test_worldvalues_read_by_lines_as_by_rows(tmp_path_factory, text):
 
 def _many_values(path: Path, count: int, quoted: bool) -> None:
     """count values over four keys; quoted puts the first record's year in quotes
-    over two lines, so the row reader reads the whole file."""
+    over two lines, which csv reads where it stands."""
     rows = [f"citations,X{i % 4},2006,any,{i}" for i in range(count)]
     if quoted:
         rows[0] = 'citations,X0,"2006\n",any,0'
@@ -432,7 +493,7 @@ def _many_values(path: Path, count: int, quoted: bool) -> None:
 def test_load_worldvalues_holds_values_as_8_byte_floats(tmp_path, quoted):
     """100,000 values held as boxed floats in lists take ~3.5 MB at peak; as
     8-byte floats in one array per key they take 0.8 MB, plus the sort of one key.
-    The quoted file is read by the row reader from its first line."""
+    In the quoted file csv reads the first record."""
     path = tmp_path / "worldvalues.csv"
     _many_values(path, 100_000, quoted)
     tracemalloc.start()

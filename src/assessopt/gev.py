@@ -14,11 +14,10 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from . import reference
-from .corpus import BIBLIOMETRIC_UDAS, PRODUCT_KINDS, Corpus, IndexRecord, Product
+from .corpus import BIBLIOMETRIC_UDAS, PRODUCT_KINDS, Corpus, Product
 from .corpus import boolean, echo, format_number, number_texts, write_rows
 from .errors import Log, ParseError, ValidationError
-from .reference import DistributionKey, ReferenceLibrary, classify
+from .reference import CITATIONS, JOURNAL_METRIC, ReferenceLibrary
 
 log = Log(__name__)
 
@@ -155,59 +154,6 @@ class ScoredProduct(NamedTuple):
     definite: bool
 
 
-def multi_category_class(
-    record: IndexRecord,
-    indicator: str,
-    value: float,
-    year: int,
-    doc_split: str,
-    library: ReferenceLibrary,
-) -> int:
-    """Best (numerically smallest) class across the record's subject categories.
-
-    Categories without a stored distribution are skipped; it is an error only
-    when none of them resolves.
-    """
-    best = 5  # worse than every class: no category resolved yet
-    for category in record.subject_categories:
-        thresholds = library.lookup(indicator, category, year, doc_split)
-        if thresholds is not None and (cls := classify(value, thresholds)) < best:
-            best = cls
-    if best == 5:  # then every category is missing
-        raise ValidationError(["no reference distribution for any of: " + ", ".join(
-            str(DistributionKey(indicator, library.resolve(category), year, doc_split))
-            for category in record.subject_categories)])
-    return best
-
-
-def _evaluate_record(
-    product: Product, record: IndexRecord, profile: GevProfile, library: ReferenceLibrary
-) -> tuple[str, float]:
-    """Score one index record through class lookup and the year-band matrix."""
-    ir_class: int | None = None
-    if record.journal_id is not None and record.journal_id in profile.ir_journal_class_list:
-        ir_class = profile.ir_journal_class_list[record.journal_id]
-    elif record.journal_metric is not None:
-        ir_class = multi_category_class(
-            record, reference.JOURNAL_METRIC, record.journal_metric,
-            product.year, "any", library,
-        )
-    if ir_class is None:
-        return "no-metric-fallback", profile.no_metric_score
-
-    doc_split = "any"
-    if profile.split_citation_doctype:
-        doc_split = "review" if product.kind == "review" else "article"
-    ic_class = multi_category_class(
-        record, reference.CITATIONS, record.citations,
-        product.year, doc_split, library,
-    )
-    outcome = profile.matrix_for_year(product.year).lookup(ic_class, ir_class)
-    if outcome == "IR":
-        return "IR", profile.ir_assumed_score
-    return outcome, MERIT_SCORES[outcome]
-
-
 def score_product(
     product: Product,
     profile: GevProfile,
@@ -232,13 +178,28 @@ def score_product(
             r.journal_id for r in (product.wos_record, product.scopus_record) if r is not None):
         outcome, score = "forced-ir", profile.ir_assumed_score
     else:
+        doc_split = "any"
+        if profile.split_citation_doctype:
+            doc_split = "review" if product.kind == "review" else "article"
         best: tuple[str, float] | None = None
         for record in ((product.wos_record,) if profile.source_policy == WOS_ONLY
                        else (product.wos_record, product.scopus_record)):
-            if record is not None:
-                result = _evaluate_record(product, record, profile, library)
-                if best is None or result[1] > best[1]:
-                    best = result
+            if record is None:
+                continue
+            # A journal on the panel's class list takes its listed class over its metric.
+            ir_class = profile.ir_journal_class_list.get(record.journal_id)
+            if ir_class is None and record.journal_metric is not None:
+                ir_class = library.best_class(JOURNAL_METRIC, record.subject_categories,
+                                              record.journal_metric, product.year, "any")
+            if ir_class is None:
+                result = "no-metric-fallback", profile.no_metric_score
+            else:
+                ic_class = library.best_class(CITATIONS, record.subject_categories,
+                                              record.citations, product.year, doc_split)
+                cell = profile.matrix_for_year(product.year).lookup(ic_class, ir_class)
+                result = cell, profile.ir_assumed_score if cell == "IR" else MERIT_SCORES[cell]
+            if best is None or result[1] > best[1]:
+                best = result
         outcome, score = best or ("non-indexed-fallback", profile.non_indexed_score)
     return ScoredProduct(profile.gev_id, outcome, score, outcome in MERIT_SCORES)
 

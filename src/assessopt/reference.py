@@ -14,7 +14,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import format_number, number, read_lines, read_rows, write_rows
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 JOURNAL_METRIC = "journal-metric"
 CITATIONS = "citations"
@@ -86,16 +86,24 @@ class ReferenceLibrary(NamedTuple):
     thresholds: dict[DistributionKey, ClassThresholds]
     merge_map: Mapping[str, str] = MappingProxyType({})
 
-    def resolve(self, category: str) -> str:
-        return self.merge_map.get(category, category)
-
-    def lookup(
-        self, indicator: str, category: str, year: int, doc_split: str = "any"
-    ) -> ClassThresholds | None:
-        """The thresholds of the key with its category merged, or None if none are
-        stored; a plain tuple finds the equal DistributionKey without building one."""
-        return self.thresholds.get((indicator, self.merge_map.get(category, category),
-                                    year, doc_split))
+    def best_class(self, indicator: str, categories: Sequence[str], value: float, year: int,
+                   doc_split: str) -> int:
+        """The best (numerically smallest) class of value over the distributions of the
+        categories, each merged by the merge map; a plain tuple finds the equal
+        DistributionKey without building one. A category without a stored distribution
+        is skipped; when none resolves, the error names each key once, in the order
+        first looked up."""
+        best = 5  # worse than every class: no category resolved yet
+        for category in categories:
+            thresholds = self.thresholds.get(
+                (indicator, self.merge_map.get(category, category), year, doc_split))
+            if thresholds is not None and (cls := classify(value, thresholds)) < best:
+                best = cls
+        if best == 5:  # then every category is missing
+            raise ValidationError(["no reference distribution for any of: " + ", ".join(
+                map(str, dict.fromkeys(DistributionKey(
+                    indicator, self.merge_map.get(c, c), year, doc_split) for c in categories)))])
+        return best
 
 
 def _distribution_key(fields: Sequence, file: str, line: int) -> DistributionKey:

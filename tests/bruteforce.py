@@ -8,7 +8,9 @@ pool, with no pruning and no split into components: it checks those two steps
 on instances far beyond what enumeration can reach. declared_assignment,
 greedy_assignment, scored_rows and selection_rows restate the declared-priority
 rule, the greedy rule and the two writers' row orders from the corpus and
-scored map alone, with plain sort keys.
+scored map alone, with plain sort keys. stepwise_score restates the scoring
+pipeline as three steps: a record's class over its categories, a record's
+outcome, then the product's.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import random
 from collections import deque
 
 from assessopt.corpus import Authorship, Corpus, Product, Researcher, IndexRecord, format_number
+from assessopt.errors import ValidationError
 from assessopt.gev import ScoredProduct
+from assessopt.reference import DistributionKey
 
 SCALE = 10000
 SHORT_UNITS = SCALE // 2
@@ -271,6 +275,68 @@ def greedy_assignment(corpus: Corpus, scored, full: bool) -> dict[str, tuple[str
         capacity[winner] -= 1
         consumed.add(pid)
     return {rid: tuple(p) for rid, p in picks.items()}
+
+
+def stepwise_score(product: Product, profile, library, window: tuple[int, int]) -> ScoredProduct:
+    """One product's ScoredProduct, step by step: fraud (-2), then inadmissible
+    (-1: year outside the window or kind not allowed), then forced-ir (a review
+    whose WoS or Scopus journal is on the forced list), then each record the
+    source policy reads scored on its own, the best score winning and the
+    first record (WoS) keeping a tie; non-indexed when no record is read.
+
+    A record's journal class is its journal's listed class, else the best class
+    of its metric; with neither it falls back to no-metric. Its citation class
+    is read from the doctype's distribution when the panel splits them. A class
+    is the best over the record's categories, each merged by the merge map, and
+    counts the cuts the value is above: 4 - #(value > p50, p60, p80). When no
+    category has a distribution, the error names each missing key once, in the
+    order first looked up."""
+    merit = {"A": 1.0, "B": 0.8, "C": 0.5, "D": 0.0}
+
+    def best_class(record: IndexRecord, indicator: str, value: float, doc_split: str) -> int:
+        classes, missing = [], []
+        for category in record.subject_categories:
+            key = DistributionKey(indicator, library.merge_map.get(category, category),
+                                  product.year, doc_split)
+            if key in library.thresholds:
+                t = library.thresholds[key]
+                classes.append(4 - (value > t.p50) - (value > t.p60) - (value > t.p80))
+            elif key not in missing:
+                missing.append(key)
+        if not classes:
+            raise ValidationError(["no reference distribution for any of: "
+                                   + ", ".join(map(str, missing))])
+        return min(classes)
+
+    def record_result(record: IndexRecord) -> tuple[str, float]:
+        if record.journal_id in profile.ir_journal_class_list:
+            ir_class = profile.ir_journal_class_list[record.journal_id]
+        elif record.journal_metric is not None:
+            ir_class = best_class(record, "journal-metric", record.journal_metric, "any")
+        else:
+            return "no-metric-fallback", profile.no_metric_score
+        doc_split = "any"
+        if profile.split_citation_doctype:
+            doc_split = "review" if product.kind == "review" else "article"
+        ic_class = best_class(record, "citations", record.citations, doc_split)
+        matrix = next(m for (y0, y1), m in profile.age_bands if y0 <= product.year <= y1)
+        outcome = matrix.cells[ic_class - 1][ir_class - 1]
+        return outcome, profile.ir_assumed_score if outcome == "IR" else merit[outcome]
+
+    both = [r for r in (product.wos_record, product.scopus_record) if r is not None]
+    if product.fraud_flag:
+        outcome, score = "fraud", -2.0
+    elif not window[0] <= product.year <= window[1] or product.kind not in profile.allowed_kinds:
+        outcome, score = "inadmissible", -1.0
+    elif product.kind == "review" and any(r.journal_id in profile.forced_ir_journals
+                                          for r in both):
+        outcome, score = "forced-ir", profile.ir_assumed_score
+    else:
+        read = both if profile.source_policy == "best-of-both" else [product.wos_record]
+        results = [record_result(r) for r in read if r is not None]
+        outcome, score = max(results, key=lambda result: result[1], default=(
+            "non-indexed-fallback", profile.non_indexed_score))  # max keeps the first of equals
+    return ScoredProduct(profile.gev_id, outcome, score, outcome in merit)
 
 
 def scored_rows(scored) -> list[list[str]]:

@@ -9,9 +9,9 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from assessopt.corpus import PRODUCT_KINDS, IndexRecord
+from assessopt.corpus import PRODUCT_KINDS, IndexRecord, Product
 from assessopt.errors import ParseError, ValidationError
 from assessopt.gev import (
     BEST_OF_BOTH,
@@ -29,7 +29,6 @@ from assessopt.gev import (
     default_profiles,
     dump_profiles,
     load_profiles,
-    multi_category_class,
     routing_for,
     score_corpus,
     score_product,
@@ -39,6 +38,7 @@ from assessopt.reference import ClassThresholds, DistributionKey, ReferenceLibra
 from assessopt.selection import SHORTFALL_PENALTY
 
 import support
+from bruteforce import stepwise_score
 
 # Transcribed cell by cell from the published Chemistry grids:
 # rows are citation classes 1-4, columns journal classes 1-4.
@@ -215,22 +215,21 @@ def test_multi_category_best_class():
         DistributionKey("citations", "X", 2006): ClassThresholds(10, 20, 30, 9),
         DistributionKey("citations", "Y", 2006): ClassThresholds(1, 2, 3, 9),
     })
-    record = IndexRecord(subject_categories=("X", "Y"), citations=25)
-    assert multi_category_class(record, "citations", 25, 2006, "any", lib) == 1
-    single = IndexRecord(subject_categories=("X",), citations=25)
-    assert multi_category_class(single, "citations", 25, 2006, "any", lib) == 2
+    assert lib.best_class("citations", ("X", "Y"), 25, 2006, "any") == 1
+    assert lib.best_class("citations", ("Y", "X"), 25, 2006, "any") == 1
+    assert lib.best_class("citations", ("X",), 25, 2006, "any") == 2
 
 
 def test_multi_category_skips_missing():
     lib = ReferenceLibrary(thresholds={
         DistributionKey("citations", "X", 2006): ClassThresholds(10, 20, 30, 9),
     })
-    record = IndexRecord(subject_categories=("X", "GONE"), citations=15)
-    assert multi_category_class(record, "citations", 15, 2006, "any", lib) == 3
-    lost = IndexRecord(subject_categories=("GONE", "ALSO-GONE"), citations=15)
+    assert lib.best_class("citations", ("X", "GONE"), 15, 2006, "any") == 3
+    assert lib.best_class("citations", ("GONE", "X"), 15, 2006, "any") == 3
     with pytest.raises(ValidationError) as exc:
-        multi_category_class(lost, "citations", 15, 2006, "any", lib)
-    assert "GONE" in str(exc.value) and "ALSO-GONE" in str(exc.value)
+        lib.best_class("citations", ("GONE", "ALSO-GONE"), 15, 2006, "any")
+    assert str(exc.value) == ("no reference distribution for any of: "
+                              "(citations, GONE, 2006, any), (citations, ALSO-GONE, 2006, any)")
 
 
 def test_best_of_both_never_below_wos_only():
@@ -282,6 +281,74 @@ def test_outcome_score_consistency_randomized():
         sp = score_product(product, profile, LIB)
         assert sp.score == expectations[sp.outcome]
         assert sp.definite == (sp.outcome in ("A", "B", "C", "D"))
+
+
+# Categories X, Y and Z, merged into one another or into group G. A library holds a
+# distribution for every indicator, name, band year and doc split but the keys and
+# names it leaves out; the cuts of a key hold for both years.
+_DIST_KEYS = [(indicator, name, split) for indicator in ("citations", "journal-metric")
+              for name in "XYZG" for split in ("any", "article", "review")]
+
+
+@st.composite
+def _libraries(draw):
+    cuts = draw(st.lists(st.lists(st.integers(0, 9), min_size=3, max_size=3).map(sorted),
+                         min_size=len(_DIST_KEYS), max_size=len(_DIST_KEYS)))
+    absent = draw(st.sets(st.sampled_from("XYZG")))
+    missing = draw(st.sets(st.tuples(st.sampled_from(_DIST_KEYS), st.sampled_from((2006, 2009))),
+                           max_size=4))
+    merge_map = draw(st.dictionaries(st.sampled_from("XYZ"), st.sampled_from("GY")))
+    return ReferenceLibrary({
+        DistributionKey(indicator, name, year, split): ClassThresholds(*c, n=9)
+        for (indicator, name, split), c in zip(_DIST_KEYS, cuts) for year in (2006, 2009)
+        if name not in absent and ((indicator, name, split), year) not in missing}, merge_map)
+
+
+_records = st.builds(  # four in five products have each record
+    lambda exists, record: record if exists else None,
+    st.sampled_from((True,) * 4 + (False,)),
+    st.builds(
+        IndexRecord,
+        subject_categories=st.lists(st.sampled_from("XYZ"), min_size=1, max_size=3).map(tuple),
+        citations=st.integers(0, 10),
+        journal_metric=st.sampled_from((None,) * 10 + tuple(v / 2 for v in range(21))),
+        journal_id=st.sampled_from((None, "J1", "J2", "J3")),
+    ),
+)
+_products = st.builds(  # three in four admissible: fraud, a year or a kind may exclude it
+    Product, id=st.just("P"),
+    kind=st.sampled_from(("journal-article", "review") * 4 + ("patent",)),
+    year=st.sampled_from((2006, 2009) * 4 + (2003, 2011)),
+    fraud_flag=st.sampled_from((False,) * 9 + (True,)),
+    wos_record=_records, scopus_record=_records,
+)
+_fallback_scores = st.sampled_from((0.0, 0.5, 0.8, 1.0))  # each ties with a grade
+_scoring_profiles = st.builds(
+    support.profile,
+    age_bands=st.sampled_from((support.TWO_BANDS, (((2004, 2010), MATURE_PRODUCTS_MATRIX),))),
+    ir_journal_class_list=st.dictionaries(st.sampled_from(("J1", "J2")), st.integers(1, 4)),
+    forced_ir_journals=st.frozensets(st.sampled_from(("J2", "J3"))),
+    no_metric_score=_fallback_scores,
+    non_indexed_score=_fallback_scores,
+    ir_assumed_score=_fallback_scores,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_products, min_size=1, max_size=8), _scoring_profiles, _libraries())
+def test_score_product_matches_a_stepwise_restatement(products, profile, library):
+    """Each product under both source policies, with and without split doctypes."""
+    for panel in [profile._replace(source_policy=policy, split_citation_doctype=split)
+                  for policy in SOURCE_POLICIES for split in (False, True)]:
+        for product in products:
+            try:
+                expected = stepwise_score(product, panel, library, DEFAULT_WINDOW)
+            except ValidationError as exc:
+                with pytest.raises(ValidationError) as got:
+                    score_product(product, panel, library)
+                assert str(got.value) == str(exc)
+            else:
+                assert score_product(product, panel, library) == expected
 
 
 def test_score_corpus_routing_and_peer_review_error():

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from assessopt import reference
-from assessopt.corpus import IndexRecord, read_rows
+from assessopt.corpus import read_rows
 from assessopt.errors import ParseError, ValidationError
-from assessopt.gev import multi_category_class
+from assessopt.gev import score_product
 from assessopt.reference import (
     DOC_SPLITS,
     INDICATORS,
@@ -28,6 +28,8 @@ from assessopt.reference import (
     load_worldvalues,
     write_thresholds,
 )
+
+import support
 
 
 def test_nearest_rank_one_to_ten():
@@ -80,22 +82,39 @@ def make_library():
 
 
 def test_lookup_applies_merge_map():
-    lib = make_library()
-    assert lib.lookup("citations", "Oncology", 2006).p80 == 12
+    lib = make_library()  # Oncology merges into BIOMED-G1: cuts 5 / 8 / 12
+    assert [lib.best_class("citations", ("Oncology",), v, 2006, "any")
+            for v in (5, 5.5, 8, 8.5, 12, 12.5)] == [4, 3, 3, 2, 2, 1]
 
 
 def test_lookup_direct_key():
-    assert make_library().lookup("citations", "Physics", 2006).p50 == 3
+    lib = make_library()  # Physics: cuts 3 / 6 / 11
+    assert [lib.best_class("citations", ("Physics",), v, 2006, "any")
+            for v in (3, 3.5, 6, 6.5, 11, 11.5)] == [4, 3, 3, 2, 2, 1]
 
 
 def test_lookup_missing_names_resolved_key():
     lib = make_library()
-    assert lib.lookup("citations", "Oncology", 2007) is None
-    record = IndexRecord(subject_categories=("Oncology",), citations=5)
     with pytest.raises(ValidationError) as exc:
-        multi_category_class(record, "citations", 5, 2007, "any", lib)
-    assert "BIOMED-G1" in str(exc.value)
-    assert "2007" in str(exc.value)
+        lib.best_class("citations", ("Oncology",), 5, 2007, "any")
+    assert str(exc.value) == ("no reference distribution for any of: "
+                              "(citations, BIOMED-G1, 2007, any)")
+
+
+def test_missing_keys_are_named_once_in_the_order_first_looked_up():
+    lib = support.library(categories=("KEPT",), merge_map={"A": "G", "B": "G"})
+    listed = support.profile(ir_journal_class_list={"J": 1})  # no journal-metric lookup
+    repeated = support.product("P", citations=5, journal="J", categories=("A", "B", "A"))
+    with pytest.raises(ValidationError) as exc:
+        score_product(repeated, listed, lib)
+    assert str(exc.value) == ("no reference distribution for any of: "
+                              "(citations, G, 2006, any)")
+    mixed = support.product("P", citations=5, metric=1.5, categories=("C", "A", "C", "B", "D"))
+    with pytest.raises(ValidationError) as exc:
+        score_product(mixed, support.profile(), lib)
+    assert str(exc.value) == ("no reference distribution for any of: "
+                              "(journal-metric, C, 2006, any), (journal-metric, G, 2006, any), "
+                              "(journal-metric, D, 2006, any)")
 
 
 @given(

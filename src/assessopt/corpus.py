@@ -1,9 +1,10 @@
 """Institutional corpus: roster, products, authorships, validation, and the CSV layer.
 
 Every CSV the program reads goes through read_lines (read_rows reads on by rows from its first
-line; a worldvalues.csv is read by lines) or _chunks (a corpus with no fault), and every one it
-writes through write_rows. read_rows yields each row as a list of its parsed fields in schema
-order; loaders build records by position.
+line; a worldvalues.csv is read by lines) or _chunks, and every one it writes through write_rows.
+read_rows yields each row as a list of its parsed fields in schema order; loaders build records
+by position. Only _load_columns builds a corpus, from _chunks: where it doubts the files, the
+row loops of load_corpus read them with read_rows, only to name each fault.
 
 A corpus is the institution's data only, immutable after loading; the rules
 of the exercise that judge it (its years, the kinds each panel accepts) live in
@@ -218,8 +219,9 @@ def read_rows(path: Path, schema: dict) -> Iterator[tuple[int, list]]:
 def write_rows(path: str | Path, schema: dict, rows: Iterable[Sequence]) -> None:
     """Write a UTF-8 CSV with "\\n" line ends: the schema's header, then the rows.
 
-    None is written as an empty field.
+    None is written as an empty field. Missing parent directories are created.
     """
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(schema)
@@ -260,23 +262,8 @@ AUTHORSHIP_COLUMNS = {
 _ABSENT = ["", None, None, ""]  # a product row's four prefix_ fields without that record
 
 
-def _record(fields: Sequence, prefix: str, file: str, line: int) -> IndexRecord:
-    """The index record in a product row's four prefix_ fields, not all empty."""
-    text, metric, citations, journal_id = fields
-    categories = tuple(filter(None, text.split(";")))
-    if not categories:
-        raise ParseError(
-            f"{prefix} record present but has no subject categories", file=file, line=line
-        )
-    if citations is None:
-        raise ParseError(
-            f"{prefix} record present but has no citation count", file=file, line=line
-        )
-    return IndexRecord(categories, citations, metric, journal_id or None)
-
-
 def _record_fields(record: IndexRecord | None) -> tuple:
-    """The four prefix_ fields of a record, as _record reads them back."""
+    """The four prefix_ fields of a record, as _load_columns reads them back."""
     if record is None:
         return ("", "", "", "")
     return (";".join(record.subject_categories), format_number(record.journal_metric),
@@ -284,7 +271,7 @@ def _record_fields(record: IndexRecord | None) -> tuple:
 
 
 class _Decline(ValueError):
-    """A doubt of the column path, which sends load_corpus to its row loops."""
+    """A doubt of the column path, which sends load_corpus to its row loops to name the faults."""
 
 
 _KINDS = dict(zip(PRODUCT_KINDS, PRODUCT_KINDS))
@@ -357,7 +344,8 @@ def load_corpus(
     """Load and fully validate a corpus from its three CSV files.
 
     Raises ParseError for unreadable input and ValidationError (with every
-    violation found, each carrying file and line) for integrity failures.
+    violation found, each carrying file and line) for integrity failures. The row
+    loops below, run where _load_columns doubts the files, only name these.
     """
     researchers_path = Path(researchers_path)
     products_path = Path(products_path)
@@ -370,84 +358,71 @@ def load_corpus(
         # The file:line prefix is built only for a row that breaks a rule.
         violations.append(f"{path}:{line}: {message}")
 
-    researchers: dict[str, Researcher] = {}
-    for line, row in read_rows(researchers_path, RESEARCHER_COLUMNS):
-        if row[3] is None:  # an empty quota field takes the Researcher default
-            row.pop()
-        r = Researcher(*row)
-        if not r.id:
+    researchers: set[str] = set()
+    for line, (rid, sds, uda, quota) in read_rows(researchers_path, RESEARCHER_COLUMNS):
+        if not rid:
             violation(researchers_path, line, "empty researcher id")
             continue
-        if r.id in researchers:
-            violation(researchers_path, line, f"duplicate researcher id {r.id!r}")
+        if rid in researchers:
+            violation(researchers_path, line, f"duplicate researcher id {rid!r}")
             continue
-        if not 0 <= r.quota <= MAX_QUOTA:
-            violation(researchers_path, line, f"quota {r.quota} outside 0..{MAX_QUOTA}")
-        if not 1 <= r.uda <= 14:
-            violation(researchers_path, line, f"uda {r.uda} outside 1..14")
-        if r.sds:
-            expected = SDS_AREA_BY_PREFIX.get(r.sds.split("/")[0])
-            if expected is not None and expected != r.uda:
-                violation(researchers_path, line,
-                          f"sds {r.sds!r} belongs to area {expected}, not {r.uda}")
-        researchers[r.id] = r
+        if quota is not None and not 0 <= quota <= MAX_QUOTA:  # empty: the default, 3
+            violation(researchers_path, line, f"quota {quota} outside 0..{MAX_QUOTA}")
+        if not 1 <= uda <= 14:
+            violation(researchers_path, line, f"uda {uda} outside 1..14")
+        if (expected := SDS_AREA_BY_PREFIX.get(sds.split("/")[0], uda)) != uda:
+            violation(researchers_path, line, f"sds {sds!r} belongs to area {expected}, not {uda}")
+        researchers.add(rid)
 
-    products: dict[str, Product] = {}
-    products_file = str(products_path)
+    products: set[str] = set()
     for line, row in read_rows(products_path, PRODUCT_COLUMNS):
         if row[1] not in PRODUCT_KINDS:  # the product is still registered, below
             violation(products_path, line, f"unknown product kind {row[1]!r}")
-        wos, scopus = row[4:8], row[8:]
-        p = Product(*row[:4],
-                    None if wos == _ABSENT else _record(wos, "wos", products_file, line),
-                    None if scopus == _ABSENT else _record(scopus, "scopus", products_file, line))
-        if not p.id:
+        records = [(label, row[i:i + 4]) for label, i in (("wos", 4), ("scopus", 8))
+                   if row[i:i + 4] != _ABSENT]
+        for label, (text, _, citations, _) in records:
+            if not text.strip(";") or citations is None:
+                what = "citation count" if text.strip(";") else "subject categories"
+                raise ParseError(f"{label} record present but has no {what}",
+                                 str(products_path), line)
+        if not row[0]:
             violation(products_path, line, "empty product id")
             continue
-        if p.id in products:
-            violation(products_path, line, f"duplicate product id {p.id!r}")
+        if row[0] in products:
+            violation(products_path, line, f"duplicate product id {row[0]!r}")
             continue
-        for label, record in (("wos", p.wos_record), ("scopus", p.scopus_record)):
-            if record is None:
-                continue
-            if record.citations < 0:
-                violation(products_path, line, f"{label} citations {record.citations} negative")
-            if record.journal_metric is not None and record.journal_metric < 0:
-                violation(products_path, line, f"{label} metric {record.journal_metric} negative")
-        products[p.id] = p
+        for label, (_, metric, citations, _) in records:
+            if citations < 0:
+                violation(products_path, line, f"{label} citations {citations} negative")
+            if metric is not None and metric < 0:
+                violation(products_path, line, f"{label} metric {metric} negative")
+        products.add(row[0])
 
-    authorships: list[Authorship] = []
     seen_pairs: set[tuple[str, str]] = set()
     priorities: dict[str, dict[int, str]] = {}
-    for line, row in read_rows(authorships_path, AUTHORSHIP_COLUMNS):
-        a = Authorship(*row)
-        if a.researcher_id not in researchers:
-            violation(authorships_path, line, f"unknown researcher id {a.researcher_id!r}")
-        if a.product_id not in products:
-            violation(authorships_path, line, f"unknown product id {a.product_id!r}")
-        pair = (a.researcher_id, a.product_id)
-        if pair in seen_pairs:
-            violation(authorships_path, line, f"duplicate authorship {pair!r}")
-        seen_pairs.add(pair)
-        if a.declared_priority is not None:
-            if a.declared_priority < 1:
-                violation(authorships_path, line, f"declared_priority {a.declared_priority} < 1")
+    for line, (rid, pid, priority, override) in read_rows(authorships_path, AUTHORSHIP_COLUMNS):
+        if rid not in researchers:
+            violation(authorships_path, line, f"unknown researcher id {rid!r}")
+        if pid not in products:
+            violation(authorships_path, line, f"unknown product id {pid!r}")
+        if (rid, pid) in seen_pairs:
+            violation(authorships_path, line, f"duplicate authorship {(rid, pid)!r}")
+        seen_pairs.add((rid, pid))
+        if priority is not None:
+            if priority < 1:
+                violation(authorships_path, line, f"declared_priority {priority} < 1")
             else:
-                taken = priorities.setdefault(a.researcher_id, {})
-                if a.declared_priority in taken:
-                    violation(authorships_path, line,
-                              f"researcher {a.researcher_id!r} already declared "
-                              f"priority {a.declared_priority} on {taken[a.declared_priority]!r}")
-                taken[a.declared_priority] = a.product_id
-        if a.gev_override is not None and not 1 <= a.gev_override <= 9:
-            violation(authorships_path, line, f"gev_override {a.gev_override} outside 1..9")
-        authorships.append(a)
+                taken = priorities.setdefault(rid, {})
+                if priority in taken:
+                    violation(authorships_path, line, f"researcher {rid!r} already declared "
+                              f"priority {priority} on {taken[priority]!r}")
+                taken[priority] = pid
+        if override is not None and not 1 <= override <= 9:
+            violation(authorships_path, line, f"gev_override {override} outside 1..9")
 
-    if violations:
-        raise ValidationError(violations)
-
-    authorships.sort()  # the (researcher, product) pairs are unique, so no later field is compared
-    return Corpus(researchers, products, authorships)
+    if not violations:  # each doubt of the column path is a fault that a rule above names
+        raise AssertionError(f"{researchers_path}: the column path declined a faultless corpus")
+    raise ValidationError(violations)
 
 
 def load_corpus_dir(directory: str | Path) -> Corpus:
@@ -463,7 +438,6 @@ def load_corpus_dir(directory: str | Path) -> Corpus:
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     """Write the corpus back to the three CSV files in deterministic order."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     # Researcher and Authorship list their fields in the order of their files' columns.
     write_rows(directory / "researchers.csv", RESEARCHER_COLUMNS,
                [r for _, r in sorted(corpus.researchers.items())])

@@ -10,16 +10,22 @@ greedy_assignment, scored_rows and selection_rows restate the declared-priority
 rule, the greedy rule and the two writers' row orders from the corpus and
 scored map alone, with plain sort keys. stepwise_score restates the scoring
 pipeline as three steps: a record's class over its categories, a record's
-outcome, then the product's.
+outcome, then the product's. load_corpus_by_rows restates load_corpus as one
+pass of row loops that build the corpus and name its faults.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
+from pathlib import Path
 
-from assessopt.corpus import Authorship, Corpus, Product, Researcher, IndexRecord, format_number
-from assessopt.errors import ValidationError
+from assessopt.corpus import (
+    AUTHORSHIP_COLUMNS, MAX_QUOTA, PRODUCT_COLUMNS, PRODUCT_KINDS, RESEARCHER_COLUMNS,
+    SDS_AREA_BY_PREFIX, Authorship, Corpus, IndexRecord, Product, Researcher, format_number,
+    read_rows,
+)
+from assessopt.errors import ParseError, ValidationError
 from assessopt.gev import ScoredProduct
 from assessopt.reference import DistributionKey
 
@@ -360,6 +366,116 @@ def selection_rows(corpus: Corpus, scored, assignments: dict) -> list[list[str]]
             slots += [("EMPTY", "-0.5")] * (corpus.researchers[rid].quota - len(picks))
             rows += [[tag, rid, str(slot), pid, text] for slot, (pid, text) in enumerate(slots, 1)]
     return rows
+
+
+def _index_record(fields, prefix: str, file: str, line: int) -> IndexRecord:
+    """The index record in a product row's four prefix_ fields, not all empty."""
+    text, metric, citations, journal_id = fields
+    categories = tuple(filter(None, text.split(";")))
+    if not categories:
+        raise ParseError(
+            f"{prefix} record present but has no subject categories", file=file, line=line
+        )
+    if citations is None:
+        raise ParseError(
+            f"{prefix} record present but has no citation count", file=file, line=line
+        )
+    return IndexRecord(categories, citations, metric, journal_id or None)
+
+
+def load_corpus_by_rows(researchers_path, products_path, authorships_path) -> Corpus:
+    """load_corpus as one pass of row loops over read_rows, each loop building
+    its records and naming each fault per row: the corpus, or a ParseError at
+    the first unreadable row, or a ValidationError with every violation in file
+    then line order."""
+    researchers_path = Path(researchers_path)
+    products_path = Path(products_path)
+    authorships_path = Path(authorships_path)
+    violations: list[str] = []
+
+    def violation(path: Path, line: int, message: str) -> None:
+        violations.append(f"{path}:{line}: {message}")
+
+    researchers: dict[str, Researcher] = {}
+    for line, row in read_rows(researchers_path, RESEARCHER_COLUMNS):
+        if row[3] is None:  # an empty quota field takes the Researcher default
+            row.pop()
+        r = Researcher(*row)
+        if not r.id:
+            violation(researchers_path, line, "empty researcher id")
+            continue
+        if r.id in researchers:
+            violation(researchers_path, line, f"duplicate researcher id {r.id!r}")
+            continue
+        if not 0 <= r.quota <= MAX_QUOTA:
+            violation(researchers_path, line, f"quota {r.quota} outside 0..{MAX_QUOTA}")
+        if not 1 <= r.uda <= 14:
+            violation(researchers_path, line, f"uda {r.uda} outside 1..14")
+        if r.sds:
+            expected = SDS_AREA_BY_PREFIX.get(r.sds.split("/")[0])
+            if expected is not None and expected != r.uda:
+                violation(researchers_path, line,
+                          f"sds {r.sds!r} belongs to area {expected}, not {r.uda}")
+        researchers[r.id] = r
+
+    products: dict[str, Product] = {}
+    products_file = str(products_path)
+    absent = ["", None, None, ""]
+    for line, row in read_rows(products_path, PRODUCT_COLUMNS):
+        if row[1] not in PRODUCT_KINDS:  # the product is still registered, below
+            violation(products_path, line, f"unknown product kind {row[1]!r}")
+        wos, scopus = row[4:8], row[8:]
+        p = Product(*row[:4],
+                    None if wos == absent else _index_record(wos, "wos", products_file, line),
+                    None if scopus == absent
+                    else _index_record(scopus, "scopus", products_file, line))
+        if not p.id:
+            violation(products_path, line, "empty product id")
+            continue
+        if p.id in products:
+            violation(products_path, line, f"duplicate product id {p.id!r}")
+            continue
+        for label, record in (("wos", p.wos_record), ("scopus", p.scopus_record)):
+            if record is None:
+                continue
+            if record.citations < 0:
+                violation(products_path, line, f"{label} citations {record.citations} negative")
+            if record.journal_metric is not None and record.journal_metric < 0:
+                violation(products_path, line, f"{label} metric {record.journal_metric} negative")
+        products[p.id] = p
+
+    authorships: list[Authorship] = []
+    seen_pairs: set[tuple[str, str]] = set()
+    priorities: dict[str, dict[int, str]] = {}
+    for line, row in read_rows(authorships_path, AUTHORSHIP_COLUMNS):
+        a = Authorship(*row)
+        if a.researcher_id not in researchers:
+            violation(authorships_path, line, f"unknown researcher id {a.researcher_id!r}")
+        if a.product_id not in products:
+            violation(authorships_path, line, f"unknown product id {a.product_id!r}")
+        pair = (a.researcher_id, a.product_id)
+        if pair in seen_pairs:
+            violation(authorships_path, line, f"duplicate authorship {pair!r}")
+        seen_pairs.add(pair)
+        if a.declared_priority is not None:
+            if a.declared_priority < 1:
+                violation(authorships_path, line, f"declared_priority {a.declared_priority} < 1")
+            else:
+                taken = priorities.setdefault(a.researcher_id, {})
+                if a.declared_priority in taken:
+                    violation(authorships_path, line,
+                              f"researcher {a.researcher_id!r} already declared "
+                              f"priority {a.declared_priority} on {taken[a.declared_priority]!r}")
+                taken[a.declared_priority] = a.product_id
+        if a.gev_override is not None and not 1 <= a.gev_override <= 9:
+            violation(authorships_path, line, f"gev_override {a.gev_override} outside 1..9")
+        authorships.append(a)
+
+    if violations:
+        raise ValidationError(violations)
+
+    authorships.sort()  # the (researcher, product) pairs are unique, so no later field is compared
+    return Corpus(researchers, products, authorships)
 
 
 SCORE_CHOICES = [1.0, 1.0, 0.8, 0.8, 0.5, 0.5, 0.25, 0.0, -1.0, -2.0]

@@ -779,6 +779,24 @@ def test_errors_subcommand(tmp_path):
     assert out.read_bytes() == (GOLDEN / "errors.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["score", "errors", "build-dist"])
+def test_an_output_file_in_a_missing_directory_is_written_there(tmp_path, capsys, command):
+    """-o into a directory that does not exist yet creates it, as simulate -o does."""
+    out = tmp_path / "new" / "dir" / f"{command}.csv"
+    if command == "build-dist":
+        worldvalues = tmp_path / "worldvalues.csv"
+        worldvalues.write_text(",".join(WORLDVALUE_COLUMNS) + "\ncitations,X,2006,any,1\n",
+                               encoding="utf-8")
+        argv = ["build-dist", "--worldvalues", str(worldvalues)]
+    else:
+        argv = [command, *MINI_ARGS]
+    assert main([*argv, "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.is_file()
+    if command == "score":
+        assert out.read_bytes() == (GOLDEN / "scored.csv").read_bytes()
+
+
 def test_report_subcommand(tmp_path):
     out = tmp_path / "rep"
     assert main(["report", *MINI_ARGS, "-o", str(out)]) == 0

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import csv
 import importlib
 import inspect
 import io
+import itertools
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import assessopt
-from assessopt import corpus as corpus_module
+from assessopt import cli, corpus as corpus_module
 from assessopt.corpus import (
     AUTHORSHIP_COLUMNS,
     PRODUCT_COLUMNS,
@@ -47,6 +50,7 @@ from assessopt.selection import (
 )
 
 import support
+from bruteforce import load_corpus_by_rows
 
 MINI = Path(__file__).parent / "fixtures" / "mini_university"
 
@@ -402,8 +406,9 @@ def _loaded(directory: Path) -> tuple:
 
 
 def _by_rows(directory: Path) -> tuple:
-    """What load_corpus_dir gives when its column path declines every corpus."""
-    with mock.patch.object(corpus_module, "_load_columns", side_effect=corpus_module._Decline):
+    """What load_corpus_dir gives with load_corpus_by_rows, the row loops that
+    build the corpus and name its faults in one pass, in place of load_corpus."""
+    with mock.patch.object(corpus_module, "load_corpus", load_corpus_by_rows):
         return _loaded(directory)
 
 
@@ -432,6 +437,15 @@ def test_quoted_categories_with_commas_are_read_without_the_row_reader(tmp_path,
     assert _loaded(root) == expected
 
 
+def test_a_decline_that_names_no_fault_is_an_internal_error(monkeypatch):
+    """The row loops only name faults: a decline of a valid corpus is a fault of
+    the program, not a second way to load it."""
+    monkeypatch.setattr(corpus_module, "_load_columns",
+                        mock.Mock(side_effect=corpus_module._Decline))
+    with pytest.raises(AssertionError, match="column path declined a faultless corpus"):
+        load_corpus_dir(MINI)
+
+
 def test_a_type_error_in_the_column_path_surfaces(monkeypatch):
     """The column path's doubts are the errors a faulty file raises; any other
     error is a fault of the program, which falling back would hide."""
@@ -442,7 +456,8 @@ def test_a_type_error_in_the_column_path_surfaces(monkeypatch):
 
 # Each fault puts one text into one field of the first data row (or of every row, for
 # "*"), adds a row after the last ("row", or "copy" of the first), or replaces the
-# header: (file, where, text). R1 authors P1 and P2 in every corpus drawn.
+# header: (file, where, text). R1 authors P1 and P2 in every corpus drawn. Faults
+# drawn together apply in turn, each field fault to the same first data row.
 _FAULTS = {
     "empty-researcher-id": ("researchers", "row", ",MAT/05,1,3"),
     "duplicate-researcher-id": ("researchers", "row", "R1,,3,3"),
@@ -489,9 +504,9 @@ _CATEGORIES = ["A", "A;B", ";A;", "Chemistry, Organic;Physics", 'The "Journal"',
 
 
 @st.composite
-def _corpus_texts(draw, fault: str | None) -> dict[str, str]:
-    """The three files of a corpus, valid or with the given fault: quoted fields, with
-    commas, quotes or line breaks, blank lines, a byte-order mark, CRLF line ends."""
+def _corpus_texts(draw, *faults: str | None) -> dict[str, str]:
+    """The three files of a corpus with the given faults (None adds none): quoted fields,
+    with commas, quotes or line breaks, blank lines, a byte-order mark, CRLF line ends."""
     def pick(values: list):
         return draw(st.sampled_from(values))
 
@@ -522,7 +537,7 @@ def _corpus_texts(draw, fault: str | None) -> dict[str, str]:
             ranks[rid] += 1
         rows["authorships"].append([rid, pid, priority, pick(["", "1", "9"])])
     headers = {name: list(schema) for name, schema in _SCHEMAS.items()}
-    if fault is not None:
+    for fault in filter(None, faults):
         name, where, text = _FAULTS[fault]
         if where == "row":
             rows[name].append(text.split(","))
@@ -531,7 +546,7 @@ def _corpus_texts(draw, fault: str | None) -> dict[str, str]:
         elif where == "header":
             headers[name] = text.split(",")
         else:
-            column = headers[name].index(where.lstrip("*"))
+            column = list(_SCHEMAS[name]).index(where.lstrip("*"))
             for row in rows[name] if where.startswith("*") else rows[name][:1]:
                 row[column] = text
     texts = {}
@@ -559,3 +574,56 @@ def test_the_column_path_loads_as_the_row_loops(tmp_path_factory, fault, data):
         for name, text in data.draw(_corpus_texts(fault)).items():
             (root / f"{name}.csv").write_bytes(text.encode("utf-8"))
         assert _loaded(root) == _by_rows(root)
+
+
+@pytest.mark.parametrize("first, second", list(itertools.combinations(_FAULTS, 2)))
+@settings(max_examples=1, deadline=None)
+@given(data=st.data())
+def test_two_faults_are_named_as_the_row_loops_name_them(tmp_path_factory, first, second, data):
+    """Every pair of faults gives what the row loops alone give: rules fire in the
+    order of load_corpus_by_rows on one row, and between rows and files."""
+    root = tmp_path_factory.mktemp("corpus")
+    for name, text in data.draw(_corpus_texts(first, second)).items():
+        (root / f"{name}.csv").write_bytes(text.encode("utf-8"))
+    assert _loaded(root) == _by_rows(root)
+
+
+# What an edit of a corpus file inserts at one place, or does to one whole line.
+_EDITS = [",", '"', "\0", "\n", "\r\n", "\ufeff", "nan", "1e309", "9" * 5000,
+          "delete line", "duplicate line"]
+_CORPUS_FILES = ["researchers.csv", "products.csv", "authorships.csv"]
+_VALIDATE = ["validate", "--profiles", str(MINI / "profiles.json"), "--ref", str(MINI / "ref")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(_CORPUS_FILES),
+       edits=st.lists(st.tuples(st.sampled_from(_EDITS), st.floats(0, 1, exclude_max=True)),
+                      min_size=1, max_size=3))
+def test_an_edited_corpus_file_loads_or_names_its_faults(tmp_path_factory, name, edits):
+    """1-3 edits of one mini_university file: a corpus loads, or a ParseError or
+    ValidationError names each fault by its file, as the row loops name it; validate
+    exits 0, 1 or 2 and lets no exception out."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for other in _CORPUS_FILES:
+        shutil.copy(MINI / other, root / other)
+    text = (MINI / name).read_text(encoding="utf-8")
+    for edit, where in edits:
+        if edit in ("delete line", "duplicate line"):
+            lines = text.splitlines(keepends=True)
+            at = int(where * len(lines))
+            lines[at:at + 1] = [] if edit == "delete line" else [lines[at]] * 2
+            text = "".join(lines)
+        else:
+            at = int(where * len(text))
+            text = text[:at] + edit + text[at:]
+    (root / name).write_text(text, encoding="utf-8")
+    paths = tuple(str(root / other) for other in _CORPUS_FILES)
+    try:
+        load_corpus_dir(root)
+    except ParseError as exc:
+        assert str(exc).startswith(paths)
+    except ValidationError as exc:
+        assert all(violation.startswith(paths) for violation in exc.violations)
+    assert _loaded(root) == _by_rows(root)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main([*_VALIDATE, "--corpus", str(root)]) in (0, 1, 2)

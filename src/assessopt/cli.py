@@ -6,9 +6,10 @@ OSError (IO or parse failure), or an unknown ASSESS_OPT_LOG level. Set
 ASSESS_OPT_LOG=DEBUG|INFO|... for diagnostics on stderr. Reruns on identical
 inputs produce byte-identical output files.
 
-Each command is a short process, so it imports only what it runs: logging
-only when ASSESS_OPT_LOG is set, selection and report only in errors,
-simulate and report, and matching (from selection) only for an exact engine.
+Each command is a short process, so it imports only what it runs: --help and
+usage errors load only this module and errors, build-dist adds reference and
+corpus, the others gev; selection and report load only where they run, matching
+only for an exact engine, and logging only when ASSESS_OPT_LOG is set.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import os
 import sys
 from pathlib import Path
 
-from . import gev, reference
-from .corpus import load_corpus_dir, write_rows
 from .errors import Log, ParseError, ValidationError
 
 log = Log("assessopt")
@@ -62,24 +61,46 @@ def _add_input_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profiles", required=True, help="panel profile pack (JSON)")
     parser.add_argument("--ref", required=True,
                         help="directory with worldvalues.csv/thresholds.csv and mergemap.csv")
-    parser.add_argument("--window", type=_parse_window, default=gev.DEFAULT_WINDOW,
+    parser.add_argument("--window", type=_parse_window,  # None: gev.DEFAULT_WINDOW
                         help="evaluation window, e.g. 2004:2010")
+
+
+def load_corpus_dir(directory):
+    """corpus.load_corpus_dir, with corpus loaded only once a command reads one."""
+    from . import corpus
+    return corpus.load_corpus_dir(directory)
+
+
+def _write(output, write, *values) -> None:
+    """write(*values, output); an OSError names output and what is wrong with it."""
+    try:
+        write(*values, output)
+    except OSError as exc:
+        path, what = Path(exc.filename or output), exc.strerror.lower()
+        if isinstance(exc, (FileExistsError, NotADirectoryError)):  # a file on the way
+            path = next((part for part in (path, *path.parents) if part.is_file()), path)
+            what = "not a directory"
+        where = "" if path == Path(output) else f"{path}: "
+        raise OSError(f"{output}: {where}{what}") from None
 
 
 def _load_and_score(args):
     """Load the three inputs and score every authorship: the one path every
     command but build-dist takes, so each runs the same checks."""
+    from . import gev, reference
+    gc.disable()  # once the modules are loaded: see main
+    window = args.window or gev.DEFAULT_WINDOW
     corpus = load_corpus_dir(args.corpus)
     log.info("corpus: %d researchers, %d products, %d authorships",
              len(corpus.researchers), len(corpus.products), len(corpus.authorships))
     profiles = gev.load_profiles(args.profiles)
-    problems = gev.validate_profiles(profiles, args.window)
+    problems = gev.validate_profiles(profiles, window)
     if problems:
         raise ValidationError(problems)
     library = reference.load_reference_dir(args.ref)
     log.info("reference: %d distributions, %d merge-map entries",
              len(library.thresholds), len(library.merge_map))
-    return corpus, gev.score_corpus(corpus, profiles, library, args.window)
+    return corpus, gev.score_corpus(corpus, profiles, library, window)
 
 
 def _run_pipeline(args, tokens: list[str]):
@@ -104,17 +125,20 @@ def cmd_validate(args) -> int:
 
 
 def cmd_build_dist(args) -> int:
+    from . import reference
+    gc.disable()  # once the modules are loaded: see main
     thresholds = reference.load_worldvalues(args.worldvalues)
     if not thresholds:
         raise ParseError("no data rows after the header", file=args.worldvalues)
-    reference.write_thresholds(thresholds, args.output)
+    _write(args.output, reference.write_thresholds, thresholds)
     print(f"wrote {len(thresholds)} distributions to {args.output}")
     return 0
 
 
 def cmd_score(args) -> int:
+    from . import gev
     _, scored = _load_and_score(args)
-    gev.write_scored(scored, args.output)
+    _write(args.output, gev.write_scored, scored)
     print(f"scored {len(scored)} authorships to {args.output}")
     return 0
 
@@ -122,7 +146,7 @@ def cmd_score(args) -> int:
 def cmd_errors(args) -> int:
     from . import selection
     _, errors, _ = _run_pipeline(args, [])
-    selection.write_errors(errors, args.output)
+    _write(args.output, selection.write_errors, errors)
     print(f"wrote error metrics for {len(errors)} researchers to {args.output}")
     return 0
 
@@ -130,23 +154,27 @@ def cmd_errors(args) -> int:
 def cmd_simulate(args) -> int:
     """simulate and report: write report.md, plus report.csv when scenarios 1-3
     all ran; simulate also writes scored.csv, selection.csv and errors.csv."""
-    from . import report, selection
+    from . import corpus, gev, report, selection
     problem, errors, selections = _run_pipeline(args, args.scenarios)
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
     table = report.scenario_table(problem, selections)
-    (outdir / "report.md").write_text(
-        report.render_report(problem, selections, errors, table), encoding="utf-8"
-    )
-    if table is not None:
-        write_rows(outdir / "report.csv", report.SCENARIO_CSV_COLUMNS,
-                   report.render_scenario_csv(table))
+
+    def write(outdir: Path) -> None:
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "report.md").write_text(
+            report.render_report(problem, selections, errors, table), encoding="utf-8")
+        if table is not None:
+            corpus.write_rows(outdir / "report.csv", report.SCENARIO_CSV_COLUMNS,
+                              report.render_scenario_csv(table))
+        if args.command == "simulate":
+            gev.write_scored(problem.scored, outdir / "scored.csv")
+            selection.write_selections(problem, selections, outdir / "selection.csv")
+            selection.write_errors(errors, outdir / "errors.csv")
+
+    outdir = Path(args.output)
+    _write(outdir, write)
     if args.command == "report":
         print(f"report written to {outdir}")
         return 0
-    gev.write_scored(problem.scored, outdir / "scored.csv")
-    selection.write_selections(problem, selections, outdir / "selection.csv")
-    selection.write_errors(errors, outdir / "errors.csv")
     for tag, chosen in selections.items():
         print(f"{tag}: total score {chosen.total_score:g}")
     print(f"outputs in {outdir}")
@@ -202,11 +230,11 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         logging.basicConfig(stream=sys.stderr, level=level.upper(),
                             format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # A run's records hold no reference cycles: collecting would only rescan them.
+    args = build_parser().parse_args(argv)
+    # A run's records hold no reference cycles, so collecting would only rescan them.
+    # Each command pauses the collector after its imports: until then it frees the
+    # cyclic garbage that they and the parser, dropped here, leave.
     collecting = gc.isenabled()
-    gc.disable()
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import assessopt
-from assessopt import selection
+from assessopt import cli, selection
 from assessopt.cli import main
 from assessopt.corpus import (
     AUTHORSHIP_COLUMNS,
@@ -597,11 +597,16 @@ import sys
 before = set(sys.modules)
 sys.path.insert(0, sys.argv.pop(1))
 from assessopt.cli import main
-code = main(sys.argv[1:])
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --help and usage errors
+    code = exc.code
 print(*set(sys.modules) - before)
 sys.exit(code)
 """
-LAZY_MODULES = {"logging", "assessopt.selection", "assessopt.report", "assessopt.matching"}
+SCORING = {"assessopt.corpus", "assessopt.gev", "assessopt.reference"}
+LAZY_MODULES = {"logging", "assessopt.selection", "assessopt.report", "assessopt.matching",
+                *SCORING}
 
 
 def _fresh_main(args: list[str], log_level: str | None = None):
@@ -619,21 +624,31 @@ def _fresh_main(args: list[str], log_level: str | None = None):
     return run, lines, set(loaded.split()) & LAZY_MODULES
 
 
-@pytest.mark.parametrize("command, options, loaded", [
-    ("validate", [], set()),
-    ("score", ["-o", "{tmp}/scored.csv"], set()),
-    ("errors", ["-o", "{tmp}/errors.csv"], {"assessopt.selection"}),
-    ("simulate", ["--scenarios", "1,2,3", "-o", "{tmp}/out"],
-     {"assessopt.selection", "assessopt.report"}),
-    ("simulate", ["--scenarios", "1,2,3,exact-A,exact-C", "-o", "{tmp}/out"],
-     {"assessopt.selection", "assessopt.report", "assessopt.matching"}),
-], ids=["validate", "score", "errors", "simulate-1,2,3", "simulate-all"])
-def test_a_command_loads_only_the_modules_it_runs(tmp_path, command, options, loaded):
-    """With ASSESS_OPT_LOG unset no command loads logging; selection and report
-    load only where they run, and matching only for an exact engine."""
-    options = [option.format(tmp=tmp_path) for option in options]
-    run, _, modules = _fresh_main([command, *MINI_ARGS, *options])
-    assert (run.returncode, run.stderr) == (0, "")
+@pytest.mark.parametrize("argv, code, loaded", [
+    (["--help"], 0, set()),
+    (["score", "--help"], 0, set()),
+    (["score"], 2, set()),
+    (["build-dist", "--worldvalues", "{tmp}/worldvalues.csv", "-o", "{tmp}/t.csv"], 0,
+     {"assessopt.corpus", "assessopt.reference"}),
+    (["validate", *MINI_ARGS], 0, SCORING),
+    (["score", *MINI_ARGS, "-o", "{tmp}/scored.csv"], 0, SCORING),
+    (["errors", *MINI_ARGS, "-o", "{tmp}/errors.csv"], 0, {*SCORING, "assessopt.selection"}),
+    (["simulate", *MINI_ARGS, "--scenarios", "1,2,3", "-o", "{tmp}/out"], 0,
+     {*SCORING, "assessopt.selection", "assessopt.report"}),
+    (["simulate", *MINI_ARGS, "--scenarios", "1,2,3,exact-A,exact-C", "-o", "{tmp}/out"], 0,
+     {*SCORING, "assessopt.selection", "assessopt.report", "assessopt.matching"}),
+], ids=["help", "score-help", "usage-error", "build-dist", "validate", "score", "errors",
+        "simulate-1,2,3", "simulate-all"])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, code, loaded):
+    """With ASSESS_OPT_LOG unset no command loads logging. --help and a usage
+    error load no scoring module, build-dist no gev; selection and report load
+    only where they run, and matching only for an exact engine."""
+    (tmp_path / "worldvalues.csv").write_text(
+        ",".join(WORLDVALUE_COLUMNS) + "\ncitations,X,2006,any,1\n", encoding="utf-8")
+    options = [option.format(tmp=tmp_path) for option in argv]
+    run, _, modules = _fresh_main(options)
+    assert run.returncode == code
+    assert run.stderr.startswith("usage: assess-opt score") if code else run.stderr == ""
     assert modules == loaded
     if "1,2,3,exact-A,exact-C" in options:  # the golden run
         for name in OUTPUT_FILES:
@@ -667,10 +682,10 @@ def test_log_lines_reach_stderr_only_on_request(tmp_path, level):
     assert (tmp_path / "scored.csv").read_bytes() == (GOLDEN / "scored.csv").read_bytes()
     if level is None:
         assert (score.stderr, dist.stderr) == ("", "")
-        assert score_modules == dist_modules == set()
+        assert score_modules - SCORING == dist_modules - SCORING == set()
     else:
         assert (score.stderr, dist.stderr) == (_SCORE_INFO, "")
-        assert score_modules == dist_modules == {"logging"}
+        assert score_modules - SCORING == dist_modules - SCORING == {"logging"}
 
 
 def test_simulate_writes_all_outputs_and_matches_golden(tmp_path):
@@ -797,6 +812,37 @@ def test_an_output_file_in_a_missing_directory_is_written_there(tmp_path, capsys
         assert out.read_bytes() == (GOLDEN / "scored.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["score", "errors", "build-dist", "simulate"])
+def test_an_output_that_cannot_be_written_names_itself(tmp_path, capsys, command):
+    """An -o path through a regular file, or a file path that is a directory, exits
+    2 with `<the -o path>: <what is wrong>` once the work is done, and writes nothing."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n", encoding="utf-8")
+    if command == "build-dist":
+        worldvalues = tmp_path / "worldvalues.csv"
+        worldvalues.write_text(",".join(WORLDVALUE_COLUMNS) + "\ncitations,X,2006,any,1\n",
+                               encoding="utf-8")
+        argv = ["build-dist", "--worldvalues", str(worldvalues)]
+    else:
+        argv = [command, *MINI_ARGS, *(["--scenarios", "1"] if command == "simulate" else [])]
+    directory = tmp_path / "directory"
+    (directory / "report.md").mkdir(parents=True)
+    cases = {  # -o path: the message after it
+        blocker / "x" / "out.csv": f"{blocker}: not a directory",
+        blocker / "out.csv": f"{blocker}: not a directory",
+    }
+    if command == "simulate":
+        cases.update({blocker: "not a directory",
+                      directory: f"{directory / 'report.md'}: is a directory"})
+    else:
+        cases[directory] = "is a directory"
+    for output, what in cases.items():
+        assert main([*argv, "-o", str(output)]) == 2
+        assert capsys.readouterr() == ("", f"error: {output}: {what}\n")
+    assert blocker.read_text(encoding="utf-8") == "keep\n"
+    assert [path.name for path in directory.iterdir()] == ["report.md"]
+
+
 def test_report_subcommand(tmp_path):
     out = tmp_path / "rep"
     assert main(["report", *MINI_ARGS, "-o", str(out)]) == 0
@@ -851,6 +897,27 @@ def test_window_override_rejects_uncovered_years(tmp_path, capsys):
     code = main(["validate", *MINI_ARGS, "--window", "2004:2012"])
     assert code == 1
     assert "2011" in capsys.readouterr().err
+
+
+def test_the_default_window_is_2004_to_2010(tmp_path):
+    default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+    assert main(["score", *MINI_ARGS, "-o", str(default)]) == 0
+    assert main(["score", *MINI_ARGS, "--window", "2004:2010", "-o", str(explicit)]) == 0
+    assert default.read_bytes() == explicit.read_bytes() == (GOLDEN / "scored.csv").read_bytes()
+
+
+def test_commands_load_the_corpus_through_the_cli_name(monkeypatch):
+    """bench/trace_cli.py counts corpus.rows by wrapping cli.load_corpus_dir, so
+    a command has to call the corpus loader through that module global."""
+    calls = []
+
+    def recording(directory):
+        calls.append(directory)
+        return load_corpus_dir(directory)
+
+    monkeypatch.setattr(cli, "load_corpus_dir", recording)
+    assert main(["validate", *MINI_ARGS]) == 0
+    assert calls == [str(MINI)]
 
 
 def test_window_reaches_scoring(tmp_path, capsys):

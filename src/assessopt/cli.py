@@ -96,7 +96,7 @@ def _load_and_score(args):
     profiles = gev.load_profiles(args.profiles)
     problems = gev.validate_profiles(profiles, window)
     if problems:
-        raise ValidationError(problems)
+        raise ValidationError([f"{args.profiles}: {problem}" for problem in problems])
     library = reference.load_reference_dir(args.ref)
     log.info("reference: %d distributions, %d merge-map entries",
              len(library.thresholds), len(library.merge_map))

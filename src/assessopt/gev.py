@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -225,6 +226,9 @@ def score_corpus(
     """
     scored: dict[tuple[str, str], ScoredProduct] = {}
     memo: dict[tuple[str, int], ScoredProduct] = {}
+    # Equal ScoredProducts are held once. 0.0 == -0.0, but within a run a panel's
+    # outcome has one score, that of its one profile, so equal ones hold the same bits.
+    shared: dict[ScoredProduct, ScoredProduct] = {}
     for a in corpus.authorships:
         gev = routing_for(a, corpus.researchers[a.researcher_id])
         sp = memo.get((a.product_id, gev))
@@ -237,8 +241,8 @@ def score_corpus(
             profile = profiles.get(gev)
             if profile is None:
                 raise ValidationError([f"no profile configured for GEV {gev}"])
-            sp = memo[(a.product_id, gev)] = score_product(
-                corpus.products[a.product_id], profile, library, window)
+            sp = score_product(corpus.products[a.product_id], profile, library, window)
+            sp = memo[(a.product_id, gev)] = shared.setdefault(sp, sp)
         scored[(a.researcher_id, a.product_id)] = sp
     log.info("scored %d authorships, %d distinct (product, panel) pairs",
              len(scored), len(memo))
@@ -247,10 +251,14 @@ def score_corpus(
 
 def write_scored(scored: dict[tuple[str, str], ScoredProduct], path: str | Path) -> None:
     texts = number_texts(sp.score for sp in scored.values())
-    write_rows(path, SCORED_COLUMNS, sorted(
-        (pid, rid, sp.routing_gev, sp.outcome, texts.get(sp.score) or format_number(sp.score),
-         "true" if sp.definite else "false")
-        for (rid, pid), sp in scored.items()
+    # The (researcher, product) keys by product id, then researcher id, in two stable
+    # sorts: each row is built only as it is written.
+    keys = sorted(scored, key=itemgetter(0))
+    keys.sort(key=itemgetter(1))
+    write_rows(path, SCORED_COLUMNS, (
+        (key[1], key[0], sp.routing_gev, sp.outcome,
+         texts.get(sp.score) or format_number(sp.score), "true" if sp.definite else "false")
+        for key in keys for sp in (scored[key],)
     ))
 
 

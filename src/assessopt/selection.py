@@ -15,7 +15,8 @@ rule (see optimize_exact) fixes which optimum it reports.
 
 from __future__ import annotations
 
-from itertools import groupby
+from heapq import heapify, heappop, heapreplace
+from itertools import chain, groupby
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -139,7 +140,8 @@ def build_sets(corpus: Corpus, scored: ScoredMap) -> SelectionProblem:
     and the authorships be in (researcher, product) order, as Corpus holds them.
     """
     products, researchers = corpus.products, corpus.researchers
-    units = {pair: score_units(sp.score) for pair, sp in scored.items()}
+    score_to_units = {score: score_units(score) for score in {sp.score for sp in scored.values()}}
+    units = {pair: score_to_units[sp.score] for pair, sp in scored.items()}  # one int a score
     # The tie-break order (see SelectionProblem.tiebreak) by stable sorts, last key first.
     order = sorted(products.values(), key=attrgetter("id"))
     order.sort(key=attrgetter("year"))
@@ -316,9 +318,6 @@ def _greedy_best_score(problem: SelectionProblem, pool: Pool) -> Selection:
     """
     units, tiebreak = problem.units, problem.tiebreak
     candidates, holders = pool
-    order = sorted([(-units[(rid, pid)], tiebreak[pid], rid, pid)
-                    for rid, pids in candidates.items() for pid in pids])
-
     capacity = dict(problem.quota)
     consumed: set[str] = set()
     assignment: dict[str, list[str]] = {rid: [] for rid in capacity}
@@ -330,14 +329,25 @@ def _greedy_best_score(problem: SelectionProblem, pool: Pool) -> Selection:
                 return units[(rid, pid)]
         return float("-inf")
 
-    for _, _, rid, pid in order:
-        if pid in consumed or capacity[rid] == 0:
-            continue
-        claimants = [r for r in holders.get(pid, ()) if capacity[r] > 0]
-        winner = min(claimants, key=lambda r: (best_alternative_units(r, pid), r), default=rid)
-        assignment[winner].append(pid)
-        capacity[winner] -= 1
-        consumed.add(pid)
+    # Each pool is ranked by score desc, then tie-break, so a heap of one entry per
+    # researcher, its next candidate, yields the pairs in (score desc, tie-break,
+    # researcher id) order. No two entries share a researcher, so i is never compared.
+    heap = [(-units[(rid, pids[0])], tiebreak[pids[0]], rid, 0)
+            for rid, pids in candidates.items() if pids]
+    heapify(heap)
+    while heap:
+        _, _, rid, i = heap[0]
+        pids = candidates[rid]
+        if capacity[rid] and (pid := pids[i]) not in consumed:
+            claimants = [r for r in holders.get(pid, ()) if capacity[r] > 0]
+            winner = min(claimants, key=lambda r: (best_alternative_units(r, pid), r), default=rid)
+            assignment[winner].append(pid)
+            capacity[winner] -= 1
+            consumed.add(pid)
+        if capacity[rid] and (i := i + 1) < len(pids):  # a full researcher takes no more
+            heapreplace(heap, (-units[(rid, pids[i])], tiebreak[pids[i]], rid, i))
+        else:
+            heappop(heap)
     return _finalize(problem, assignment)
 
 
@@ -425,7 +435,7 @@ def write_selections(
     """Write the selections, keyed by tag, to one CSV in SCENARIO_TAGS order;
     each researcher's unfilled slots carry the penalty."""
     scored = problem.scored
-    texts = number_texts([SHORTFALL_PENALTY, *(sp.score for sp in scored.values())])
+    texts = number_texts(chain((SHORTFALL_PENALTY,), (sp.score for sp in scored.values())))
 
     def rows():
         for tag in (tag for tag in SCENARIO_TAGS if tag in selections):

@@ -189,8 +189,8 @@ def test_validate_output_does_not_depend_on_the_hash_seed(tmp_path):
     args = ["validate", "--corpus", str(MINI), "--profiles", str(path), "--ref", str(MINI / "ref")]
     runs = [_capped_main(args, env={**os.environ, "PYTHONHASHSEED": seed})
             for seed in ("1", "2")]
-    expected = "".join(f"validation: profile 1: unknown product kind {kind!r} in allowed_kinds\n"
-                       for kind in sorted(unknown))
+    expected = "".join(f"validation: {path}: profile 1: unknown product kind {kind!r} in "
+                       "allowed_kinds\n" for kind in sorted(unknown))
     for run in runs:
         assert (run.returncode, run.stderr) == (1, expected)
 
@@ -303,20 +303,23 @@ INPUT_CHECKS = {
         _replace("profiles.json", '"no_metric_score": 0.25', '"no_metric_scor": 0.9'), 2,
         "error: {root}/profiles.json: malformed profile entry: "
         'profiles[0] has unknown key "no_metric_scor"\n'),
-    "panel-outside-1-9": (_edit_profiles(lambda ps: ps[0].update(gev_id=10)), 1,
-                          "validation: profile 10: gev_id 10 outside 1..9\n"),
+    "panel-outside-1-9": (
+        _edit_profiles(lambda ps: ps[0].update(gev_id=10)), 1,
+        "validation: {root}/profiles.json: profile 10: gev_id 10 outside 1..9\n"),
     "unknown-source-policy": (
         _edit_profiles(lambda ps: ps[0].update(source_policy="wos-first")), 1,
-        "validation: profile 1: unknown source policy 'wos-first'\n"),
+        "validation: {root}/profiles.json: profile 1: unknown source policy 'wos-first'\n"),
     "unknown-allowed-kind": (
         _edit_profiles(lambda ps: ps[0]["allowed_kinds"].append("poster")), 1,
-        "validation: profile 1: unknown product kind 'poster' in allowed_kinds\n"),
+        "validation: {root}/profiles.json: profile 1: "
+        "unknown product kind 'poster' in allowed_kinds\n"),
     "fallback-score-outside-range": (
         _edit_profiles(lambda ps: ps[0].update(no_metric_score=1.5)), 1,
-        "validation: profile 1: no_metric_score 1.5 outside [-2, 1]\n"),
+        "validation: {root}/profiles.json: profile 1: no_metric_score 1.5 outside [-2, 1]\n"),
     "journal-class-outside-1-4": (
         _edit_profiles(lambda ps: ps[0]["ir_journal_class_list"].update({"J-M1": 5})), 1,
-        "validation: profile 1: journal class 5 for 'J-M1' outside 1..4\n"),
+        "validation: {root}/profiles.json: profile 1: "
+        "journal class 5 for 'J-M1' outside 1..4\n"),
     "profiles-not-found": (lambda root: (root / "profiles.json").unlink(), 2,
                            "error: {root}/profiles.json: file not found\n"),
     "duplicate-profile": (_edit_profiles(lambda ps: ps.append(ps[0])), 2,

@@ -5,12 +5,16 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import shutil
+import sys
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from assessopt.cli import main
 from assessopt.corpus import PRODUCT_KINDS, IndexRecord, Product
 from assessopt.errors import ParseError, ValidationError
 from assessopt.gev import (
@@ -33,12 +37,13 @@ from assessopt.gev import (
     score_corpus,
     score_product,
     validate_profiles,
+    write_scored,
 )
 from assessopt.reference import ClassThresholds, DistributionKey, ReferenceLibrary
-from assessopt.selection import SHORTFALL_PENALTY
+from assessopt.selection import SHORTFALL_PENALTY, build_sets
 
 import support
-from bruteforce import stepwise_score
+from bruteforce import sized_instance, stepwise_score
 
 # Transcribed cell by cell from the published Chemistry grids:
 # rows are citation classes 1-4, columns journal classes 1-4.
@@ -417,6 +422,71 @@ def test_score_corpus_reports_the_first_failing_authorship():
     assert exc.value.violations == [
         "peer-review-only UDA 12: product 'P1' of researcher 'R2' has no bibliometric panel"
     ]
+
+
+def _scored_instance():
+    """sized_instance(Random(1), 1000, 3000) scored by score_corpus under nine plain
+    panels; each index record's journal metric is its citations / 10, so that the
+    products reach the matrix cells as well as the fallbacks."""
+    corpus, _ = sized_instance(random.Random(1), 1000, 3000)
+    corpus = corpus._replace(products={pid: p._replace(wos_record=p.wos_record and (
+        p.wos_record._replace(journal_metric=p.wos_record.citations / 10)))
+        for pid, p in corpus.products.items()})
+    profiles = {gev: support.profile(gev) for gev in range(1, 10)}
+    return corpus, score_corpus(corpus, profiles, support.library(("CAT",)), DEFAULT_WINDOW)
+
+
+def test_equal_scores_are_held_once():
+    """Of the thousands of scored authorships only a few dozen values are distinct:
+    score_corpus holds each ScoredProduct once, build_sets each score's units once."""
+    corpus, scored = _scored_instance()
+    distinct = set(scored.values())
+    assert 10 < len(distinct) < 100
+    assert len({id(sp) for sp in scored.values()}) == len(distinct)
+    units = build_sets(corpus, scored).units
+    assert len({id(u) for u in units.values()}) == len(set(units.values())) > 3
+
+
+def test_write_scored_does_not_depend_on_the_order_of_the_map(tmp_path):
+    _, scored = _scored_instance()
+    write_scored(scored, tmp_path / "given.csv")
+    items = list(scored.items())
+    random.Random(2).shuffle(items)
+    write_scored(dict(items), tmp_path / "shuffled.csv")
+    assert (tmp_path / "given.csv").read_bytes() == (tmp_path / "shuffled.csv").read_bytes()
+
+
+def test_a_negative_zero_fallback_is_written_as_minus_zero(tmp_path, capsys):
+    """0.0 == -0.0, so the held-once ScoredProducts must not merge a panel's -0.0
+    fallback with an equal 0.0 score."""
+    root = tmp_path / "in"
+    shutil.copytree(Path(__file__).parent / "fixtures" / "mini_university", root)
+    pack = json.loads((root / "profiles.json").read_text(encoding="utf-8"))
+    for entry in pack["profiles"]:
+        entry["no_metric_score"] = -0.0
+    (root / "profiles.json").write_text(json.dumps(pack), encoding="utf-8")
+    assert '"no_metric_score": -0.0' in (root / "profiles.json").read_text(encoding="utf-8")
+    out = tmp_path / "scored.csv"
+    assert main(["score", "--corpus", str(root), "--profiles", str(root / "profiles.json"),
+                 "--ref", str(root / "ref"), "-o", str(out)]) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()
+    fallbacks = [row for row in rows if ",no-metric-fallback," in row]
+    assert len(fallbacks) == 3
+    assert all(row.endswith(",no-metric-fallback,-0,false") for row in fallbacks)
+    assert any(row.endswith(",0,true") for row in rows)  # the D cells keep 0.0
+
+
+def test_write_scored_builds_no_row_before_it_writes_it(tmp_path):
+    """Sorting whole rows would hold one 6-tuple per authorship at once; the keys
+    sort by two stable sorts and each row is built as it is written."""
+    _, scored = _scored_instance()
+    tracemalloc.start()
+    try:
+        write_scored(scored, tmp_path / "scored.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(scored) * sys.getsizeof(tuple(range(6)))
 
 
 def test_default_pack_shape():

@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -782,3 +783,31 @@ def test_greedy_and_writers_match_their_restatements_randomized(tmp_path):
                 corpus, scored, {tag: s.assignment for tag, s in selections.items()}))):
             with open(tmp_path / name, newline="", encoding="utf-8") as fh:
                 assert list(csv.reader(fh))[1:] == rows
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_greedy_matches_its_restatement_when_researchers_fill_up_early(seed):
+    """Pools of about ten candidates against quotas of at most three: most
+    researchers are full long before their pools run out, and the engines drop them."""
+    corpus, scored = sized_instance(random.Random(seed), 300, 1500)
+    problem = build_sets(corpus, scored)
+    for tag, full, pool in ((SCENARIO2, False, problem.pool_a), (SCENARIO3, True, problem.pool_c)):
+        got = RUNNERS[tag](problem).assignment
+        assert sum(len(picks) == problem.quota[rid] < len(pool.entries[rid])
+                   for rid, picks in got.items()) > 100
+        assert list(got.items()) == list(greedy_assignment(corpus, scored, full).items())
+
+
+def test_scenario3_holds_no_entry_per_pool_pair():
+    """Sorting every pool entry would hold one 4-tuple per entry at once; merging
+    the ranked pools holds one per researcher."""
+    problem = build_sets(*sized_instance(random.Random(1), 300, 6000))
+    entries = sum(map(len, problem.pool_c.entries.values()))
+    assert entries > 20 * len(problem.quota)
+    tracemalloc.start()
+    try:
+        scenario3(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < entries * sys.getsizeof(tuple(range(4)))

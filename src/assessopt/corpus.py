@@ -1,7 +1,8 @@
 """Institutional corpus: roster, products, authorships, validation, and the CSV layer.
 
 Every CSV the program reads goes through read_lines (read_rows reads on by rows from its first
-line; a worldvalues.csv is read by lines) or _chunks, and every one it writes through write_rows.
+line; a worldvalues.csv is read a block of lines at a time) or _chunks, and every one it writes
+through write_rows.
 read_rows yields each row as a list of its parsed fields in schema order; loaders build records
 by position. Only _load_columns builds a corpus, from _chunks: where it doubts the files, the
 row loops of load_corpus read them with read_rows, only to name each fault.
@@ -153,9 +154,10 @@ def echo(text: str) -> str:
 
 @contextmanager
 def read_lines(path: Path, schema: dict) -> Iterator[tuple[Iterator, Callable, int]]:
-    """A CSV's lines after its header as (line, text) pairs, line ends kept; with
-    rows_from(line, text), which yields the rows that read_rows yields from that line
-    on, a csv.reader reading text and then the lines; and csv.field_size_limit().
+    """A CSV's lines after its header, line ends kept, as the file object yields them;
+    with rows_from(line, lines), which yields the rows that read_rows yields from that
+    line on, a csv.reader reading lines, whose first is that line; and
+    csv.field_size_limit().
 
     A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped. A
     missing or empty file, a header other than the schema's columns and text that is
@@ -166,8 +168,8 @@ def read_lines(path: Path, schema: dict) -> Iterator[tuple[Iterator, Callable, i
     if not path.exists():
         raise ParseError("file not found", file=file)
 
-    def rows_from(first: int, text: str) -> Iterator[tuple[int, list]]:
-        reader, offset = csv.reader(chain((text,), rest)), first - 1
+    def rows_from(first: int, lines: Iterable[str]) -> Iterator[tuple[int, list]]:
+        reader, offset = csv.reader(lines), first - 1
         try:
             for row in reader:
                 if len(row) != width:
@@ -196,9 +198,7 @@ def read_lines(path: Path, schema: dict) -> Iterator[tuple[Iterator, Callable, i
                 raise ParseError(str(exc), file, reader.line_num) from None
             if header != columns:
                 raise ParseError(f"bad header {header!r}, expected {columns!r}", file, 1)
-            lines = enumerate(fh, 2)  # a valid header is one line
-            rest = map(itemgetter(1), lines)
-            yield lines, rows_from, csv.field_size_limit()
+            yield fh, rows_from, csv.field_size_limit()  # a valid header is one line
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"not UTF-8 text (byte 0x{exc.object[exc.start]:02x})", file=file
@@ -212,8 +212,7 @@ def read_rows(path: Path, schema: dict) -> Iterator[tuple[int, list]]:
     ParseError naming the file, line and column.
     """
     with read_lines(path, schema) as (lines, rows_from, _):
-        for line, text in lines:  # one csv.reader reads on from the first line
-            yield from rows_from(line, text)
+        yield from rows_from(2, lines)
 
 
 def write_rows(path: str | Path, schema: dict, rows: Iterable[Sequence]) -> None:

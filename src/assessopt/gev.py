@@ -225,13 +225,18 @@ def score_corpus(
     profile.
     """
     scored: dict[tuple[str, str], ScoredProduct] = {}
-    memo: dict[tuple[str, int], ScoredProduct] = {}
+    # Each product's score by the panel that scored it first, whose id the score holds;
+    # a product routed to another panel as well has that score in others.
+    memo: dict[str, ScoredProduct] = {}
+    others: dict[tuple[str, int], ScoredProduct] = {}
     # Equal ScoredProducts are held once. 0.0 == -0.0, but within a run a panel's
     # outcome has one score, that of its one profile, so equal ones hold the same bits.
     shared: dict[ScoredProduct, ScoredProduct] = {}
     for a in corpus.authorships:
         gev = routing_for(a, corpus.researchers[a.researcher_id])
-        sp = memo.get((a.product_id, gev))
+        sp = memo.get(a.product_id)
+        if sp is not None and sp.routing_gev != gev:
+            sp = others.get((a.product_id, gev))
         if sp is None:  # a pair seen before has passed these checks
             if gev not in BIBLIOMETRIC_UDAS:
                 raise ValidationError([
@@ -242,10 +247,12 @@ def score_corpus(
             if profile is None:
                 raise ValidationError([f"no profile configured for GEV {gev}"])
             sp = score_product(corpus.products[a.product_id], profile, library, window)
-            sp = memo[(a.product_id, gev)] = shared.setdefault(sp, sp)
+            sp = shared.setdefault(sp, sp)
+            if memo.setdefault(a.product_id, sp) is not sp:
+                others[(a.product_id, gev)] = sp
         scored[(a.researcher_id, a.product_id)] = sp
     log.info("scored %d authorships, %d distinct (product, panel) pairs",
-             len(scored), len(memo))
+             len(scored), len(memo) + len(others))
     return scored
 
 

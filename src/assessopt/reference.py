@@ -13,7 +13,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import format_number, number, read_lines, read_rows, write_rows
+from .corpus import format_number, number, read_rows, write_rows
 from .errors import ParseError, ValidationError
 
 JOURNAL_METRIC = "journal-metric"
@@ -120,40 +120,16 @@ def load_worldvalues(path: str | Path) -> dict[DistributionKey, ClassThresholds]
     """Read raw world values (one per row) and compute thresholds per key.
 
     Each key's values are held as 8-byte floats in one array, shared by the key texts
-    that name the key (" 2006" and "2006", "" and "any"). The file is read in one pass:
-    a line whose text before its last comma is the key text of an earlier one-line
-    record, and whose text after it is a finite non-negative number within the csv
-    field limit, is taken as it stands; csv reads any other line as the record it
-    starts, with read_rows' checks.
+    that name the key (" 2006" and "2006", "" and "any"). The file is read in one pass,
+    a block of lines at a time. A line whose text before its last comma is the key text
+    of an earlier one-line record, and whose text after it is a finite non-negative
+    number within the csv field limit, or one quoted whole ('"0.984"' and the line end),
+    is taken as it stands, with the lines after it that share its key text; csv reads
+    any other line as the record it starts, with read_rows' checks, reading on into the
+    rest of the block and the file, and the block resumes after that record.
     """
-    from array import array  # a shared library (~0.1 MB resident): loaded only where used
-    path = Path(path)
-    file = str(path)
-    values: dict[DistributionKey, array] = {}
-    appends = {}  # key text -> the append of its key's array
-    with read_lines(path, WORLDVALUE_COLUMNS) as (lines, rows_from, limit):
-        for line_no, line in lines:
-            key_text, _, text = line.rpartition(",")
-            append = appends.get(key_text)
-            try:
-                if append and 0 <= (value := float(text)) < math.inf and len(text) <= limit:
-                    append(value)
-                    continue
-            except ValueError:
-                pass
-            for last, row in rows_from(line_no, line):  # csv reads the record from here
-                value = row.pop()
-                if not append:  # the first four fields of a known key text are its own
-                    key = _distribution_key(row, file, last)
-                    append = values.setdefault(key, array("d")).append
-                    if last == line_no:  # a record on one line: its key text names its key
-                        appends[key_text] = append
-                if not 0 <= value < math.inf:
-                    raise ParseError(f"value is not a finite non-negative number: {value}",
-                                     file=file, line=last)
-                append(value)
-                break  # the loop above reads on by lines
-    return {key: build_thresholds(vals) for key, vals in values.items()}
+    from .worldvalues import load  # compiled only where a worldvalues.csv is read
+    return load(Path(path))
 
 
 def load_thresholds(path: str | Path) -> dict[DistributionKey, ClassThresholds]:

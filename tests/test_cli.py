@@ -658,6 +658,25 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, code, loaded):
             assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
+@pytest.mark.parametrize("argv, reads_worldvalues", [
+    (["build-dist", "--worldvalues", "{tmp}/worldvalues.csv", "-o", "{tmp}/t.csv"], True),
+    (["simulate", *MINI_ARGS, "--scenarios", "1,2,3", "-o", "{tmp}/out"], False),
+], ids=["build-dist", "simulate-on-thresholds"])
+def test_only_a_run_that_reads_a_worldvalues_csv_loads_its_reader(tmp_path, argv,
+                                                                   reads_worldvalues):
+    """assessopt.worldvalues is loaded, and compiled, only where a worldvalues.csv is
+    read: a run on a thresholds.csv alone leaves it out."""
+    (tmp_path / "worldvalues.csv").write_text(
+        ",".join(WORLDVALUE_COLUMNS) + "\ncitations,X,2006,any,1\n", encoding="utf-8")
+    src = str(Path(assessopt.__file__).parent.parent)
+    run = subprocess.run([sys.executable, "-c", _MAIN_THEN_MODULES, src,
+                          *(option.format(tmp=tmp_path) for option in argv)],
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    loaded = run.stdout.splitlines()[-1].split()
+    assert ("assessopt.worldvalues" in loaded) == reads_worldvalues
+
+
 # score's stderr on mini_university with ASSESS_OPT_LOG=INFO, as written when
 # every module logged through logging.getLogger.
 _SCORE_INFO = (

@@ -6,13 +6,14 @@ import csv
 import logging
 import math
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from assessopt import reference
+from assessopt import corpus, reference, worldvalues
 from assessopt.corpus import read_rows
 from assessopt.errors import ParseError, ValidationError
 from assessopt.gev import score_product
@@ -443,6 +444,183 @@ def test_a_bad_byte_is_met_as_lines_are_read_one_by_one(tmp_path, lines_on, mess
     with pytest.raises(ParseError) as exc:
         load_worldvalues(path)
     assert str(exc.value) == f"{path}{message}"
+
+
+
+# --- the block path: load_worldvalues reads worldvalues._BLOCK lines a step ---------------
+
+B = worldvalues._BLOCK
+
+
+def _plain(count: int, start: int = 0, end: str = "\n") -> list[str]:
+    """count plain lines over four keys, each with its line end."""
+    return [f"citations,X{i % 4},2006,any,{i}{end}" for i in range(start, start + count)]
+
+
+def _outcome(path: Path) -> dict | str:
+    try:
+        return load_worldvalues(path)
+    except ParseError as exc:
+        return str(exc)
+
+
+# Each body's lines are numbered from 0, the first after the header; line k is in block k // B.
+_BOUNDARY_BODIES = {
+    "two-line-record-over-a-block-end":
+        _plain(B - 1) + ['citations,"X2\nY",2006,any,1\n'] + _plain(B + 5, B),
+    "two-line-record-over-a-block-end-then-a-fault":
+        _plain(B - 1) + ['citations,"X2\nY",2006,any,1\n'] + _plain(3, B)
+        + ["citations,X1,2006,any,many\n"],
+    "refused-line-first-in-a-block":
+        _plain(B) + ['citations,X1,2006,any,"1" \n'] + _plain(B, B + 1),
+    "refused-line-last-in-a-block":
+        _plain(B - 1) + ['citations,X1,2006,any,"1" \n'] + _plain(B, B),
+    "refused-lines-first-and-last-in-a-block":
+        _plain(B) + ['citations,X1,2006,any,"1" \n'] + _plain(B - 2, B + 1)
+        + ['citations,X3,2006,any," 2"x\n'] + _plain(5, 2 * B),
+    "fault-first-in-a-block": _plain(B) + ["citations,X1,2006,any,many\n"] + _plain(5, B),
+    "fault-last-in-a-block": _plain(B - 1) + ["citations,X1,2006,any,-1\n"] + _plain(5, B),
+    "unseen-key-text-at-a-block-start":
+        _plain(B) + [f"citations,NEW,2006,any,{i}\n" for i in range(B + 3)] + _plain(3, B),
+    "unseen-key-text-last-in-a-block-then-a-run":
+        _plain(B - 1) + [f"journal-metric,X0,2006,,{i}\n" for i in range(B + 1)],
+    "interleaved-keys-with-a-new-one-and-a-refused-line":
+        [f"citations,X{i % 5},2006,any,{i}\n" for i in range(B + 3)]
+        + ["citations,NEW,2006,any,1\n"] + [f"citations,X{i % 5},2006,any,{i}\n" for i in range(3)]
+        + ['citations,X1,2006,any,"1" \n'] + [f"citations,{('X1', 'NEW')[i % 2]},2006,any,{i}\n"
+                                              for i in range(B)],
+    "blank-lines-over-a-block-end": _plain(B - 1) + ["\n"] * 3 + _plain(B, B),
+    "blank-lines-to-the-end": _plain(B - 1) + ["\n"] * (B + 2),
+    "crlf-and-lone-cr": _plain(B - 1, end="\r\n") + _plain(3, B, "\r") + _plain(B, B + 3, "\r\n"),
+    "u2028-inside-a-field":
+        _plain(B - 1) + [f"citations,X\u2028Y,2006,any,{i}\r\n" for i in range(B + 2)],
+    "exactly-one-block": _plain(B),
+    "exactly-two-blocks": _plain(2 * B),
+    "no-line-end-at-the-end": _plain(2 * B - 1) + ["citations,X1,2006,any,7"],
+    "quoted-no-line-end-at-the-end":
+        [f'"citations","X{i % 2}","2006","any","{i}"\r\n' for i in range(2 * B - 1)]
+        + ['"citations","X1","2006","any","7"'],
+    "quoted-refused-at-block-ends":
+        [f'"citations","X","2006","any","{i}"\n' for i in range(B - 1)]
+        + ['"citations","X","2006","any","1""2"\n', '"citations","X","2006","any",3\n']
+        + [f'"citations","X","2006","any","{i}"\r' for i in range(B)],
+}
+
+
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["no-bom", "bom"])
+@pytest.mark.parametrize("body", list(_BOUNDARY_BODIES.values()), ids=list(_BOUNDARY_BODIES))
+def test_block_boundaries_read_as_by_rows(tmp_path, monkeypatch, bom, body):
+    """Lines that csv must read, faults, unseen key texts, line ends and the end of the
+    file, each at the start or end of a block, give the row reader's outcome, and the
+    row reader is not called."""
+    path = tmp_path / "worldvalues.csv"
+    path.write_bytes((bom + HEADER + "".join(body)).encode("utf-8"))
+    expected = _by_rows(path)
+
+    def refuse(*args):
+        raise AssertionError("read_rows called")
+
+    monkeypatch.setattr(corpus, "read_rows", refuse)
+    assert _outcome(path) == expected
+
+
+def _fault_then_bad_byte(fault: int, bad: int, opener: bool = False) -> bytes:
+    """Plain lines numbered from 2, a byte that is not UTF-8 on line bad, and on line
+    fault a value fault, or with opener a quoted field that goes on to the next line."""
+    lines = [b"citations,X,2006,any,%d\n" % i for i in range(2, bad)]
+    if opener:
+        lines[fault - 2:fault] = [b'citations,"X\n', b'Y' * 32 + b'",2006,any,1\n']
+    elif fault < bad:
+        lines[fault - 2] = b"citations,X,2006,any,many\n"
+    return HEADER.encode() + b"".join(lines) + b"citations,Caf\xe9,2006,any,2\n"
+
+
+def test_a_bad_byte_near_a_block_or_decoder_boundary_is_met_as_by_rows(tmp_path):
+    """The text decoder reads 8 KB at a time. A bad byte just after a value fault, or
+    after a quoted field that goes on to the next line, with both around a block's ends
+    or around the 8 KB mark, gives the outcome of reading the lines one by one: the fault
+    where the bad byte is in a later 8 KB, else not UTF-8."""
+    size, chunk_line = len(HEADER), 2  # chunk_line: the plain line that holds byte 8,192
+    while (size := size + len(b"citations,X,2006,any,%d\n" % chunk_line)) <= 8192:
+        chunk_line += 1
+    cases = [(f, b, False) for k in (1, 2) for f, b in (
+        (k * B, k * B + 1), (k * B + 1, k * B + 2), (k * B - 1, k * B + 1))]
+    cases += [(bad - gap, bad, False) for bad in range(chunk_line - 3, chunk_line + 4)
+              for gap in (1, 4)]
+    cases += [(bad + 1, bad, False) for bad in (B, B + 1, chunk_line)]  # no value fault
+    cases += [(fault, fault + 5, True) for fault in range(chunk_line - 3, chunk_line + 2)]
+    outcomes = set()
+    for fault, bad, opener in cases:
+        path = tmp_path / f"wv-{fault}-{bad}-{opener}.csv"
+        path.write_bytes(_fault_then_bad_byte(fault, bad, opener))
+        outcome = _outcome(path)
+        assert outcome == _by_rows(path), (fault, bad, opener)
+        outcomes.add(outcome.split(": ", 1)[1])
+    assert outcomes == {"value is not a number: 'many'", "not UTF-8 text (byte 0xe9)"}
+
+
+@pytest.mark.parametrize("fault", [None, 5], ids=["no-fault", "value-fault"])
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_a_bad_byte_just_after_whole_blocks_of_8_kb_is_met_as_by_rows(tmp_path, blocks, fault):
+    """The header and blocks * B lines fill blocks * 8 KB exactly, so the text decoder
+    meets a bad byte on the next line before any line of the next block is read."""
+    count = blocks * B
+    width, longer = divmod(blocks * 8192 - len(HEADER), count)
+    width -= len("citations,X,2006,any,\n")
+    lines = [b"citations,X,2006,any,%0*d\n" % (width + (i < longer), i) for i in range(count)]
+    if fault is not None:
+        lines[fault] = b"citations,X,2006,any,%s\n" % (b"x" * (width + (fault < longer)))
+    data = HEADER.encode() + b"".join(lines)
+    assert len(data) == blocks * 8192
+    path = tmp_path / "worldvalues.csv"
+    path.write_bytes(data + b"citations,Caf\xe9,2006,any,2\n")
+    outcome = _outcome(path)
+    assert outcome == _by_rows(path)
+    assert outcome.split(": ", 1)[1].startswith(
+        "value is not a number" if fault else "not UTF-8 text (byte 0xe9)")
+
+
+@pytest.mark.parametrize("value", ['"1"', '" 2"', '"2 "', '"1e3"', '""1"', '1""', '"1""',
+                                   '""1', '"1"x', '"1" ', '""', '"', '"1', '"-1"', '"nan"', "3"])
+@pytest.mark.parametrize("at", [B - 1, B], ids=["last-in-a-block", "first-in-a-block"])
+def test_a_value_not_quoted_whole_is_read_by_csv(tmp_path, value, at):
+    """In a csv.QUOTE_ALL file the block test takes a value with one quote before it and
+    one after it, then only the line end; csv reads any other form, to the row reader's
+    outcome."""
+    lines = [f'"citations","X","2006","any","{i}"\r\n' for i in range(2 * B)]
+    lines[at] = f'"citations","X","2006","any",{value}\r\n'
+    path = tmp_path / "worldvalues.csv"
+    path.write_text('"' + HEADER.rstrip().replace(",", '","') + '"\r\n' + "".join(lines),
+                    encoding="utf-8")
+    assert _outcome(path) == _by_rows(path)
+
+def test_a_quote_all_file_is_read_by_blocks(tmp_path, monkeypatch):
+    """Values quoted whole, as csv.QUOTE_ALL writes them, are taken by the block test:
+    csv reads only the first line of each key text, and the thresholds are those of the
+    same values written plain."""
+    records = [(INDICATORS[i % 2], f"G{i // 300}", 2006, DOC_SPLITS[i // 900], i / 8)
+               for i in range(2_700)]
+    path = tmp_path / "worldvalues.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+        writer.writerow(reference.WORLDVALUE_COLUMNS)
+        writer.writerows(records)
+    plain: dict[DistributionKey, list[float]] = {}
+    for *key, value in records:
+        plain.setdefault(DistributionKey(*key), []).append(value)
+    read_at, read_lines = [], worldvalues.read_lines
+
+    @contextmanager
+    def counted(*args):
+        with read_lines(*args) as (lines, rows_from, limit):
+            def rows(line, more):
+                read_at.append(line)
+                return rows_from(line, more)
+            yield lines, rows, limit
+
+    monkeypatch.setattr(worldvalues, "read_lines", counted)
+    assert load_worldvalues(path) == {key: build_thresholds(v) for key, v in plain.items()}
+    assert len(read_at) == len({(i % 2, i // 300, i // 900) for i in range(2_700)})
 
 
 _FIELD = {  # each field's valid texts, then its faulty ones

@@ -120,13 +120,10 @@ def load_worldvalues(path: str | Path) -> dict[DistributionKey, ClassThresholds]
     """Read raw world values (one per row) and compute thresholds per key.
 
     Each key's values are held as 8-byte floats in one array, shared by the key texts
-    that name the key (" 2006" and "2006", "" and "any"). The file is read in one pass,
-    a block of lines at a time. A line whose text before its last comma is the key text
-    of an earlier one-line record, and whose text after it is a finite non-negative
-    number within the csv field limit, or one quoted whole ('"0.984"' and the line end),
-    is taken as it stands, with the lines after it that share its key text; csv reads
-    any other line as the record it starts, with read_rows' checks, reading on into the
-    rest of the block and the file, and the block resumes after that record.
+    that name the key (" 2006" and "2006", "" and "any"). As the corpus is read, a fast
+    path takes the file a block of lines at a time and gives up on any doubt, and then
+    read_rows alone reads it and names its first fault: a faulty file is read twice, and
+    so is one with a record over two lines or a value the block test refuses.
     """
     from .worldvalues import load  # compiled only where a worldvalues.csv is read
     return load(Path(path))

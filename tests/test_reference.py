@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import csv
+import importlib.util
 import logging
 import math
+import sys
 import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from assessopt import corpus, reference, worldvalues
+from assessopt import reference, worldvalues
 from assessopt.corpus import read_rows
 from assessopt.errors import ParseError, ValidationError
 from assessopt.gev import score_product
@@ -308,34 +309,44 @@ def test_a_plain_file_is_read_without_the_row_reader(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("read_rows called")
 
-    monkeypatch.setattr(reference, "read_rows", refuse)
+    monkeypatch.setattr(worldvalues, "read_rows", refuse)
     assert load_worldvalues(path) == {
         DistributionKey("citations", "X", 2006): build_thresholds([3, 1]),
         DistributionKey("journal-metric", "X", 2006): build_thresholds([0.5]),
     }
 
 
-def test_a_two_line_record_late_in_the_file_is_read_in_one_pass(tmp_path, caplog):
-    """csv reads a record over two lines late in the file where it stands, and the
-    fault after it is named by its line in the file; nothing is logged, and the row
-    reader is not called."""
+def test_a_bench_rawref_file_is_read_without_the_row_reader(tmp_path, monkeypatch):
+    """A worldvalues.csv written as bench/synth.py writes bench rawref's is taken by the
+    block path: were it read again by the row reader, its load would take about 4x as long."""
+    spec = importlib.util.spec_from_file_location(
+        "synth", Path(__file__).parent.parent / "bench" / "synth.py")
+    synth = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "synth", synth)  # dataclasses look their module up
+    spec.loader.exec_module(synth)
+    synth.generate(tmp_path, synth.Knobs(researchers=10, reference="worldvalues",
+                                         values_per_key=13), seed=1)
+    path = tmp_path / "ref" / "worldvalues.csv"
+    expected = _by_rows(path)
+
+    def refuse(*args):
+        raise AssertionError("read_rows called")
+
+    monkeypatch.setattr(worldvalues, "read_rows", refuse)
+    assert load_worldvalues(path) == expected
+
+
+def test_a_two_line_record_late_in_the_file_is_read_as_by_rows(tmp_path, caplog):
+    """A record over two lines late in the file is read by the row reader, and the
+    fault after it is named by its line in the file; nothing is logged."""
     path = tmp_path / "worldvalues.csv"
     rows = [f"citations,X{i % 4},2006,any,{i}" for i in range(9_998)]
     rows.append('citations,"X2\nY",2006,any,1')  # lines 10,000 and 10,001
     path.write_text(HEADER + "\n".join(rows) + "\ncitations,X1,2006,any,many\n", encoding="utf-8")
-    calls, read_rows = [], reference.read_rows
-
-    def recorded(*args):
-        calls.append(args)
-        return read_rows(*args)
-
-    with mock.patch.object(reference, "read_rows", recorded), \
-            caplog.at_level(logging.DEBUG, logger="assessopt"), \
-            pytest.raises(ParseError) as exc:
+    with caplog.at_level(logging.DEBUG, logger="assessopt"), pytest.raises(ParseError) as exc:
         load_worldvalues(path)
     assert str(exc.value) == f"{path}:10002: value is not a number: 'many'"
     assert caplog.records == []
-    assert calls == []
     path.write_text(HEADER + "\n".join(rows) + "\n", encoding="utf-8")
     thresholds = load_worldvalues(path)
     assert thresholds == _by_rows(path)
@@ -363,7 +374,7 @@ def test_quoted_files_are_read_without_the_row_reader(tmp_path, monkeypatch, quo
     def refuse(*args):
         raise AssertionError("read_rows called")
 
-    monkeypatch.setattr(reference, "read_rows", refuse)
+    monkeypatch.setattr(worldvalues, "read_rows", refuse)
     assert load_worldvalues(path) == {key: build_thresholds(v) for key, v in plain.items()}
 
 
@@ -380,22 +391,11 @@ def _bad_byte_after_a_value_fault(lines_on: int) -> bytes:
     HEADER + "citations,X,2006,any,1\ncitations,X,2006,any,2\n" + 'citations,X,"2006\n",any,3\n',
     HEADER + 'citations,"X\nY",2006,any,1\ncitations,"X\nY",2006,any,2\n',
 ], ids=["bad-value-on-the-last-of-10000-lines", "two-line-record", "quoted-newline"])
-def test_refused_lines_are_read_without_the_row_reader(tmp_path, monkeypatch, text):
-    """A line the line loop refuses is read by csv where it stands, to the row
-    reader's outcome, and the rest of the file by lines."""
+def test_refused_lines_are_read_as_by_rows(tmp_path, text):
+    """A file with a line the block test refuses is read by the row reader alone."""
     path = tmp_path / "worldvalues.csv"
     path.write_text(text, encoding="utf-8")
-    expected = _by_rows(path)
-
-    def refuse(*args):
-        raise AssertionError("read_rows called")
-
-    monkeypatch.setattr(reference, "read_rows", refuse)
-    try:
-        outcome = load_worldvalues(path)
-    except ParseError as exc:
-        outcome = str(exc)
-    assert outcome == expected
+    assert _outcome(path) == _by_rows(path)
 
 
 @pytest.mark.parametrize("name, data, what", [
@@ -416,8 +416,8 @@ def test_refused_lines_are_read_without_the_row_reader(tmp_path, monkeypatch, te
 ])
 def test_worldvalues_decline_is_logged_with_its_reason(tmp_path, caplog, name, data, what):
     """Files that are missing, not UTF-8, with another header, a NUL, a quoted value
-    over two lines or a bad byte after a value fault are each read in one pass, log
-    nothing, and give the row reader's outcome."""
+    over two lines or a bad byte after a value fault log nothing, and give the row
+    reader's outcome."""
     path = tmp_path / name
     if data is not None:
         path.write_bytes(data)
@@ -507,20 +507,30 @@ _BOUNDARY_BODIES = {
 }
 
 
+# The bodies with a fault, or a line that csv must read: the row reader reads these files.
+_READ_BY_ROWS = {
+    "two-line-record-over-a-block-end", "two-line-record-over-a-block-end-then-a-fault",
+    "refused-line-first-in-a-block", "refused-line-last-in-a-block",
+    "refused-lines-first-and-last-in-a-block", "fault-first-in-a-block", "fault-last-in-a-block",
+    "interleaved-keys-with-a-new-one-and-a-refused-line", "quoted-refused-at-block-ends",
+}
+
+
 @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["no-bom", "bom"])
-@pytest.mark.parametrize("body", list(_BOUNDARY_BODIES.values()), ids=list(_BOUNDARY_BODIES))
-def test_block_boundaries_read_as_by_rows(tmp_path, monkeypatch, bom, body):
+@pytest.mark.parametrize("name", list(_BOUNDARY_BODIES))
+def test_block_boundaries_read_as_by_rows(tmp_path, monkeypatch, bom, name):
     """Lines that csv must read, faults, unseen key texts, line ends and the end of the
-    file, each at the start or end of a block, give the row reader's outcome, and the
-    row reader is not called."""
+    file, each at the start or end of a block, give the row reader's outcome; the block
+    path takes each file with neither a fault nor a line that csv must read."""
     path = tmp_path / "worldvalues.csv"
-    path.write_bytes((bom + HEADER + "".join(body)).encode("utf-8"))
+    path.write_bytes((bom + HEADER + "".join(_BOUNDARY_BODIES[name])).encode("utf-8"))
     expected = _by_rows(path)
 
     def refuse(*args):
         raise AssertionError("read_rows called")
 
-    monkeypatch.setattr(corpus, "read_rows", refuse)
+    if name not in _READ_BY_ROWS:
+        monkeypatch.setattr(worldvalues, "read_rows", refuse)
     assert _outcome(path) == expected
 
 
@@ -639,10 +649,11 @@ _QUOTE = {False: lambda text: text, True: lambda text: '"' + text.replace('"', '
 def _worldvalues_texts(draw) -> str:
     """worldvalues.csv texts: records, some with quoted fields, faulty fields, or
     too few or too many fields, and blank lines or lines of spaces, each line with
-    its own line end. Each file draws how often a field is faulty, and quoted. Some
+    its own line end. Each file draws how often a field is faulty, and quoted: half
+    the files have no faulty field, since only the row reader reads a faulty one. Some
     files start with enough plain records that the drawn lines come after the key
     text of P is known and in a later 8 KB block of the text decoder."""
-    faults = draw(st.sampled_from([0, 1, 4]))
+    faults = draw(st.sampled_from([0, 0, 1, 4]))
     quote = st.sampled_from([False] * 40 + [True] * draw(st.sampled_from([0, 0, 1, 8])))
     fields = [st.sampled_from(valid * 20 + invalid * faults) for valid, invalid in _FIELD.values()]
     record = st.builds(
@@ -678,7 +689,7 @@ def test_worldvalues_read_by_lines_as_by_rows(tmp_path_factory, text):
 
 def _many_values(path: Path, count: int, quoted: bool) -> None:
     """count values over four keys; quoted puts the first record's year in quotes
-    over two lines, which csv reads where it stands."""
+    over two lines, so that the row reader reads the file."""
     rows = [f"citations,X{i % 4},2006,any,{i}" for i in range(count)]
     if quoted:
         rows[0] = 'citations,X0,"2006\n",any,0'
@@ -689,8 +700,8 @@ def _many_values(path: Path, count: int, quoted: bool) -> None:
 @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
 def test_load_worldvalues_holds_values_as_8_byte_floats(tmp_path, quoted):
     """100,000 values held as boxed floats in lists take ~3.5 MB at peak; as
-    8-byte floats in one array per key they take 0.8 MB, plus the sort of one key.
-    In the quoted file csv reads the first record."""
+    8-byte floats in one array per key they take 0.8 MB, plus the sort of one key,
+    whether the block path or the row reader reads the file."""
     path = tmp_path / "worldvalues.csv"
     _many_values(path, 100_000, quoted)
     tracemalloc.start()

@@ -188,7 +188,7 @@ def average_table(problem: SelectionProblem) -> AverageScoreTable:
         for pair in pairs:
             if definite_only and not problem.scored[pair].definite:
                 continue
-            total += problem.units[pair]
+            total += problem.units[problem.scored[pair].score]
             count += 1
         return None if count == 0 else total / count / SCORE_SCALE
 

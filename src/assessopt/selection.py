@@ -16,7 +16,7 @@ rule (see optimize_exact) fixes which optimum it reports.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heapreplace
-from itertools import chain, groupby
+from itertools import groupby
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -102,7 +102,7 @@ def _pool(entries: dict[str, tuple[str, ...]]) -> Pool:
 class SelectionProblem(NamedTuple):
     """The model every engine shares, built once per run by build_sets.
 
-    units:       integer score units of every scored (researcher, product) pair
+    units:       each distinct score of scored -> its integer score units
     quota:       each researcher who takes part in a selection -> its quota,
                  by id
     portfolios:  every researcher's product sets, by id
@@ -117,7 +117,7 @@ class SelectionProblem(NamedTuple):
 
     corpus: Corpus
     scored: ScoredMap
-    units: dict[tuple[str, str], int]
+    units: dict[float, int]
     quota: dict[str, int]
     portfolios: dict[str, ResearcherPortfolio]
     pool_a: Pool
@@ -140,8 +140,7 @@ def build_sets(corpus: Corpus, scored: ScoredMap) -> SelectionProblem:
     and the authorships be in (researcher, product) order, as Corpus holds them.
     """
     products, researchers = corpus.products, corpus.researchers
-    score_to_units = {score: score_units(score) for score in {sp.score for sp in scored.values()}}
-    units = {pair: score_to_units[sp.score] for pair, sp in scored.items()}  # one int a score
+    units = {score: score_units(score) for score in {sp.score for sp in scored.values()}}
     # The tie-break order (see SelectionProblem.tiebreak) by stable sorts, last key first.
     order = sorted(products.values(), key=attrgetter("id"))
     order.sort(key=attrgetter("year"))
@@ -163,7 +162,7 @@ def build_sets(corpus: Corpus, scored: ScoredMap) -> SelectionProblem:
                 unproposed.append(a.product_id)
         declared.sort()
         proposed = tuple([pid for _, pid in declared])
-        ranked = sorted([(-units[(rid, pid)], tiebreak[pid], pid)
+        ranked = sorted([(-units[scored[(rid, pid)].score], tiebreak[pid], pid)
                          for pid in (*proposed, *unproposed)])
         portfolios[rid] = ResearcherPortfolio(
             proposed=proposed,
@@ -227,7 +226,7 @@ def error_metrics(problem: SelectionProblem) -> tuple[ResearcherErrors, ...]:
         omitted = best - proposed
 
         def nil_count(pids) -> int:
-            return sum(1 for pid in pids if units[(rid, pid)] == 0)
+            return sum(1 for pid in pids if units[scored[(rid, pid)].score] == 0)
 
         out.append(ResearcherErrors(
             researcher_id=rid,
@@ -258,14 +257,14 @@ class Selection(NamedTuple):
 
 
 def _finalize(problem: SelectionProblem, assignment: dict[str, list[str]]) -> Selection:
+    scored, units = problem.scored, problem.units
     per_uda_units: dict[int, int] = {}
     final_assignment: dict[str, tuple[str, ...]] = {}
     for rid, quota in problem.quota.items():
         uda = problem.corpus.researchers[rid].uda
         picked = final_assignment[rid] = tuple(assignment.get(rid, ()))
-        units = sum(problem.units[(rid, pid)] for pid in picked)
-        units -= _SHORTFALL_UNITS * (quota - len(picked))
-        per_uda_units[uda] = per_uda_units.get(uda, 0) + units
+        per_uda_units[uda] = (per_uda_units.get(uda, 0) - _SHORTFALL_UNITS * (quota - len(picked))
+                              + sum(units[scored[(rid, pid)].score] for pid in picked))
     return Selection(
         assignment=final_assignment,
         total_score=units_to_score(sum(per_uda_units.values())),
@@ -316,7 +315,7 @@ def _greedy_best_score(problem: SelectionProblem, pool: Pool) -> Selection:
     claimant whose best remaining alternative scores lower (no alternative
     ranks lowest of all); remaining ties go to the smaller researcher id.
     """
-    units, tiebreak = problem.units, problem.tiebreak
+    scored, units, tiebreak = problem.scored, problem.units, problem.tiebreak
     candidates, holders = pool
     capacity = dict(problem.quota)
     consumed: set[str] = set()
@@ -326,13 +325,13 @@ def _greedy_best_score(problem: SelectionProblem, pool: Pool) -> Selection:
         # The pool is ranked by score, so the first free entry is the best.
         for pid in candidates[rid]:
             if pid != excluding and pid not in consumed:
-                return units[(rid, pid)]
+                return units[scored[(rid, pid)].score]
         return float("-inf")
 
     # Each pool is ranked by score desc, then tie-break, so a heap of one entry per
     # researcher, its next candidate, yields the pairs in (score desc, tie-break,
     # researcher id) order. No two entries share a researcher, so i is never compared.
-    heap = [(-units[(rid, pids[0])], tiebreak[pids[0]], rid, 0)
+    heap = [(-units[scored[(rid, pids[0])].score], tiebreak[pids[0]], rid, 0)
             for rid, pids in candidates.items() if pids]
     heapify(heap)
     while heap:
@@ -345,7 +344,7 @@ def _greedy_best_score(problem: SelectionProblem, pool: Pool) -> Selection:
             capacity[winner] -= 1
             consumed.add(pid)
         if capacity[rid] and (i := i + 1) < len(pids):  # a full researcher takes no more
-            heapreplace(heap, (-units[(rid, pids[i])], tiebreak[pids[i]], rid, i))
+            heapreplace(heap, (-units[scored[(rid, pids[i])].score], tiebreak[pids[i]], rid, i))
         else:
             heappop(heap)
     return _finalize(problem, assignment)
@@ -382,6 +381,7 @@ def optimize_exact(problem: SelectionProblem, pool: Pool, tag: str) -> Selection
     """
     from . import matching  # only a run of an exact engine loads the solver
     kept, holders, passes = matching.prune(pool.entries, problem.quota, pool.holders)
+    scored, units = problem.scored, problem.units
     room = dict(problem.quota)
     owner: dict[str, str] = {}  # product -> the researcher it is assigned to
     components = largest = largest_pairs = scans = 0
@@ -391,7 +391,7 @@ def optimize_exact(problem: SelectionProblem, pool: Pool, tag: str) -> Selection
         size = len(pairs)
         weights: dict[str, dict[str, int]] = {rid: {} for rid in members}
         for k, (rid, pid) in enumerate(pairs):
-            gain = problem.units[(rid, pid)] + _SHORTFALL_UNITS
+            gain = units[scored[(rid, pid)].score] + _SHORTFALL_UNITS
             weights[rid][pid] = (gain << size) | (1 << (size - 1 - k))
         if (len(members), size) > (largest, largest_pairs):
             largest, largest_pairs = len(members), size
@@ -435,7 +435,7 @@ def write_selections(
     """Write the selections, keyed by tag, to one CSV in SCENARIO_TAGS order;
     each researcher's unfilled slots carry the penalty."""
     scored = problem.scored
-    texts = number_texts(chain((SHORTFALL_PENALTY,), (sp.score for sp in scored.values())))
+    texts = number_texts((SHORTFALL_PENALTY, *problem.units))
 
     def rows():
         for tag in (tag for tag in SCENARIO_TAGS if tag in selections):

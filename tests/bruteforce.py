@@ -154,12 +154,12 @@ def unpruned_exact(problem, candidates: dict[str, tuple[str, ...]]) -> dict[str,
     pair k of E weighing (gain << E) | (1 << (E - 1 - k)) in the global
     (researcher id, pool order) numbering.
     """
-    active, units = tuple(problem.quota), problem.units
+    active, scored = tuple(problem.quota), problem.scored
     pairs = [(rid, pid) for rid in active for pid in candidates[rid]]
     size = len(pairs)
     weights: dict[str, dict[str, int]] = {rid: {} for rid in active}
     for k, (rid, pid) in enumerate(pairs):
-        gain = units[(rid, pid)] + SHORT_UNITS
+        gain = round(scored[(rid, pid)].score * SCALE) + SHORT_UNITS
         weights[rid][pid] = (gain << size) | (1 << (size - 1 - k))
 
     room = {rid: problem.corpus.researchers[rid].quota for rid in active}
@@ -491,6 +491,14 @@ def random_instance(rng: random.Random) -> tuple[Corpus, dict]:
     """Small random corpus plus a synthetic scored map: up to 6 researchers
     and 10 products."""
     return sized_instance(rng, rng.randint(1, 6), rng.randint(1, 10))
+
+
+def with_journal_metrics(corpus: Corpus) -> Corpus:
+    """The corpus with each WoS record's journal metric set to its citations / 10,
+    so that scoring reaches the matrix cells as well as the fallbacks."""
+    return corpus._replace(products={pid: p._replace(wos_record=p.wos_record and (
+        p.wos_record._replace(journal_metric=p.wos_record.citations / 10)))
+        for pid, p in corpus.products.items()})
 
 
 def sized_instance(rng: random.Random, n_res: int, n_prod: int) -> tuple[Corpus, dict]:

@@ -8,6 +8,7 @@ import importlib.util
 import json
 import logging
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -24,12 +25,19 @@ from assessopt.corpus import (
     RESEARCHER_COLUMNS,
     load_corpus_dir,
     read_rows,
+    save_corpus,
 )
 from assessopt.errors import ParseError
-from assessopt.gev import SCORED_COLUMNS
+from assessopt.gev import SCORED_COLUMNS, dump_profiles
 from assessopt.reference import (
     MERGEMAP_COLUMNS, THRESHOLD_COLUMNS, WORLDVALUE_COLUMNS, load_reference_dir,
+    write_thresholds,
 )
+from assessopt.report import SCENARIO_CSV_COLUMNS, round_half_away
+from assessopt.selection import SELECTION_COLUMNS
+
+import support
+from bruteforce import sized_instance, with_journal_metrics
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MINI = FIXTURES / "mini_university"
@@ -795,6 +803,60 @@ def test_simulate_exact_only(tmp_path):
     assert tags == {"exact-C"}
     assert (out / "report.md").exists()
     assert not (out / "report.csv").exists()  # needs all three scenarios
+
+
+def _sized_inputs(root: Path) -> Path:
+    """sized_instance(Random(1), 300, 900), with journal metrics, as CLI inputs."""
+    save_corpus(with_journal_metrics(sized_instance(random.Random(1), 300, 900)[0]), root)
+    dump_profiles({gev: support.profile(gev) for gev in range(1, 10)}, root / "profiles.json")
+    (root / "ref").mkdir()
+    write_thresholds(support.library(("CAT",)).thresholds, root / "ref" / "thresholds.csv")
+    return root
+
+
+@pytest.mark.parametrize("fixture", ["mini_university", "witness", "sized"])
+def test_printed_totals_and_report_csv_are_the_sums_of_the_selection_rows(
+        tmp_path, capsys, monkeypatch, fixture):
+    """Each scenario's total on stdout, its Selection.per_uda and report.csv's
+    Scen. 1-3 cells are the score_or_penalty rows of selection.csv summed, in
+    ten-thousandths, over the institution and per area."""
+    root = _sized_inputs(tmp_path / "in") if fixture == "sized" else FIXTURES / fixture
+    chosen: dict[str, selection.Selection] = {}
+    write_selections = selection.write_selections
+
+    def recording(problem, selections, path):
+        chosen.update(selections)
+        write_selections(problem, selections, path)
+
+    monkeypatch.setattr(selection, "write_selections", recording)
+    out = tmp_path / "out"
+    assert main(["simulate", "--corpus", str(root), "--profiles", str(root / "profiles.json"),
+                 "--ref", str(root / "ref"), "--scenarios", "1,2,3,exact-A,exact-C",
+                 "-o", str(out)]) == 0
+    printed = dict(line.split(": total score ")
+                   for line in capsys.readouterr().out.splitlines() if ": total score " in line)
+
+    uda = {rid: r.uda for rid, r in load_corpus_dir(root).researchers.items()}
+    per_area: dict[str, dict[int, int]] = {tag: {} for tag in selection.SCENARIO_TAGS}
+    for _, (tag, rid, _, _, value) in read_rows(out / "selection.csv", SELECTION_COLUMNS):
+        units = round(value * 10000)
+        per_area[tag][uda[rid]] = per_area[tag].get(uda[rid], 0) + units
+    assert list(printed) == list(chosen) == list(selection.SCENARIO_TAGS)
+    for tag, areas in per_area.items():
+        total = sum(areas.values())
+        assert printed[tag] == f"{total / 10000:g}"
+        assert chosen[tag].total_score == total / 10000
+        assert chosen[tag].per_uda == {area: units / 10000 for area, units in areas.items()}
+        assert list(chosen[tag].per_uda) == sorted(areas)
+
+    report_rows = [fields for _, fields in read_rows(out / "report.csv", SCENARIO_CSV_COLUMNS)]
+    areas_due = sorted(per_area[selection.SCENARIO1])
+    assert [row[0] for row in report_rows] == [*map(str, areas_due), "TOTAL"]
+    for area, _, *cells in report_rows:
+        for tag, cell in zip(selection.SCENARIO_TAGS[:3], cells):
+            areas = per_area[tag]
+            units = sum(areas.values()) if area == "TOTAL" else areas[int(area)]
+            assert cell == round_half_away(units / 10000, 1)
 
 
 def test_quota_zero_researcher_absent_from_selection(tmp_path):

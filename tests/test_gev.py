@@ -43,7 +43,7 @@ from assessopt.reference import ClassThresholds, DistributionKey, ReferenceLibra
 from assessopt.selection import SHORTFALL_PENALTY, build_sets
 
 import support
-from bruteforce import sized_instance, stepwise_score
+from bruteforce import sized_instance, stepwise_score, with_journal_metrics
 
 # Transcribed cell by cell from the published Chemistry grids:
 # rows are citation classes 1-4, columns journal classes 1-4.
@@ -428,10 +428,7 @@ def _scored_instance():
     """sized_instance(Random(1), 1000, 3000) scored by score_corpus under nine plain
     panels; each index record's journal metric is its citations / 10, so that the
     products reach the matrix cells as well as the fallbacks."""
-    corpus, _ = sized_instance(random.Random(1), 1000, 3000)
-    corpus = corpus._replace(products={pid: p._replace(wos_record=p.wos_record and (
-        p.wos_record._replace(journal_metric=p.wos_record.citations / 10)))
-        for pid, p in corpus.products.items()})
+    corpus = with_journal_metrics(sized_instance(random.Random(1), 1000, 3000)[0])
     profiles = {gev: support.profile(gev) for gev in range(1, 10)}
     return corpus, score_corpus(corpus, profiles, support.library(("CAT",)), DEFAULT_WINDOW)
 
@@ -461,7 +458,7 @@ def test_equal_scores_are_held_once():
     assert 10 < len(distinct) < 100
     assert len({id(sp) for sp in scored.values()}) == len(distinct)
     units = build_sets(corpus, scored).units
-    assert len({id(u) for u in units.values()}) == len(set(units.values())) > 3
+    assert units.keys() == {sp.score for sp in distinct} and len(units) > 3
 
 
 def test_write_scored_does_not_depend_on_the_order_of_the_map(tmp_path):

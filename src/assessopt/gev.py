@@ -135,6 +135,8 @@ class GevProfile(NamedTuple):
         ):
             if not -2.0 <= score <= 1.0:
                 problems.append(f"{label} {score} outside [-2, 1]")
+            elif round(score, 4) != score:  # selection counts ten-thousandths
+                problems.append(f"{label} {score} is not a multiple of 0.0001")
         for journal, cls in self.ir_journal_class_list.items():
             if not 1 <= cls <= 4:
                 problems.append(f"journal class {cls} for {journal!r} outside 1..4")

@@ -120,10 +120,10 @@ def load_worldvalues(path: str | Path) -> dict[DistributionKey, ClassThresholds]
     """Read raw world values (one per row) and compute thresholds per key.
 
     Each key's values are held as 8-byte floats in one array, shared by the key texts
-    that name the key (" 2006" and "2006", "" and "any"). As the corpus is read, a fast
-    path takes the file a block of lines at a time and gives up on any doubt, and then
-    read_rows alone reads it and names its first fault: a faulty file is read twice, and
-    so is one with a record over two lines or a value the block test refuses.
+    that name the key (" 2006" and "2006", "" and "any"). A fast path reads 8 KB of text
+    a step, a run of 24 lines or more of one key text at once and other lines one by one.
+    At a doubt read_rows alone reads the file and names its first fault: a faulty file
+    is read twice, as is one with a record on two lines or a refused value.
     """
     from .worldvalues import load  # compiled only where a worldvalues.csv is read
     return load(Path(path))

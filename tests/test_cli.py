@@ -324,6 +324,10 @@ INPUT_CHECKS = {
     "fallback-score-outside-range": (
         _edit_profiles(lambda ps: ps[0].update(no_metric_score=1.5)), 1,
         "validation: {root}/profiles.json: profile 1: no_metric_score 1.5 outside [-2, 1]\n"),
+    "fallback-score-off-the-grid": (
+        _edit_profiles(lambda ps: ps[0].update(ir_assumed_score=0.56789)), 1,
+        "validation: {root}/profiles.json: profile 1: "
+        "ir_assumed_score 0.56789 is not a multiple of 0.0001\n"),
     "journal-class-outside-1-4": (
         _edit_profiles(lambda ps: ps[0]["ir_journal_class_list"].update({"J-M1": 5})), 1,
         "validation: {root}/profiles.json: profile 1: "

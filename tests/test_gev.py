@@ -705,6 +705,23 @@ def test_validate_profiles_band_coverage():
     assert any("overlap" in p for p in validate_profiles({3: overlapping}))
 
 
+@pytest.mark.parametrize("label, score, problems", [
+    ("no_metric_score", 1.5, ["profile 3: no_metric_score 1.5 outside [-2, 1]"]),
+    ("non_indexed_score", -2.5, ["profile 3: non_indexed_score -2.5 outside [-2, 1]"]),
+    ("ir_assumed_score", 0.12345,
+     ["profile 3: ir_assumed_score 0.12345 is not a multiple of 0.0001"]),
+    ("no_metric_score", -1.00001,
+     ["profile 3: no_metric_score -1.00001 is not a multiple of 0.0001"]),
+    ("non_indexed_score", 0.1234, []),
+    ("ir_assumed_score", -2.0, []),
+    ("no_metric_score", 0.1, []),
+])
+def test_validate_holds_fallback_scores_to_ten_thousandths_in_range(label, score, problems):
+    """Selection totals count ten-thousandths of a point, so a fallback score off that
+    grid would print totals other than the sum of the rows written."""
+    assert support.profile(**{label: score}).validate() == problems
+
+
 _spans = st.tuples(st.integers(2000, 2015), st.integers(2000, 2015))
 
 

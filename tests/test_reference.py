@@ -9,6 +9,7 @@ import math
 import sys
 import tracemalloc
 from contextlib import contextmanager
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -447,14 +448,49 @@ def test_a_bad_byte_is_met_as_lines_are_read_one_by_one(tmp_path, lines_on, mess
 
 
 
-# --- the block path: load_worldvalues reads worldvalues._BLOCK lines a step ---------------
+# --- the fast path: load_worldvalues reads worldvalues._PIECE characters a step ----------
+# A block is one such piece, completed to a line end: it ends with the line that holds its
+# character P, counted from 0.
 
-B = worldvalues._BLOCK
+P = worldvalues._PIECE
 
 
 def _plain(count: int, start: int = 0, end: str = "\n") -> list[str]:
     """count plain lines over four keys, each with its line end."""
     return [f"citations,X{i % 4},2006,any,{i}{end}" for i in range(start, start + count)]
+
+
+def _run(count: int, group: str, start: int = 0, end: str = "\n") -> list[str]:
+    """count lines of one key text, each with its line end."""
+    return [f"citations,{group},2006,any,{i}{end}" for i in range(start, start + count)]
+
+
+def _block_ends(lines: list[str]) -> list[tuple[int, int]]:
+    """For each block that the lines fill past P characters, the number of lines, as the
+    text reader splits them, up to its end, and the offset of its end."""
+    ends, size = [(0, 0)], 0
+    for count, line in enumerate(StringIO("".join(lines), newline=""), 1):
+        if (size := size + len(line)) > ends[-1][1] + P:  # the line holds character P
+            ends.append((count, size))
+    return ends[1:]
+
+
+def _to_a_block_end(body: list[str], start: int = 0,
+                    line=lambda i, value: f"citations,X{i % 4},2006,any,{value}\n") -> list[str]:
+    """body, then lines line(i, i) for i from start, the last value padded with zeros, that
+    end where their block holds P characters: a line after them is that block's last."""
+    size, goal = len("".join(body)), ([(0, 0)] + _block_ends(body))[-1][1] + P
+    lines, i = [], start
+    while goal - size >= 2 * len(line(i, i)) + 32:
+        lines.append(line(i, i))
+        size += len(lines[-1])
+        i += 1
+    lines.append(line(i, f"{i:0{goal - size - len(line(i, ''))}d}"))
+    assert size + len(lines[-1]) == goal
+    return body + lines
+
+
+B = _block_ends(_plain(1_000))[0][0]  # plain lines in the first block
 
 
 def _outcome(path: Path) -> dict | str:
@@ -464,46 +500,71 @@ def _outcome(path: Path) -> dict | str:
         return str(exc)
 
 
-# Each body's lines are numbered from 0, the first after the header; line k is in block k // B.
+def _quoted(i: int, value, group: str = "X", end: str = "\n") -> str:
+    """A line as csv.QUOTE_ALL writes it; i, unused, is the line's number."""
+    return f'"citations","{group}","2006","any","{value}"{end}'
+
+
+# Each body's lines are numbered from 0, the first after the header.
 _BOUNDARY_BODIES = {
     "two-line-record-over-a-block-end":
-        _plain(B - 1) + ['citations,"X2\nY",2006,any,1\n'] + _plain(B + 5, B),
+        _to_a_block_end([]) + ['citations,"X2\nY",2006,any,1\n'] + _plain(B + 5, B),
     "two-line-record-over-a-block-end-then-a-fault":
-        _plain(B - 1) + ['citations,"X2\nY",2006,any,1\n'] + _plain(3, B)
+        _to_a_block_end([]) + ['citations,"X2\nY",2006,any,1\n'] + _plain(3, B)
         + ["citations,X1,2006,any,many\n"],
     "refused-line-first-in-a-block":
         _plain(B) + ['citations,X1,2006,any,"1" \n'] + _plain(B, B + 1),
     "refused-line-last-in-a-block":
-        _plain(B - 1) + ['citations,X1,2006,any,"1" \n'] + _plain(B, B),
+        _to_a_block_end([]) + ['citations,X1,2006,any,"1" \n'] + _plain(B, B),
     "refused-lines-first-and-last-in-a-block":
-        _plain(B) + ['citations,X1,2006,any,"1" \n'] + _plain(B - 2, B + 1)
+        _to_a_block_end(_plain(B) + ['citations,X1,2006,any,"1" \n'], B + 1)
         + ['citations,X3,2006,any," 2"x\n'] + _plain(5, 2 * B),
     "fault-first-in-a-block": _plain(B) + ["citations,X1,2006,any,many\n"] + _plain(5, B),
-    "fault-last-in-a-block": _plain(B - 1) + ["citations,X1,2006,any,-1\n"] + _plain(5, B),
+    "fault-last-in-a-block": _to_a_block_end([]) + ["citations,X1,2006,any,-1\n"] + _plain(5, B),
     "unseen-key-text-at-a-block-start":
         _plain(B) + [f"citations,NEW,2006,any,{i}\n" for i in range(B + 3)] + _plain(3, B),
     "unseen-key-text-last-in-a-block-then-a-run":
-        _plain(B - 1) + [f"journal-metric,X0,2006,,{i}\n" for i in range(B + 1)],
+        _to_a_block_end([]) + [f"journal-metric,X0,2006,,{i}\n" for i in range(B + 1)],
     "interleaved-keys-with-a-new-one-and-a-refused-line":
         [f"citations,X{i % 5},2006,any,{i}\n" for i in range(B + 3)]
         + ["citations,NEW,2006,any,1\n"] + [f"citations,X{i % 5},2006,any,{i}\n" for i in range(3)]
         + ['citations,X1,2006,any,"1" \n'] + [f"citations,{('X1', 'NEW')[i % 2]},2006,any,{i}\n"
                                               for i in range(B)],
-    "blank-lines-over-a-block-end": _plain(B - 1) + ["\n"] * 3 + _plain(B, B),
-    "blank-lines-to-the-end": _plain(B - 1) + ["\n"] * (B + 2),
-    "crlf-and-lone-cr": _plain(B - 1, end="\r\n") + _plain(3, B, "\r") + _plain(B, B + 3, "\r\n"),
+    "blank-lines-over-a-block-end": _to_a_block_end([]) + ["\n"] * 3 + _plain(B, B),
+    "blank-lines-to-the-end": _to_a_block_end([]) + ["\n"] * (B + 2),
+    "crlf-and-lone-cr":
+        _to_a_block_end([], line=lambda i, value: f"citations,X{i % 4},2006,any,{value}\r\n")
+        + _plain(3, B, "\r") + _plain(B, B + 3, "\r\n"),
     "u2028-inside-a-field":
-        _plain(B - 1) + [f"citations,X\u2028Y,2006,any,{i}\r\n" for i in range(B + 2)],
+        _to_a_block_end([]) + [f"citations,X\u2028Y,2006,any,{i}\r\n" for i in range(B + 2)],
     "exactly-one-block": _plain(B),
-    "exactly-two-blocks": _plain(2 * B),
-    "no-line-end-at-the-end": _plain(2 * B - 1) + ["citations,X1,2006,any,7"],
+    "exactly-two-blocks": _to_a_block_end(_plain(B), B) + _plain(1, 2 * B),
+    "no-line-end-at-the-end": _to_a_block_end(_plain(B), B) + ["citations,X1,2006,any,7"],
     "quoted-no-line-end-at-the-end":
-        [f'"citations","X{i % 2}","2006","any","{i}"\r\n' for i in range(2 * B - 1)]
+        _to_a_block_end([_quoted(i, i, f"X{i % 2}", "\r\n") for i in range(B)], B,
+                        lambda i, value: _quoted(i, value, f"X{i % 2}", "\r\n"))
         + ['"citations","X1","2006","any","7"'],
     "quoted-refused-at-block-ends":
-        [f'"citations","X","2006","any","{i}"\n' for i in range(B - 1)]
+        _to_a_block_end([], line=_quoted)
         + ['"citations","X","2006","any","1""2"\n', '"citations","X","2006","any",3\n']
-        + [f'"citations","X","2006","any","{i}"\r' for i in range(B)],
+        + [_quoted(i, i, end="\r") for i in range(B)],
+    # the run step: runs of one key text, of at least worldvalues._SHORT lines
+    "run-over-a-block-end":
+        _to_a_block_end(_run(100, "A"), line=lambda i, value: f"citations,B,2006,any,{value}\n")
+        + _run(100, "B", 1_000),
+    "lines-longer-than-a-block":
+        [f"citations,{'L' * P},2006,any,{i}\n" for i in range(3)] + _run(40, "A"),
+    "six-fields-in-a-run": _run(40, "A") + ["citations,A,2006,any,1,2\n"] + _run(40, "A", 40),
+    "key-text-in-a-value-in-a-run":
+        _run(40, "A") + ["citations,A,2006,any,1citations,A,2006,any,2\n"] + _run(40, "A", 40),
+    "crlf-runs": _run(40, "A", end="\r\n") + _run(40, "B", end="\r\n"),
+    "lone-cr-runs": _run(40, "A", end="\r") + _run(40, "B", end="\r"),
+    "u2028-in-a-run": _run(40, "X\u2028Y") + _run(40, "B"),
+    "quote-all-runs": [_quoted(i, i, "A") for i in range(40)] + [_quoted(i, i, "B")
+                                                               for i in range(40)],
+    "blank-line-in-a-run": _run(40, "A") + ["\n"] + _run(40, "A", 40) + _run(40, "B"),
+    "a-run-then-another-key-then-the-run-again":
+        _run(40, "A") + _run(3, "B") + _run(40, "A", 40) + _run(40, "C"),
 }
 
 
@@ -513,25 +574,65 @@ _READ_BY_ROWS = {
     "refused-line-first-in-a-block", "refused-line-last-in-a-block",
     "refused-lines-first-and-last-in-a-block", "fault-first-in-a-block", "fault-last-in-a-block",
     "interleaved-keys-with-a-new-one-and-a-refused-line", "quoted-refused-at-block-ends",
+    "six-fields-in-a-run", "key-text-in-a-value-in-a-run",
 }
+# The bodies of long runs of one key text alone: the run step reads each line of these.
+_RUNS_ONLY = {"run-over-a-block-end", "lines-longer-than-a-block", "crlf-runs", "lone-cr-runs",
+              "u2028-in-a-run", "quote-all-runs"}
 
 
 @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["no-bom", "bom"])
 @pytest.mark.parametrize("name", list(_BOUNDARY_BODIES))
 def test_block_boundaries_read_as_by_rows(tmp_path, monkeypatch, bom, name):
     """Lines that csv must read, faults, unseen key texts, line ends and the end of the
-    file, each at the start or end of a block, give the row reader's outcome; the block
-    path takes each file with neither a fault nor a line that csv must read."""
+    file, each at the start or end of a block, and runs of one key text, give the row
+    reader's outcome; the fast path takes each file with neither a fault nor a line that csv
+    must read, and the run step alone a file of long runs."""
     path = tmp_path / "worldvalues.csv"
     path.write_bytes((bom + HEADER + "".join(_BOUNDARY_BODIES[name])).encode("utf-8"))
     expected = _by_rows(path)
 
     def refuse(*args):
-        raise AssertionError("read_rows called")
+        raise AssertionError("read_rows or the per-line step called")
 
     if name not in _READ_BY_ROWS:
         monkeypatch.setattr(worldvalues, "read_rows", refuse)
+    if name in _RUNS_ONLY:
+        monkeypatch.setattr(worldvalues, "_per_line", refuse)
     assert _outcome(path) == expected
+
+
+def test_the_blocks_of_the_boundary_bodies_are_the_fast_paths(tmp_path, monkeypatch):
+    """The fast path ends its blocks where _block_ends, which places the boundary bodies'
+    lines, says it does."""
+    read_lines, ends = worldvalues.read_lines, []
+
+    @contextmanager
+    def recorded(*args):
+        with read_lines(*args) as (file, rows_from, limit):
+            text = []
+
+            class Recorded:
+                def read(self, size):
+                    text.append(file.read(size))
+                    return text[-1]
+
+                def readline(self):
+                    text.append(file.readline())
+                    ends.append(len(list(StringIO("".join(text), newline=""))))
+                    return text[-1]
+
+            yield Recorded(), rows_from, limit
+
+    monkeypatch.setattr(worldvalues, "read_lines", recorded)
+    for name, body in _BOUNDARY_BODIES.items():
+        if name not in _READ_BY_ROWS:
+            path = tmp_path / f"{name}.csv"
+            path.write_text(HEADER + "".join(body), encoding="utf-8", newline="")
+            ends.clear()
+            load_worldvalues(path)
+            lines = len(list(StringIO("".join(body), newline="")))
+            assert set(ends) - {lines} == {count for count, _ in _block_ends(body)} - {lines}, name
 
 
 def _fault_then_bad_byte(fault: int, bad: int, opener: bool = False) -> bytes:
@@ -553,11 +654,15 @@ def test_a_bad_byte_near_a_block_or_decoder_boundary_is_met_as_by_rows(tmp_path)
     size, chunk_line = len(HEADER), 2  # chunk_line: the plain line that holds byte 8,192
     while (size := size + len(b"citations,X,2006,any,%d\n" % chunk_line)) <= 8192:
         chunk_line += 1
-    cases = [(f, b, False) for k in (1, 2) for f, b in (
-        (k * B, k * B + 1), (k * B + 1, k * B + 2), (k * B - 1, k * B + 1))]
+    # the first lines of the second and third blocks (lines are numbered from 2)
+    firsts = [2 + count for count, _ in _block_ends([f"citations,X,2006,any,{i}\n"
+                                                      for i in range(2, 1_000)])[:2]]
+    cases = [(f, b, False) for first in firsts for f, b in (
+        (first, first + 1), (first + 1, first + 2), (first - 1, first + 1))]
     cases += [(bad - gap, bad, False) for bad in range(chunk_line - 3, chunk_line + 4)
               for gap in (1, 4)]
-    cases += [(bad + 1, bad, False) for bad in (B, B + 1, chunk_line)]  # no value fault
+    cases += [(bad + 1, bad, False)  # no value fault
+              for bad in (firsts[0] - 1, firsts[0], firsts[0] + 1, chunk_line)]
     cases += [(fault, fault + 5, True) for fault in range(chunk_line - 3, chunk_line + 2)]
     outcomes = set()
     for fault, bad, opener in cases:
@@ -592,12 +697,14 @@ def test_a_bad_byte_just_after_whole_blocks_of_8_kb_is_met_as_by_rows(tmp_path, 
 
 @pytest.mark.parametrize("value", ['"1"', '" 2"', '"2 "', '"1e3"', '""1"', '1""', '"1""',
                                    '""1', '"1"x', '"1" ', '""', '"', '"1', '"-1"', '"nan"', "3"])
-@pytest.mark.parametrize("at", [B - 1, B], ids=["last-in-a-block", "first-in-a-block"])
-def test_a_value_not_quoted_whole_is_read_by_csv(tmp_path, value, at):
-    """In a csv.QUOTE_ALL file the block test takes a value with one quote before it and
+@pytest.mark.parametrize("after", [0, 1], ids=["last-in-a-block", "first-in-a-block"])
+def test_a_value_not_quoted_whole_is_read_by_csv(tmp_path, value, after):
+    """In a csv.QUOTE_ALL file the fast path takes a value with one quote before it and
     one after it, then only the line end; csv reads any other form, to the row reader's
     outcome."""
-    lines = [f'"citations","X","2006","any","{i}"\r\n' for i in range(2 * B)]
+    lines = _to_a_block_end([], line=lambda i, value: _quoted(i, value, end="\r\n"))
+    at = len(lines) + after
+    lines += [_quoted(i, i, end="\r\n") for i in range(len(lines), 2 * len(lines))]
     lines[at] = f'"citations","X","2006","any",{value}\r\n'
     path = tmp_path / "worldvalues.csv"
     path.write_text('"' + HEADER.rstrip().replace(",", '","') + '"\r\n' + "".join(lines),

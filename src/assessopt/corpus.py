@@ -218,30 +218,31 @@ def read_rows(path: Path, schema: dict) -> Iterator[tuple[int, list]]:
 def write_rows(path: str | Path, schema: dict, rows: Iterable[Sequence]) -> None:
     """Write a UTF-8 CSV with "\\n" line ends: the schema's header, then the rows.
 
-    None is written as an empty field. Missing parent directories are created.
+    None is written as an empty field. Missing parent directories are created. Rows go
+    64 at a time: a chunk whose fields are all str is written as them joined by ","
+    and "\\n", unless that text shows a field that csv would quote. csv writes the rest.
     """
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(schema)
-        writer.writerows(rows)
+        writer, rows = csv.writer(fh, lineterminator="\n"), chain([schema], rows)
+        while chunk := list(islice(rows, 64)):
+            with suppress(TypeError):  # a field that is not a str, which csv formats
+                text = "\n".join(map(",".join, chunk)) + "\n"
+                # The joins put one "," or "\n" after each field. One more, a '"' or a "\r"
+                # is in a field csv may quote, as is an empty line: a row of one empty field.
+                if (sum(map(text.count, ',\n"\r')) == sum(map(len, chunk))
+                        and "\n\n" not in "\n" + text):
+                    fh.write(text)
+                    continue
+            writer.writerows(chunk)
 
 
-def format_number(value: float | int | None) -> str:
+def format_number(value: float | None) -> str:
     """The shortest text that reads back as the same number.
 
     None is an empty field; an integral float is written without ".0".
     """
-    if value is None:
-        return ""
-    text = repr(value)
-    return text[:-2] if text.endswith(".0") else text
-
-
-def number_texts(values: Iterable[float]) -> dict[float, str]:
-    """format_number of each distinct value but zero, which a writer formats
-    where it meets it: 0.0 and -0.0 are one key but two texts."""
-    return {value: format_number(value) for value in set(values) if value}
+    return "" if value is None else repr(value).removesuffix(".0")
 
 
 RESEARCHER_COLUMNS = {"id": str, "sds": str, "uda": int, "quota": optional_int}
@@ -263,10 +264,8 @@ _ABSENT = ["", None, None, ""]  # a product row's four prefix_ fields without th
 
 def _record_fields(record: IndexRecord | None) -> tuple:
     """The four prefix_ fields of a record, as _load_columns reads them back."""
-    if record is None:
-        return ("", "", "", "")
-    return (";".join(record.subject_categories), format_number(record.journal_metric),
-            record.citations, record.journal_id)
+    return _ABSENT if record is None else (";".join(record.subject_categories), format_number(
+        record.journal_metric), record.citations, record.journal_id)
 
 
 class _Decline(ValueError):
@@ -439,12 +438,12 @@ def save_corpus(corpus: Corpus, directory: str | Path) -> None:
     directory = Path(directory)
     # Researcher and Authorship list their fields in the order of their files' columns.
     write_rows(directory / "researchers.csv", RESEARCHER_COLUMNS,
-               [r for _, r in sorted(corpus.researchers.items())])
+               sorted(corpus.researchers.values()))
     write_rows(directory / "products.csv", PRODUCT_COLUMNS, [
         (p.id, p.kind, p.year, "true" if p.fraud_flag else "false",
          *_record_fields(p.wos_record), *_record_fields(p.scopus_record))
-        for _, p in sorted(corpus.products.items())
+        for p in sorted(corpus.products.values())
     ])
-    write_rows(directory / "authorships.csv", AUTHORSHIP_COLUMNS,
-               sorted(corpus.authorships, key=lambda a: a[:2]))
+    # The (researcher, product) pairs are unique, so no later field is compared.
+    write_rows(directory / "authorships.csv", AUTHORSHIP_COLUMNS, sorted(corpus.authorships))
 

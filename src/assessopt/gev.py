@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .corpus import BIBLIOMETRIC_UDAS, PRODUCT_KINDS, Corpus, Product
-from .corpus import boolean, echo, format_number, number_texts, write_rows
+from .corpus import boolean, echo, format_number, write_rows
 from .errors import Log, ParseError, ValidationError
 from .reference import CITATIONS, JOURNAL_METRIC, ReferenceLibrary
 
@@ -157,61 +157,66 @@ class ScoredProduct(NamedTuple):
     definite: bool
 
 
-def score_product(
-    product: Product,
-    profile: GevProfile,
-    library: ReferenceLibrary,
-    window: tuple[int, int] = DEFAULT_WINDOW,
-) -> ScoredProduct:
-    """Run the whole scoring pipeline for one product under its panel's profile.
+def scorer(profile: GevProfile, library: ReferenceLibrary,
+           window: tuple[int, int] = DEFAULT_WINDOW):
+    """The whole scoring pipeline under one panel's profile, as a function of the product.
 
-    Order: fraud, admissibility (year inside the window, kind allowed by the
-    panel), forced peer-review journals (reviews only), source selection,
-    metric availability, then class lookup through the year-band matrix.
-    Under best-of-both the higher-scoring record wins, ties going to the
-    first (WoS) record. Citation counts are used exactly as recorded.
+    It holds the library's bound classifier, a year -> grid cache filled through
+    matrix_for_year, and one ScoredProduct per outcome, which it returns. Order: fraud,
+    admissibility (year inside the window, kind allowed by the panel), forced peer-review
+    journals (reviews only), source selection, metric availability, then class lookup
+    through the year-band matrix. Under best-of-both the higher-scoring record wins, ties
+    going to the first (WoS) record. Citation counts are used exactly as recorded.
     """
-    if product.fraud_flag:
-        outcome, score = "fraud", FRAUD_SCORE
-    elif not window[0] <= product.year <= window[1] or product.kind not in profile.allowed_kinds:
-        outcome, score = "inadmissible", INADMISSIBLE_SCORE
-    # Journal-list forcing routes the product before any source is picked,
-    # so it fires identically under both source policies.
-    elif product.kind == "review" and not profile.forced_ir_journals.isdisjoint(
-            r.journal_id for r in (product.wos_record, product.scopus_record) if r is not None):
-        outcome, score = "forced-ir", profile.ir_assumed_score
-    else:
+    held = {outcome: ScoredProduct(profile.gev_id, outcome, score, outcome in MERIT_SCORES)
+            for outcome, score in {**MERIT_SCORES, "IR": profile.ir_assumed_score,
+                                   "forced-ir": profile.ir_assumed_score,
+                                   "no-metric-fallback": profile.no_metric_score,
+                                   "non-indexed-fallback": profile.non_indexed_score,
+                                   "inadmissible": INADMISSIBLE_SCORE,
+                                   "fraud": FRAUD_SCORE}.items()}
+    best_class, grids, listed = library.classifier(), {}, profile.ir_journal_class_list.get
+
+    def score(product: Product) -> ScoredProduct:
+        year, kind, records = product.year, product.kind, (product.wos_record,
+                                                           product.scopus_record)
+        if product.fraud_flag:
+            return held["fraud"]
+        if not window[0] <= year <= window[1] or kind not in profile.allowed_kinds:
+            return held["inadmissible"]
+        # Journal-list forcing routes the product before any source is picked,
+        # so it fires identically under both source policies.
+        if kind == "review" and not profile.forced_ir_journals.isdisjoint(
+                r.journal_id for r in records if r is not None):
+            return held["forced-ir"]
         doc_split = "any"
         if profile.split_citation_doctype:
-            doc_split = "review" if product.kind == "review" else "article"
-        best: tuple[str, float] | None = None
-        for record in ((product.wos_record,) if profile.source_policy == WOS_ONLY
-                       else (product.wos_record, product.scopus_record)):
+            doc_split = "review" if kind == "review" else "article"
+        best = None
+        for record in records[:1] if profile.source_policy == WOS_ONLY else records:
             if record is None:
                 continue
             # A journal on the panel's class list takes its listed class over its metric.
-            ir_class = profile.ir_journal_class_list.get(record.journal_id)
+            ir_class = listed(record.journal_id)
             if ir_class is None and record.journal_metric is not None:
-                ir_class = library.best_class(JOURNAL_METRIC, record.subject_categories,
-                                              record.journal_metric, product.year, "any")
-            if ir_class is None:
-                result = "no-metric-fallback", profile.no_metric_score
-            else:
-                ic_class = library.best_class(CITATIONS, record.subject_categories,
-                                              record.citations, product.year, doc_split)
-                cell = profile.matrix_for_year(product.year).lookup(ic_class, ir_class)
-                result = cell, profile.ir_assumed_score if cell == "IR" else MERIT_SCORES[cell]
-            if best is None or result[1] > best[1]:
-                best = result
-        outcome, score = best or ("non-indexed-fallback", profile.non_indexed_score)
-    return ScoredProduct(profile.gev_id, outcome, score, outcome in MERIT_SCORES)
+                ir_class = best_class(JOURNAL_METRIC, record.subject_categories,
+                                      record.journal_metric, year, "any")
+            sp = held["no-metric-fallback"]
+            if ir_class is not None:
+                ic_class = best_class(CITATIONS, record.subject_categories, record.citations,
+                                      year, doc_split)
+                grid = grids.get(year) or grids.setdefault(year, profile.matrix_for_year(year))
+                sp = held[grid.lookup(ic_class, ir_class)]
+            if best is None or sp.score > best.score:
+                best = sp
+        return best or held["non-indexed-fallback"]
+    return score
 
 
-def routing_for(authorship, researcher) -> int:
-    """Panel a product is routed to for this authorship."""
-    if authorship.gev_override is not None:
-        return authorship.gev_override
-    return researcher.uda
+def score_product(product: Product, profile: GevProfile, library: ReferenceLibrary,
+                  window: tuple[int, int] = DEFAULT_WINDOW) -> ScoredProduct:
+    """scorer(profile, library, window) applied to one product."""
+    return scorer(profile, library, window)(product)
 
 
 def score_corpus(
@@ -220,55 +225,53 @@ def score_corpus(
     library: ReferenceLibrary,
     window: tuple[int, int],
 ) -> dict[tuple[str, str], ScoredProduct]:
-    """Score every authorship under its researcher's routing, each (product,
-    panel) pair once: co-authors routed to one panel share its ScoredProduct.
+    """Score every authorship under its routing (its panel override, else its
+    researcher's area), each (product, panel) pair once, by one scorer per panel:
+    equal ScoredProducts are held once.
 
     Raises ValidationError when a routing falls outside areas 1-9 or has no
     profile.
     """
-    scored: dict[tuple[str, str], ScoredProduct] = {}
-    # Each product's score by the panel that scored it first, whose id the score holds;
-    # a product routed to another panel as well has that score in others.
-    memo: dict[str, ScoredProduct] = {}
-    others: dict[tuple[str, int], ScoredProduct] = {}
-    # Equal ScoredProducts are held once. 0.0 == -0.0, but within a run a panel's
-    # outcome has one score, that of its one profile, so equal ones hold the same bits.
-    shared: dict[ScoredProduct, ScoredProduct] = {}
+    scored = {}
+    scorers = {gev: scorer(profile, library, window) for gev, profile in profiles.items()}
+    # Each bibliometric panel's score of each product it has scored, by product id.
+    memos = {gev: {} for gev in scorers if gev in BIBLIOMETRIC_UDAS}
     for a in corpus.authorships:
-        gev = routing_for(a, corpus.researchers[a.researcher_id])
+        gev = a.gev_override
+        if gev is None:
+            gev = corpus.researchers[a.researcher_id].uda
+        memo = memos.get(gev)
+        if memo is None:
+            raise ValidationError([f"no profile configured for GEV {gev}"
+                                   if gev in BIBLIOMETRIC_UDAS else
+                                   f"peer-review-only UDA {gev}: product {a.product_id!r} of "
+                                   f"researcher {a.researcher_id!r} has no bibliometric panel"])
         sp = memo.get(a.product_id)
-        if sp is not None and sp.routing_gev != gev:
-            sp = others.get((a.product_id, gev))
-        if sp is None:  # a pair seen before has passed these checks
-            if gev not in BIBLIOMETRIC_UDAS:
-                raise ValidationError([
-                    f"peer-review-only UDA {gev}: product {a.product_id!r} of researcher "
-                    f"{a.researcher_id!r} has no bibliometric panel"
-                ])
-            profile = profiles.get(gev)
-            if profile is None:
-                raise ValidationError([f"no profile configured for GEV {gev}"])
-            sp = score_product(corpus.products[a.product_id], profile, library, window)
-            sp = shared.setdefault(sp, sp)
-            if memo.setdefault(a.product_id, sp) is not sp:
-                others[(a.product_id, gev)] = sp
+        if sp is None:
+            sp = memo[a.product_id] = scorers[gev](corpus.products[a.product_id])
         scored[(a.researcher_id, a.product_id)] = sp
     log.info("scored %d authorships, %d distinct (product, panel) pairs",
-             len(scored), len(memo) + len(others))
+             len(scored), sum(map(len, memos.values())))
     return scored
 
 
+def score_fields(scored: dict[tuple[str, str], ScoredProduct]) -> dict[int, tuple]:
+    """The last four scored.csv fields of each ScoredProduct of scored, by its id: each
+    object is formatted once, and score_corpus holds equal ones once. (Equal ones may
+    differ, as 0.0 == -0.0.)"""
+    return {key: (str(sp.routing_gev), sp.outcome, format_number(sp.score),
+                  "true" if sp.definite else "false")
+            for key, sp in {id(sp): sp for sp in scored.values()}.items()}
+
+
 def write_scored(scored: dict[tuple[str, str], ScoredProduct], path: str | Path) -> None:
-    texts = number_texts(sp.score for sp in scored.values())
+    fields = score_fields(scored)
     # The (researcher, product) keys by product id, then researcher id, in two stable
     # sorts: each row is built only as it is written.
     keys = sorted(scored, key=itemgetter(0))
     keys.sort(key=itemgetter(1))
-    write_rows(path, SCORED_COLUMNS, (
-        (key[1], key[0], sp.routing_gev, sp.outcome,
-         texts.get(sp.score) or format_number(sp.score), "true" if sp.definite else "false")
-        for key in keys for sp in (scored[key],)
-    ))
+    write_rows(path, SCORED_COLUMNS, ((pid, rid, *fields[id(scored[rid, pid])])
+                                      for rid, pid in keys))
 
 
 # --- profile configuration -------------------------------------------------

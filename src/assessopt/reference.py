@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import format_number, number, read_rows, write_rows
 from .errors import ParseError, ValidationError
@@ -86,24 +86,28 @@ class ReferenceLibrary(NamedTuple):
     thresholds: dict[DistributionKey, ClassThresholds]
     merge_map: Mapping[str, str] = MappingProxyType({})
 
-    def best_class(self, indicator: str, categories: Sequence[str], value: float, year: int,
-                   doc_split: str) -> int:
-        """The best (numerically smallest) class of value over the distributions of the
-        categories, each merged by the merge map; a plain tuple finds the equal
-        DistributionKey without building one. A category without a stored distribution
-        is skipped; when none resolves, the error names each key once, in the order
-        first looked up."""
-        best = 5  # worse than every class: no category resolved yet
-        for category in categories:
-            thresholds = self.thresholds.get(
-                (indicator, self.merge_map.get(category, category), year, doc_split))
-            if thresholds is not None and (cls := classify(value, thresholds)) < best:
-                best = cls
-        if best == 5:  # then every category is missing
-            raise ValidationError(["no reference distribution for any of: " + ", ".join(
-                map(str, dict.fromkeys(DistributionKey(
-                    indicator, self.merge_map.get(c, c), year, doc_split) for c in categories)))])
-        return best
+    def classifier(self) -> Callable[[str, Sequence[str], float, int, str], int]:
+        """best_class(indicator, categories, value, year, doc_split), with the library's
+        lookups bound: the best (numerically smallest) class of value over the
+        distributions of the categories, each merged by the merge map; a plain tuple finds
+        the equal DistributionKey without building one. A category without a stored
+        distribution is skipped; when none resolves, the error names each key once, in
+        the order first looked up."""
+        distribution, merged = self.thresholds.get, self.merge_map.get
+
+        def best_class(indicator: str, categories: Sequence[str], value: float, year: int,
+                       doc_split: str) -> int:
+            best = 5  # worse than every class: no category resolved yet
+            for category in categories:
+                thresholds = distribution((indicator, merged(category, category), year, doc_split))
+                if thresholds is not None and (cls := classify(value, thresholds)) < best:
+                    best = cls
+            if best == 5:  # then every category is missing
+                raise ValidationError(["no reference distribution for any of: " + ", ".join(
+                    map(str, dict.fromkeys(DistributionKey(
+                        indicator, merged(c, c), year, doc_split) for c in categories)))])
+            return best
+        return best_class
 
 
 def _distribution_key(fields: Sequence, file: str, line: int) -> DistributionKey:

@@ -21,9 +21,9 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import BIBLIOMETRIC_UDAS, Corpus, Product, format_number, number_texts, write_rows
+from .corpus import BIBLIOMETRIC_UDAS, Corpus, Product, format_number, write_rows
 from .errors import Log
-from .gev import ScoredProduct
+from .gev import ScoredProduct, score_fields
 
 log = Log(__name__)
 
@@ -433,17 +433,19 @@ def write_selections(
     problem: SelectionProblem, selections: dict[str, Selection], path: str | Path
 ) -> None:
     """Write the selections, keyed by tag, to one CSV in SCENARIO_TAGS order;
-    each researcher's unfilled slots carry the penalty."""
-    scored = problem.scored
-    texts = number_texts((SHORTFALL_PENALTY, *problem.units))
+    each researcher's unfilled slots carry the penalty. Each distinct
+    score and slot number is formatted once."""
+    fields = score_fields(problem.scored)
+    numbers = [str(slot) for slot in range(1, max(problem.quota.values(), default=0) + 1)]
+    penalty = format_number(SHORTFALL_PENALTY)
 
     def rows():
         for tag in (tag for tag in SCENARIO_TAGS if tag in selections):
             for rid, picks in selections[tag].assignment.items():
-                slots = [(pid, scored[(rid, pid)].score) for pid in picks]
-                slots += [("EMPTY", SHORTFALL_PENALTY)] * (problem.quota[rid] - len(picks))
-                for slot, (pid, value) in enumerate(slots, 1):
-                    yield tag, rid, slot, pid, texts.get(value) or format_number(value)
+                for slot, pid in zip(numbers, picks):
+                    yield tag, rid, slot, pid, fields[id(problem.scored[rid, pid])][2]
+                for slot in numbers[len(picks):problem.quota[rid]]:
+                    yield tag, rid, slot, "EMPTY", penalty
 
     write_rows(path, SELECTION_COLUMNS, rows())
 

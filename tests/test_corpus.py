@@ -35,6 +35,7 @@ from assessopt.corpus import (
     load_corpus_dir,
     read_rows,
     save_corpus,
+    write_rows,
 )
 from assessopt.errors import ParseError, ValidationError
 from assessopt.gev import DEFAULT_WINDOW, SCORED_COLUMNS, ScoredProduct, score_product, write_scored
@@ -204,6 +205,77 @@ def test_written_scores_read_back_exactly(tmp_path, write, schema, column):
     write(corpus, scored, tmp_path / "out.csv")
     [(_, row)] = read_rows(tmp_path / "out.csv", schema)
     assert row[list(schema).index(column)] == 1 / 3
+
+
+def _csv_bytes(schema: dict, rows) -> bytes:
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(schema)
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+_PLAIN_IDS = st.sampled_from(["R000001", "P0000001", "CHIM/06", "x", "0.25"])
+# ids that hold what csv quotes (",", '"', "\r", "\n") or keeps as it is (U+2028, spaces)
+_ODD_IDS = st.text(st.sampled_from(["a", ",", '"', "\r", "\n", "\u2028", " "]), max_size=4)
+_FIELDS = st.one_of(_PLAIN_IDS, _ODD_IDS, st.just(""), st.none(), st.integers(-3, 10**12),
+                    st.sampled_from([-0.0, 0.0, 1e-05, 0.25, 1 / 3, 1e16, -2.5]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([0, 1, 63, 64, 65, 127, 128, 200, 700]),
+       st.lists(st.tuples(_PLAIN_IDS, _PLAIN_IDS, _PLAIN_IDS), min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 699), st.one_of(
+           st.lists(_FIELDS, min_size=1, max_size=4),
+           st.lists(st.one_of(_PLAIN_IDS, _ODD_IDS), min_size=1, max_size=4))), max_size=4))
+def test_write_rows_writes_the_bytes_of_csv_writer(tmp_path_factory, n, plain, odd):
+    """Rows of plain ids, cycled to n rows (the header and 63 rows fill the first
+    64-row chunk), with a few rows replaced by ones mixing ids that csv quotes, empty
+    fields, None, ints and floats, or by rows of str fields alone: the chunks joined
+    as text and those csv writes sit in one file, which holds the bytes csv.writer
+    writes."""
+    rows = [plain[i % len(plain)] for i in range(n)]
+    for i, row in odd:
+        if i < n:
+            rows[i] = tuple(row)
+    path = tmp_path_factory.mktemp("rows") / "out.csv"
+    write_rows(path, {"a": str, "b": str, "c": str}, iter(rows))
+    assert path.read_bytes() == _csv_bytes({"a": str, "b": str, "c": str}, rows)
+
+
+@pytest.mark.parametrize("rows", [[("",)], [(None,)], [("x",), ("",), ("y",)], [()],
+                                  [("x",)] * 300 + [("",)], [("x",)] * 63 + [("",), ("y",)]])
+def test_write_rows_quotes_a_row_of_one_empty_field(tmp_path, rows):
+    """csv writes a row of one empty field as "" (a bare line end would read as a
+    blank line); the joined text would show that row as an empty line, also as the
+    first line of a chunk (the header and 63 rows fill the first)."""
+    write_rows(tmp_path / "out.csv", {"id": str}, rows)
+    assert (tmp_path / "out.csv").read_bytes() == _csv_bytes({"id": str}, rows)
+    assert b'\n""\n' in (tmp_path / "out.csv").read_bytes() or rows == [()]
+
+
+@pytest.mark.parametrize("odd", [",", '"', "\r", "\n", "\r\n"])
+def test_write_rows_hands_csv_only_the_chunks_that_need_it(tmp_path, monkeypatch, odd):
+    """Of 700 rows of str fields after the header, only the 64-row chunk that holds an
+    id with a character csv may quote goes to csv.writer; the others are written as
+    joined text."""
+    rows = [("R1", "P1", "0.25")] * 700
+    rows[300] = ("R1", f"P{odd}1", "0.25")
+    chunks, writer = [], csv.writer
+
+    class Writer:
+        def __init__(self, fh, **kwargs):
+            self.writer = writer(fh, **kwargs)
+
+        def writerows(self, chunk):
+            chunks.append(len(chunk))
+            self.writer.writerows(chunk)
+
+    monkeypatch.setattr(csv, "writer", Writer)
+    write_rows(tmp_path / "out.csv", {"a": str, "b": str, "c": str}, rows)
+    monkeypatch.undo()
+    assert chunks == [64]
+    assert (tmp_path / "out.csv").read_bytes() == _csv_bytes({"a": str, "b": str, "c": str}, rows)
 
 
 def test_schema_columns_are_in_record_field_order():

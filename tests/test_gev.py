@@ -33,9 +33,9 @@ from assessopt.gev import (
     default_profiles,
     dump_profiles,
     load_profiles,
-    routing_for,
     score_corpus,
     score_product,
+    scorer,
     validate_profiles,
     write_scored,
 )
@@ -220,19 +220,19 @@ def test_multi_category_best_class():
         DistributionKey("citations", "X", 2006): ClassThresholds(10, 20, 30, 9),
         DistributionKey("citations", "Y", 2006): ClassThresholds(1, 2, 3, 9),
     })
-    assert lib.best_class("citations", ("X", "Y"), 25, 2006, "any") == 1
-    assert lib.best_class("citations", ("Y", "X"), 25, 2006, "any") == 1
-    assert lib.best_class("citations", ("X",), 25, 2006, "any") == 2
+    assert lib.classifier()("citations", ("X", "Y"), 25, 2006, "any") == 1
+    assert lib.classifier()("citations", ("Y", "X"), 25, 2006, "any") == 1
+    assert lib.classifier()("citations", ("X",), 25, 2006, "any") == 2
 
 
 def test_multi_category_skips_missing():
     lib = ReferenceLibrary(thresholds={
         DistributionKey("citations", "X", 2006): ClassThresholds(10, 20, 30, 9),
     })
-    assert lib.best_class("citations", ("X", "GONE"), 15, 2006, "any") == 3
-    assert lib.best_class("citations", ("GONE", "X"), 15, 2006, "any") == 3
+    assert lib.classifier()("citations", ("X", "GONE"), 15, 2006, "any") == 3
+    assert lib.classifier()("citations", ("GONE", "X"), 15, 2006, "any") == 3
     with pytest.raises(ValidationError) as exc:
-        lib.best_class("citations", ("GONE", "ALSO-GONE"), 15, 2006, "any")
+        lib.classifier()("citations", ("GONE", "ALSO-GONE"), 15, 2006, "any")
     assert str(exc.value) == ("no reference distribution for any of: "
                               "(citations, GONE, 2006, any), (citations, ALSO-GONE, 2006, any)")
 
@@ -390,16 +390,20 @@ def test_score_corpus_scores_each_product_panel_pair_once(monkeypatch):
                 5: support.profile(gev_id=5, source_policy=WOS_ONLY, no_metric_score=0.0)}
     unmemoised = {}
     for a in corpus.authorships:
-        gev = routing_for(a, corpus.researchers[a.researcher_id])
+        gev = corpus.researchers[a.researcher_id].uda if a.gev_override is None else a.gev_override
         unmemoised[(a.researcher_id, a.product_id)] = score_product(
             corpus.products[a.product_id], profiles[gev], LIB)
     calls = []
 
-    def counting(product, profile, *args):
-        calls.append((product.id, profile.gev_id))
-        return score_product(product, profile, *args)
+    def counting(profile, *args):
+        score = scorer(profile, *args)
 
-    monkeypatch.setattr("assessopt.gev.score_product", counting)
+        def counted(product):
+            calls.append((product.id, profile.gev_id))
+            return score(product)
+        return counted
+
+    monkeypatch.setattr("assessopt.gev.scorer", counting)
     scored = score_corpus(corpus, profiles, LIB, DEFAULT_WINDOW)
     assert sorted(calls) == [("P1", 3), ("P1", 5), ("P2", 3), ("P3", 3)]
     assert scored == unmemoised
@@ -431,6 +435,48 @@ def _scored_instance():
     corpus = with_journal_metrics(sized_instance(random.Random(1), 1000, 3000)[0])
     profiles = {gev: support.profile(gev) for gev in range(1, 10)}
     return corpus, score_corpus(corpus, profiles, support.library(("CAT",)), DEFAULT_WINDOW)
+
+
+def test_score_corpus_matches_the_stepwise_restatement_under_overrides():
+    """Every authorship of _scored_instance, a third of them routed by an override to
+    a panel with other rules, scored by the per-panel scorers as stepwise_score does."""
+    corpus, _ = _scored_instance()
+    rng = random.Random(3)
+    corpus = corpus._replace(authorships=[
+        a._replace(gev_override=rng.randint(1, 9)) if i % 3 == 0 else a
+        for i, a in enumerate(corpus.authorships)])
+    profiles = {gev: support.profile(gev) for gev in range(1, 10)}
+    profiles[2] = support.profile(2, age_bands=(((2004, 2010), MATURE_PRODUCTS_MATRIX),))
+    profiles[5] = support.profile(5, source_policy=WOS_ONLY, no_metric_score=0.0)
+    profiles[7] = support.profile(7, ir_assumed_score=0.8, non_indexed_score=0.5)
+    library = support.library(("CAT",))
+    scored = score_corpus(corpus, profiles, library, DEFAULT_WINDOW)
+    assert sum(a.gev_override not in (None, corpus.researchers[a.researcher_id].uda)
+               for a in corpus.authorships) > 1_000
+    for a in corpus.authorships:
+        gev = a.gev_override or corpus.researchers[a.researcher_id].uda
+        assert scored[(a.researcher_id, a.product_id)] == stepwise_score(
+            corpus.products[a.product_id], profiles[gev], library, DEFAULT_WINDOW)
+
+
+@pytest.mark.parametrize("profile, message", [
+    (support.profile(ir_journal_class_list={"J1": 5}), "classes must be 1..4, got (1, 5)"),
+    (support.profile(age_bands=(((2004, 2005), MATURE_PRODUCTS_MATRIX),)),
+     "year 2006 outside the age bands of GEV 3"),
+], ids=["class-list-value-5", "year-outside-every-band"])
+def test_score_corpus_raises_as_score_product_for_an_unvalidated_profile(profile, message):
+    """A class-list value goes through ClassificationMatrix.lookup's range check, and
+    the year -> grid cache is filled through matrix_for_year, so both raise the
+    ValueError that scoring the product alone raises."""
+    assert profile.validate() != []
+    product = support.product("P1", citations=40, metric=3.5, journal="J1")
+    corpus = support.corpus([support.researcher("R1")], [product],
+                            [support.authored("R1", "P1")])
+    with pytest.raises(ValueError) as alone:
+        score_product(product, profile, LIB)
+    with pytest.raises(ValueError) as exc:
+        score_corpus(corpus, {3: profile}, LIB, DEFAULT_WINDOW)
+    assert str(exc.value) == str(alone.value) == message
 
 
 def test_score_corpus_peaks_well_below_twice_what_it_returns():

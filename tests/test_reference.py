@@ -86,20 +86,20 @@ def make_library():
 
 def test_lookup_applies_merge_map():
     lib = make_library()  # Oncology merges into BIOMED-G1: cuts 5 / 8 / 12
-    assert [lib.best_class("citations", ("Oncology",), v, 2006, "any")
+    assert [lib.classifier()("citations", ("Oncology",), v, 2006, "any")
             for v in (5, 5.5, 8, 8.5, 12, 12.5)] == [4, 3, 3, 2, 2, 1]
 
 
 def test_lookup_direct_key():
     lib = make_library()  # Physics: cuts 3 / 6 / 11
-    assert [lib.best_class("citations", ("Physics",), v, 2006, "any")
+    assert [lib.classifier()("citations", ("Physics",), v, 2006, "any")
             for v in (3, 3.5, 6, 6.5, 11, 11.5)] == [4, 3, 3, 2, 2, 1]
 
 
 def test_lookup_missing_names_resolved_key():
     lib = make_library()
     with pytest.raises(ValidationError) as exc:
-        lib.best_class("citations", ("Oncology",), 5, 2007, "any")
+        lib.classifier()("citations", ("Oncology",), 5, 2007, "any")
     assert str(exc.value) == ("no reference distribution for any of: "
                               "(citations, BIOMED-G1, 2007, any)")
 

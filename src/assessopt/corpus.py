@@ -16,6 +16,7 @@ save/load round-trips are exact.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from contextlib import contextmanager, suppress
 from itertools import chain, islice, repeat
@@ -277,21 +278,43 @@ _RANGES = {"uda": (1, 14), "quota": (0, MAX_QUOTA), "declared_priority": (1, mat
            "gev_override": (1, 9), "wos_metric": (0, math.inf), "wos_citations": (0, math.inf),
            "scopus_metric": (0, math.inf), "scopus_citations": (0, math.inf)}
 _NO_RECORD = {("", None, ""): None}  # a missing record's other fields; others are a KeyError
+CHUNK_LINES = 512  # 2,048 loaded bench wide in 39.6 ms against 32.9, peak memory 1.8 MB higher
 
 
 def _chunks(path: Path, schema: dict) -> Iterator[list]:
-    """A CSV's rows after its header as columns, up to 512 at a time, each distinct typed
-    text parsed and range-checked once; a blank row is dropped, and another width declined."""
+    """A CSV's rows after its header as columns, CHUNK_LINES lines at a time, each distinct
+    typed text parsed and range-checked once; a blank row is dropped, and another width declined.
+    A chunk that csv would read as split at "," and "\\n" is split so: lines ending in "\\n",
+    each of len(schema) fields, with no '"', "\\r" or NUL, in all within csv's field limit. csv
+    reads every other chunk, on to the end of a record that runs past its last line."""
     typed = [(i, {}, parse, *_RANGES.get(column, (-math.inf, math.inf)))
              for i, (column, parse) in enumerate(schema.items()) if parse is not str]
+    width, limit = len(schema), csv.field_size_limit()
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != list(schema):
+        if next(csv.reader(fh), None) != list(schema):  # a valid header is one line
             raise _Decline
-        while rows := list(islice(reader, 512)):  # faster than 2,048 rows, and less memory
-            if set(map(len, rows)) - {0, len(schema)}:
-                raise _Decline
-            if columns := list(zip(*filter(None, rows))):
+        while lines := list(islice(fh, CHUNK_LINES)):
+            block, count, fields, firsts = "".join(lines), len(lines), [], []
+            if (block[-1] == "\n" and len(block) <= limit
+                    and not any(map(block.__contains__, '"\r\0'))):
+                lines = []  # freed before the split, for less peak memory
+                # A break opens the field after it, the last one alone: every line has width
+                # fields iff all have width * count and every width-th field opens with one.
+                fields = block.replace("\n", ",\n").split(",")
+                firsts = "".join(fields[::width]).split("\n")
+            if len(fields) == width * count + 1 and len(firsts) == count + 1:
+                columns = [firsts[:-1], *(fields[i::width] for i in range(1, width))]
+            else:  # io.StringIO yields the lines of the block as the file did
+                reader = csv.reader(chain(lines or io.StringIO(block, newline=""), fh))
+                rows = []
+                for row in reader:
+                    rows.append(row)
+                    if reader.line_num >= count:
+                        break
+                if set(map(len, rows)) - {0, width}:
+                    raise _Decline
+                columns = list(zip(*filter(None, rows)))
+            if columns:
                 for i, known, parse, low, high in typed:
                     for text in set(columns[i]).difference(known):
                         value = known[text] = parse(text)

@@ -510,6 +510,68 @@ def test_quoted_categories_with_commas_are_read_without_the_row_reader(tmp_path,
     assert _loaded(root) == expected
 
 
+# Each edits one products.csv line near the end of the first chunk, whose last is line
+# CHUNK_LINES + 1: (line, the edited line's text from the line's text, whether it is valid).
+_CHUNK_EDITS = {
+    "quoted-comma": (510, lambda line: '"C,510"' + line[line.index(","):], True),
+    "quoted-break-crossing-the-chunk": (
+        513, lambda line: '"C\n513"' + line[line.index(","):], True),
+    "crlf": (510, lambda line: line.replace("\n", "\r\n"), True),
+    "nul-in-journal-id": (  # Python 3.10's csv refuses a NUL
+        510, lambda line: line.replace(",J-", ",J\0-"), sys.version_info >= (3, 11)),
+    "blank-line": (510, lambda line: "\n" + line, True),
+    "short-row": (510, lambda line: line[:line.rindex(",")] + "\n", False),
+    # The long row is an empty field, then the row's 12; misread by position, the line
+    # break would be the journal id of line 502's Scopus record, and no field be faulty.
+    "short-row-then-long-row": (
+        502, lambda line: line[:line.rindex(",")] + "\n," + line, False),
+    "two-rows-on-one-line": (510, lambda line: line.replace("\n", ","), False),
+    "field-over-the-limit": (
+        510, lambda line: line.replace(",J-", ",J" + "-" * csv.field_size_limit()), False),
+}
+
+
+@pytest.mark.parametrize("edit", list(_CHUNK_EDITS))
+def test_csv_reads_only_the_chunk_that_may_hold_a_quoted_field(tmp_path, monkeypatch, edit):
+    """mini_university with 1,100 products, its rows copied under new ids: one odd line
+    near the end of the first chunk loads as the row loops load it. When the corpus is
+    valid, csv.reader read the three headers and the rows of that chunk alone, a record
+    that runs past its last line through to its end; the split path read the rest."""
+    for name in _CORPUS_FILES:
+        shutil.copy(MINI / name, tmp_path / name)
+    header, *lines = (MINI / "products.csv").read_text(encoding="utf-8").splitlines(True)
+    lines += [f"C{k}," + lines[k % len(lines)].partition(",")[2]
+              for k in range(len(lines), 2 * corpus_module.CHUNK_LINES + 76)]
+    line, change, valid = _CHUNK_EDITS[edit]
+    text = lines[line - 2]
+    lines[line - 2] = change(text)
+    assert lines[line - 2] != text
+    (tmp_path / "products.csv").write_bytes("".join([header, *lines]).encode("utf-8"))
+    expected = _by_rows(tmp_path)
+    rows, reader = [], csv.reader
+
+    class Reader:
+        def __init__(self, lines):
+            self.reader = reader(lines)
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            rows.append(next(self.reader))
+            return rows[-1]
+
+        line_num = property(lambda self: self.reader.line_num)
+
+    monkeypatch.setattr(csv, "reader", Reader)
+    assert _loaded(tmp_path) == expected
+    monkeypatch.undo()
+    assert isinstance(expected[0], Corpus) == valid
+    if valid:
+        assert rows[1:3] == [list(PRODUCT_COLUMNS), next(csv.reader(lines))]
+        assert len(rows) == 3 + corpus_module.CHUNK_LINES  # a blank line is a row []
+
+
 def test_a_decline_that_names_no_fault_is_an_internal_error(monkeypatch):
     """The row loops only name faults: a decline of a valid corpus is a fault of
     the program, not a second way to load it."""
@@ -649,6 +711,14 @@ def test_the_column_path_loads_as_the_row_loops(tmp_path_factory, fault, data):
         assert _loaded(root) == _by_rows(root)
 
 
+@pytest.mark.parametrize("fault", [None, *_FAULTS])
+def test_the_column_path_loads_as_the_row_loops_in_3_line_chunks(tmp_path_factory, monkeypatch,
+                                                                  fault):
+    """As above, every drawn file read in 3-line chunks, each by the split path or by csv."""
+    monkeypatch.setattr(corpus_module, "CHUNK_LINES", 3)
+    test_the_column_path_loads_as_the_row_loops(tmp_path_factory, fault)
+
+
 @pytest.mark.parametrize("first, second", list(itertools.combinations(_FAULTS, 2)))
 @settings(max_examples=1, deadline=None)
 @given(data=st.data())
@@ -700,3 +770,10 @@ def test_an_edited_corpus_file_loads_or_names_its_faults(tmp_path_factory, name,
     assert _loaded(root) == _by_rows(root)
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main([*_VALIDATE, "--corpus", str(root)]) in (0, 1, 2)
+
+
+def test_an_edited_corpus_file_loads_or_names_its_faults_in_3_line_chunks(tmp_path_factory,
+                                                                         monkeypatch):
+    """As above, every edited file read in 3-line chunks, each by the split path or by csv."""
+    monkeypatch.setattr(corpus_module, "CHUNK_LINES", 3)
+    test_an_edited_corpus_file_loads_or_names_its_faults(tmp_path_factory)

@@ -1,11 +1,11 @@
 """Institutional corpus: roster, products, authorships, validation, and the CSV layer.
 
-Every CSV the program reads goes through read_lines (read_rows reads on by rows from its first
-line; a worldvalues.csv is read a block of lines at a time) or _chunks, and every one it writes
-through write_rows.
-read_rows yields each row as a list of its parsed fields in schema order; loaders build records
-by position. Only _load_columns builds a corpus, from _chunks: where it doubts the files, the
-row loops of load_corpus read them with read_rows, only to name each fault.
+Every CSV the program reads goes through read_lines: read_rows reads a file by rows, _chunks a
+corpus file by chunks of lines, worldvalues a worldvalues.csv by runs of lines of one key.
+Every CSV it writes goes through write_rows. load_corpus reads each corpus file once, builds
+the corpus from _chunks' columns and tests each rule of _rules over a chunk's distinct values;
+only where one breaks are the chunk's rows named, and read_rows reads a file again only to
+name a fault of the CSV layer.
 
 A corpus is the institution's data only, immutable after loading; the rules
 of the exercise that judge it (its years, the kinds each panel accepts) live in
@@ -18,9 +18,11 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import deque
 from contextlib import contextmanager, suppress
-from itertools import chain, islice, repeat
-from operator import itemgetter
+from functools import partial
+from itertools import chain, compress, dropwhile, islice, repeat, starmap
+from operator import itemgetter, not_
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -115,7 +117,16 @@ class Corpus(NamedTuple):
 # --- CSV layer ---------------------------------------------------------------
 # A schema maps each column of a file to the parser of its fields, which returns
 # the field's value or raises ValueError. str marks a text column and costs no
-# call. float accepts nan and inf: a column parsed by it needs a range check.
+# call. float accepts nan and inf: a column parsed by it needs a range check. A
+# typed field's text is a numeral first.
+
+
+def numeral(text: str) -> str:
+    """text, unless it holds a "_" or a character outside ASCII: int and float read
+    "2_006", "٢" and "２００６" as 2006, 2 and 2006, which a CSV numeral is not."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return text
 
 
 def optional_int(text: str) -> int | None:
@@ -180,7 +191,7 @@ def read_lines(path: Path, schema: dict) -> Iterator[tuple[Iterator, Callable, i
                                      file, offset + reader.line_num)
                 for i, parse in typed:
                     try:
-                        row[i] = parse(row[i])
+                        row[i] = parse(numeral(row[i]))
                     except ValueError:
                         message = f"{columns[i]} is not {_EXPECTED[parse]}: {echo(repr(row[i]))}"
                         raise ParseError(message, file, offset + reader.line_num) from None
@@ -260,190 +271,242 @@ AUTHORSHIP_COLUMNS = {
 }
 
 
-_ABSENT = ["", None, None, ""]  # a product row's four prefix_ fields without that record
+_ABSENT = ("", None, None, "")  # a product row's four prefix_ fields without that record
 
 
 def _record_fields(record: IndexRecord | None) -> tuple:
-    """The four prefix_ fields of a record, as _load_columns reads them back."""
+    """The four prefix_ fields of a record, as load_corpus reads them back."""
     return _ABSENT if record is None else (";".join(record.subject_categories), format_number(
         record.journal_metric), record.citations, record.journal_id)
 
 
-class _Decline(ValueError):
-    """A doubt of the column path, which sends load_corpus to its row loops to name the faults."""
+# --- corpus rules --------------------------------------------------------------
+# Each corpus file's rules, in the order a row's are checked: (columns, test, message, *how).
+# test takes the row's fields in columns and returns a falsy value where the row keeps the
+# rule, else the {what} of message, which is formatted with the row's fields by column name.
+# how may hold "ends" (a row that breaks the rule is checked no further), "parse" (the first
+# row that breaks it is a ParseError) and "earlier" (test takes first a dict that it keeps of
+# the file's earlier rows).
 
 
-_KINDS = dict(zip(PRODUCT_KINDS, PRODUCT_KINDS))
-_RANGES = {"uda": (1, 14), "quota": (0, MAX_QUOTA), "declared_priority": (1, math.inf),
-           "gev_override": (1, 9), "wos_metric": (0, math.inf), "wos_citations": (0, math.inf),
-           "scopus_metric": (0, math.inf), "scopus_citations": (0, math.inf)}
-_NO_RECORD = {("", None, ""): None}  # a missing record's other fields; others are a KeyError
+def _again(seen: dict, key, value=True):
+    """seen[key] as the earlier rows left it, None on the key's first row; value from now on."""
+    earlier, seen[key] = seen.get(key), value
+    return earlier
+
+
+def _outside(low: float, high: float) -> Callable:
+    return lambda value: value is not None and not low <= value <= high
+
+
+def _foreign_area(sds: str, uda: int) -> int | bool:
+    return (area := SDS_AREA_BY_PREFIX.get(sds.split("/")[0], uda)) != uda and area
+
+
+def _unknown_kind(kind: str) -> bool:
+    return kind not in PRODUCT_KINDS
+
+
+def _lacks(categories: str, metric, citations, journal_id: str) -> str | bool:
+    """What a product row's index record lacks; nothing where its four fields are empty."""
+    if not categories.strip(";"):
+        return (categories, metric, citations, journal_id) != _ABSENT and "subject categories"
+    return citations is None and "citation count"
+
+
+def _rules(researchers: dict, products: dict) -> tuple[tuple[tuple, ...], ...]:
+    """The rules of researchers.csv, products.csv and authorships.csv, for a load that
+    registers ids in researchers and products."""
+    wos, scopus = ((f"{p}_categories", f"{p}_metric", f"{p}_citations", f"{p}_journal_id")
+                   for p in ("wos", "scopus"))
+    return ((
+        (("id",), not_, "empty researcher id", "ends"),
+        (("id",), _again, "duplicate researcher id {id!r}", "ends", "earlier"),
+        (("quota",), _outside(0, MAX_QUOTA), f"quota {{quota}} outside 0..{MAX_QUOTA}"),
+        (("uda",), _outside(1, 14), "uda {uda} outside 1..14"),
+        (("sds", "uda"), _foreign_area, "sds {sds!r} belongs to area {what}, not {uda}"),
+    ), (
+        (("kind",), _unknown_kind, "unknown product kind {kind!r}"),
+        (wos, _lacks, "wos record present but has no {what}", "parse"),
+        (scopus, _lacks, "scopus record present but has no {what}", "parse"),
+        (("id",), not_, "empty product id", "ends"),
+        (("id",), _again, "duplicate product id {id!r}", "ends", "earlier"),
+        *(((f"{p}_{field}",), _outside(0, math.inf), f"{p} {field} {{{p}_{field}}} negative")
+          for p in ("wos", "scopus") for field in ("citations", "metric")),
+    ), (
+        (("researcher_id",), lambda rid: rid not in researchers,
+         "unknown researcher id {researcher_id!r}"),
+        (("product_id",), lambda pid: pid not in products, "unknown product id {product_id!r}"),
+        (("researcher_id", "product_id"), lambda seen, *pair: _again(seen, pair, pair),
+         "duplicate authorship {what!r}", "earlier"),
+        (("declared_priority",), _outside(1, math.inf),
+         "declared_priority {declared_priority} < 1"),
+        (("researcher_id", "declared_priority", "product_id"),
+         lambda seen, rid, rank, pid: (rank or 0) > 0 and _again(seen, (rid, rank), pid),
+         "researcher {researcher_id!r} already declared priority {declared_priority} on {what!r}",
+         "earlier"),
+        (("gev_override",), _outside(1, 9), "gev_override {gev_override} outside 1..9"),
+    ))
+
+
+def _name(path: Path, schema: dict, rules: tuple, lines: Sequence[int], columns: list,
+          earlier: dict) -> list[str]:
+    """The violations of a chunk's rows, row i at lines[i], in line and rule order, save a row's
+    after a rule that ends it. earlier gives the file's rows before the chunk by column."""
+    fields, faults, violations, ended = dict(zip(schema, columns)), [], [], 0
+    for order, (names, test, _, *how) in enumerate(rules):
+        if "earlier" in how:
+            test = partial(test, {})
+            deque(map(test, *map(earlier.get, names, repeat(()))), 0)
+        faults += ((lines[k], order, k, what)
+                   for k, what in enumerate(map(test, *map(fields.get, names))) if what)
+    for line, order, k, what in sorted(faults):
+        if line != ended:
+            _, _, message, *how = rules[order]
+            message = message.format(what=what, **{name: f[k] for name, f in fields.items()})
+            if "parse" in how:
+                raise ParseError(message, str(path), line)
+            violations.append(f"{path}:{line}: {message}")
+            ended = line if "ends" in how else 0
+    return violations
+
+
 CHUNK_LINES = 512  # 2,048 loaded bench wide in 39.6 ms against 32.9, peak memory 1.8 MB higher
 
 
-def _chunks(path: Path, schema: dict) -> Iterator[list]:
-    """A CSV's rows after its header as columns, CHUNK_LINES lines at a time, each distinct
-    typed text parsed and range-checked once; a blank row is dropped, and another width declined.
+def _chunks(path: Path, schema: dict, rules: tuple) -> Iterator[tuple[list, Sequence, bool]]:
+    """A CSV's rows after its header, CHUNK_LINES lines at a time, as (columns, each row's
+    line, doubt): each distinct typed text is parsed, and tested by the rule of its column
+    alone, once, and doubt is whether the chunk holds a text that breaks such a rule. A blank
+    row is dropped.
+
     A chunk that csv would read as split at "," and "\\n" is split so: lines ending in "\\n",
     each of len(schema) fields, with no '"', "\\r" or NUL, in all within csv's field limit. csv
-    reads every other chunk, on to the end of a record that runs past its last line."""
-    typed = [(i, {}, parse, *_RANGES.get(column, (-math.inf, math.inf)))
+    reads every other chunk, on to the end of a record that runs past its last line. At a fault
+    of the CSV layer (a width, a field its parser refuses, an error of csv, text that is not
+    UTF-8), read_rows reads the file: its rows from the chunk on to its ParseError are a last,
+    doubtful chunk, then the ParseError is raised."""
+    typed = [(i, {}, set(), parse, next((test for names, test, *how in rules if names == (column,)
+                                         and "earlier" not in how), lambda value: False))
              for i, (column, parse) in enumerate(schema.items()) if parse is not str]
-    width, limit = len(schema), csv.field_size_limit()
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        if next(csv.reader(fh), None) != list(schema):  # a valid header is one line
-            raise _Decline
-        while lines := list(islice(fh, CHUNK_LINES)):
-            block, count, fields, firsts = "".join(lines), len(lines), [], []
-            if (block[-1] == "\n" and len(block) <= limit
-                    and not any(map(block.__contains__, '"\r\0'))):
-                lines = []  # freed before the split, for less peak memory
-                # A break opens the field after it, the last one alone: every line has width
-                # fields iff all have width * count and every width-th field opens with one.
-                fields = block.replace("\n", ",\n").split(",")
-                firsts = "".join(fields[::width]).split("\n")
-            if len(fields) == width * count + 1 and len(firsts) == count + 1:
-                columns = [firsts[:-1], *(fields[i::width] for i in range(1, width))]
-            else:  # io.StringIO yields the lines of the block as the file did
-                reader = csv.reader(chain(lines or io.StringIO(block, newline=""), fh))
-                rows = []
-                for row in reader:
-                    rows.append(row)
-                    if reader.line_num >= count:
+    width, first = len(schema), 2
+    with read_lines(path, schema) as (fh, _, limit):
+        try:
+            while lines := list(islice(fh, CHUNK_LINES)):
+                block, count, fields, firsts = "".join(lines), len(lines), [], []
+                if (block[-1] == "\n" and len(block) <= limit
+                        and not any(map(block.__contains__, '"\r\0'))):
+                    lines = []  # freed before the split, for less peak memory
+                    # A break opens the field after it, the last one alone: every line has width
+                    # fields iff all have width * count and every width-th field opens with one.
+                    fields = block.replace("\n", ",\n").split(",")
+                    firsts = "".join(fields[::width]).split("\n")
+                if len(fields) == width * count + 1 and len(firsts) == count + 1:
+                    columns = [firsts[:-1], *(fields[i::width] for i in range(1, width))]
+                    numbers = range(first, first + count)
+                else:  # io.StringIO yields the lines of the block as the file did
+                    reader = csv.reader(chain(lines or io.StringIO(block, newline=""), fh))
+                    rows, numbers = [], []
+                    for row in reader:
+                        if row:
+                            rows.append(row)
+                            numbers.append(first - 1 + reader.line_num)
+                        if reader.line_num >= count:
+                            break
+                    if set(map(len, rows)) - {width}:
                         break
-                if set(map(len, rows)) - {0, width}:
-                    raise _Decline
-                columns = list(zip(*filter(None, rows)))
-            if columns:
-                for i, known, parse, low, high in typed:
-                    for text in set(columns[i]).difference(known):
-                        value = known[text] = parse(text)
-                        if value is not None and not low <= value <= high:
-                            raise _Decline
+                    columns, count = [*zip(*rows)] or [()] * width, reader.line_num
+                doubt = False
+                for i, known, bad, parse, test in typed:  # bad: each text whose value breaks test
+                    distinct = set(columns[i])
+                    if new := distinct.difference(known):
+                        numeral("".join(new))
+                        known.update(zip(new, map(parse, new)))
+                        bad.update(compress(new, map(test, map(known.__getitem__, new))))
+                    if bad and not bad.isdisjoint(distinct):
+                        doubt = True
                     columns[i] = list(map(known.__getitem__, columns[i]))
-                yield columns
+                yield columns, numbers, doubt
+                first += count
+            else:
+                return
+        except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+            pass
+    rows, fault = [], None
+    try:
+        rows.extend(dropwhile(lambda row: row[0] < first, read_rows(path, schema)))
+    except ParseError as exc:
+        fault = exc
+    if rows:
+        numbers, fields = zip(*rows)
+        yield list(map(list, zip(*fields))), numbers, True
+    if fault:
+        raise fault
 
 
-def _load_columns(researchers_path: Path, products_path: Path, authorships_path: Path) -> Corpus:
-    """load_corpus by columns: each rule of its row loops is a test over columns or ids."""
-    researchers, products, categories, journals, rows = {}, {}, {}, {}, 0
-    for ids, sds, udas, quotas in _chunks(researchers_path, RESEARCHER_COLUMNS):
-        if any(SDS_AREA_BY_PREFIX.get(s.split("/")[0], u) != u for s, u in set(zip(sds, udas))):
-            raise _Decline
-        researchers.update(zip(ids, map(tuple.__new__, repeat(Researcher), zip(ids, sds, udas, map(
-            {None: Researcher._field_defaults["quota"]}.get, quotas, quotas)))))
-        rows += len(ids)
-    for ids, kinds, years, flags, *texts in _chunks(products_path, PRODUCT_COLUMNS):
-        categories.update((text, names) for text in set(texts[0] + texts[4]).difference(categories)
-                          if (names := tuple(filter(None, text.split(";")))))
-        journals.update((text, text or None)
-                        for text in set(texts[3] + texts[7]).difference(journals))
-        wos, scopus = ([tuple.__new__(IndexRecord, (categories[c], n, m, journals[j]))
-                        if n is not None else _NO_RECORD[c, m, j]
-                        for c, m, n, j in zip(*texts[i:i + 4])] for i in (0, 4))
-        products.update(zip(ids, map(tuple.__new__, repeat(Product), zip(
-            ids, map(_KINDS.__getitem__, kinds), years, flags, wos, scopus))))
-        rows += len(ids)
-    rids, pids = (dict(zip(ids, ids)) for ids in (researchers, products))  # one str per id
-    authorships = list(chain.from_iterable(map(tuple.__new__, repeat(Authorship), zip(
-        map(rids.__getitem__, rid), map(pids.__getitem__, pid), priorities, overrides))
-        for rid, pid, priorities, overrides in _chunks(authorships_path, AUTHORSHIP_COLUMNS)))
-    claims = list(filter(itemgetter(1), map(itemgetter(0, 2), authorships)))  # priorities >= 1
-    if ("" in researchers or "" in products or len(researchers) + len(products) != rows
-            or len(set(map(itemgetter(0, 1), authorships))) < len(authorships)
-            or len(set(claims)) < len(claims)):
-        raise _Decline
-    authorships.sort()  # the pairs are unique, so no later field is compared
-    return Corpus(researchers, products, authorships)
-
-
-def load_corpus(
-    researchers_path: str | Path,
-    products_path: str | Path,
-    authorships_path: str | Path,
-) -> Corpus:
+def load_corpus(researchers_path: str | Path, products_path: str | Path,
+                authorships_path: str | Path) -> Corpus:
     """Load and fully validate a corpus from its three CSV files.
 
-    Raises ParseError for unreadable input and ValidationError (with every
-    violation found, each carrying file and line) for integrity failures. The row
-    loops below, run where _load_columns doubts the files, only name these.
+    Raises ParseError for unreadable input, the first in file and line order, else
+    ValidationError with every violation, each naming file and line, in file, line and rule
+    order. Each rule of _rules is tested over a chunk's distinct values, or by the records and
+    ids that the load builds; only a chunk (or authorships.csv) that breaks one has its rows
+    named by _name.
     """
-    researchers_path = Path(researchers_path)
-    products_path = Path(products_path)
-    authorships_path = Path(authorships_path)
-    with suppress(ValueError, KeyError, csv.Error, OSError):  # the row loops below name faults
-        return _load_columns(researchers_path, products_path, authorships_path)
-    violations: list[str] = []
-
-    def violation(path: Path, line: int, message: str) -> None:
-        # The file:line prefix is built only for a row that breaks a rule.
-        violations.append(f"{path}:{line}: {message}")
-
-    researchers: set[str] = set()
-    for line, (rid, sds, uda, quota) in read_rows(researchers_path, RESEARCHER_COLUMNS):
-        if not rid:
-            violation(researchers_path, line, "empty researcher id")
-            continue
-        if rid in researchers:
-            violation(researchers_path, line, f"duplicate researcher id {rid!r}")
-            continue
-        if quota is not None and not 0 <= quota <= MAX_QUOTA:  # empty: the default, 3
-            violation(researchers_path, line, f"quota {quota} outside 0..{MAX_QUOTA}")
-        if not 1 <= uda <= 14:
-            violation(researchers_path, line, f"uda {uda} outside 1..14")
-        if (expected := SDS_AREA_BY_PREFIX.get(sds.split("/")[0], uda)) != uda:
-            violation(researchers_path, line, f"sds {sds!r} belongs to area {expected}, not {uda}")
-        researchers.add(rid)
-
-    products: set[str] = set()
-    for line, row in read_rows(products_path, PRODUCT_COLUMNS):
-        if row[1] not in PRODUCT_KINDS:  # the product is still registered, below
-            violation(products_path, line, f"unknown product kind {row[1]!r}")
-        records = [(label, row[i:i + 4]) for label, i in (("wos", 4), ("scopus", 8))
-                   if row[i:i + 4] != _ABSENT]
-        for label, (text, _, citations, _) in records:
-            if not text.strip(";") or citations is None:
-                what = "citation count" if text.strip(";") else "subject categories"
-                raise ParseError(f"{label} record present but has no {what}",
-                                 str(products_path), line)
-        if not row[0]:
-            violation(products_path, line, "empty product id")
-            continue
-        if row[0] in products:
-            violation(products_path, line, f"duplicate product id {row[0]!r}")
-            continue
-        for label, (_, metric, citations, _) in records:
-            if citations < 0:
-                violation(products_path, line, f"{label} citations {citations} negative")
-            if metric is not None and metric < 0:
-                violation(products_path, line, f"{label} metric {metric} negative")
-        products.add(row[0])
-
-    seen_pairs: set[tuple[str, str]] = set()
-    priorities: dict[str, dict[int, str]] = {}
-    for line, (rid, pid, priority, override) in read_rows(authorships_path, AUTHORSHIP_COLUMNS):
-        if rid not in researchers:
-            violation(authorships_path, line, f"unknown researcher id {rid!r}")
-        if pid not in products:
-            violation(authorships_path, line, f"unknown product id {pid!r}")
-        if (rid, pid) in seen_pairs:
-            violation(authorships_path, line, f"duplicate authorship {(rid, pid)!r}")
-        seen_pairs.add((rid, pid))
-        if priority is not None:
-            if priority < 1:
-                violation(authorships_path, line, f"declared_priority {priority} < 1")
-            else:
-                taken = priorities.setdefault(rid, {})
-                if priority in taken:
-                    violation(authorships_path, line, f"researcher {rid!r} already declared "
-                              f"priority {priority} on {taken[priority]!r}")
-                taken[priority] = pid
-        if override is not None and not 1 <= override <= 9:
-            violation(authorships_path, line, f"gev_override {override} outside 1..9")
-
-    if not violations:  # each doubt of the column path is a fault that a rule above names
-        raise AssertionError(f"{researchers_path}: the column path declined a faultless corpus")
-    raise ValidationError(violations)
+    researchers, products, categories, texts_of, authorships = {}, {}, {}, {}, []
+    files = list(zip(map(Path, (researchers_path, products_path, authorships_path)),
+                     (RESEARCHER_COLUMNS, PRODUCT_COLUMNS, AUTHORSHIP_COLUMNS),
+                     _rules(researchers, products)))  # (path, schema, rules) of each file
+    violations, runs, doubtful = [], [], False  # runs: each authorships chunk's row lines
+    for columns, lines, doubt in _chunks(*files[0]):
+        ids, sds, udas, quotas = columns
+        size = len(researchers)
+        researchers.update(zip(ids, map(tuple.__new__, repeat(Researcher), zip(ids, sds, udas, map(
+            {None: Researcher._field_defaults["quota"]}.get, quotas, quotas)))))
+        if (doubt or not all(ids) or len(researchers) - size < len(ids)
+                or any(starmap(_foreign_area, set(zip(sds, udas))))):
+            violations += _name(*files[0], lines, columns, {"id": islice(researchers, size)})
+    researchers.pop("", None)  # an empty id registers no researcher
+    for columns, lines, doubt in _chunks(*files[1]):
+        ids, kinds, years, flags, *texts = columns
+        categories.update((text, names) for text in set(texts[0] + texts[4]).difference(categories)
+                          if (names := tuple(filter(None, text.split(";")))))
+        texts_of.update((text, text or None)  # one str per kind and journal id, None for ""
+                        for text in set(kinds + texts[3] + texts[7]).difference(texts_of))
+        try:  # a record with no subject categories is a KeyError, with no citation count True
+            wos, scopus = ([tuple.__new__(IndexRecord, (categories[c], n, m, texts_of[j]))
+                            if n is not None else (c, m, n, j) != _ABSENT or None
+                            for c, m, n, j in zip(*texts[i:i + 4])] for i in (0, 4))
+        except KeyError:
+            wos = scopus = [True]
+        size = len(products)
+        products.update(zip(ids, map(tuple.__new__, repeat(Product), zip(
+            ids, map(texts_of.__getitem__, kinds), years, flags, wos, scopus))))
+        if (doubt or True in wos or True in scopus or not all(ids)
+                or len(products) - size < len(ids) or any(map(_unknown_kind, set(kinds)))):
+            violations += _name(*files[1], lines, columns, {"id": islice(products, size)})
+    products.pop("", None)
+    columns = ids = kinds = texts = wos = scopus = None  # the last chunk's texts, freed
+    for (rid, pid, ranks, overrides), lines, doubt in _chunks(*files[2]):
+        try:
+            authorships += list(map(tuple.__new__, repeat(Authorship), zip(  # one str per id
+                map(itemgetter(0), map(researchers.__getitem__, rid)),
+                map(itemgetter(0), map(products.__getitem__, pid)), ranks, overrides)))
+        except KeyError:  # an unknown id: the chunk's own texts stand in
+            doubt = True
+            authorships += map(tuple.__new__, repeat(Authorship), zip(rid, pid, ranks, overrides))
+        runs.append(lines)
+        doubtful = doubtful or doubt
+    rid = pid = None  # the last chunk's texts, freed before the sets below are built
+    claims = list(compress(map(itemgetter(0, 2), authorships), map(itemgetter(2), authorships)))
+    if (doubtful or len(set(map(itemgetter(0, 1), authorships))) < len(authorships)
+            or len(set(claims)) < len(claims)):  # the whole file is named, from its rows
+        violations += _name(*files[2], [*chain.from_iterable(runs)], [*zip(*authorships)], {})
+    if violations:
+        raise ValidationError(violations)
+    authorships.sort()  # the pairs are unique, so no later field is compared
+    return Corpus(researchers, products, authorships)
 
 
 def load_corpus_dir(directory: str | Path) -> Corpus:

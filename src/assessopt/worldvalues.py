@@ -13,7 +13,7 @@ from itertools import chain, compress, islice, repeat
 from operator import itemgetter, ne
 from pathlib import Path
 
-from .corpus import read_lines, read_rows
+from .corpus import numeral, read_lines, read_rows
 from .errors import ParseError
 from .reference import (WORLDVALUE_COLUMNS, ClassThresholds, DistributionKey,
                         _distribution_key, build_thresholds)
@@ -114,8 +114,8 @@ def _per_line(lines: list[str], arrays: dict, take, limit: int) -> None:
 
 def _numbers(texts: list[str], limit: int) -> array:
     """The numbers in the texts after the lines' last commas, without line ends; a
-    ValueError unless each is finite, non-negative, within the field limit and, if the
-    first is quoted, quoted whole."""
+    ValueError unless each is a numeral, finite, non-negative, within the field limit and,
+    if the first is quoted, quoted whole."""
     values = texts
     if quoted := texts[0][:1] == '"':  # as csv.QUOTE_ALL writes them
         values = map(str.strip, texts, repeat('"'))
@@ -123,7 +123,7 @@ def _numbers(texts: list[str], limit: int) -> array:
     # No text is longer than joined, nor has a minus sign where joined has none. Quoted, each
     # starts and ends with a quote if the n - 1 line ends between them are each between two
     # and the last ends with one; as each holds a number, 2 * n quotes are then two each.
-    joined, n = "\n".join(texts), len(texts)
+    joined, n = numeral("\n".join(texts)), len(texts)
     if not (len(joined) <= limit and "-" not in joined and sum(numbers) < math.inf
             and (not quoted or joined.count('"') == 2 * n
                  and joined.count('"\n"') == n - 1 and joined[-1] == '"')):

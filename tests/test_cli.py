@@ -472,6 +472,29 @@ def test_validate_rejects_non_finite_numbers(tmp_path, capsys, name, column, tex
     assert capsys.readouterr().err.startswith(f"error: {path}:2: {column} ")
 
 
+@pytest.mark.parametrize("name, column, text, what", [
+    ("products.csv", "year", "2_006", "an integer"),
+    ("products.csv", "wos_citations", "1_2", "an integer"),
+    ("authorships.csv", "declared_priority", "\u0662", "an integer"),  # Arabic-Indic two
+    ("researchers.csv", "uda", "\uff11", "an integer"),  # full-width one
+    ("products.csv", "wos_metric", "2.\uff15", "a finite number"),
+    ("ref/thresholds.csv", "n", "1_0", "an integer"),
+    ("ref/worldvalues.csv", "year", "\uff12\uff10\uff10\uff16", "an integer"),
+    ("ref/worldvalues.csv", "value", "1_0", "a number"),
+])
+def test_validate_rejects_python_only_numerals(tmp_path, capsys, name, column, text, what):
+    """int and float read "2_006", "\u0662" and "\uff12\uff10\uff10\uff16" as 2006, 2 and
+    2006; a numeric field is ASCII digits, sign, point and exponent only."""
+    root = _inputs(tmp_path)
+    path = root / name
+    _set_field(path, column, text)
+    assert main([
+        "validate", "--corpus", str(root),
+        "--profiles", str(root / "profiles.json"), "--ref", str(root / "ref"),
+    ]) == 2
+    assert capsys.readouterr().err == f"error: {path}:2: {column} is not {what}: {text!r}\n"
+
+
 def test_validate_missing_file(tmp_path):
     assert main([
         "validate", "--corpus", str(tmp_path),

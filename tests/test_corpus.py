@@ -572,21 +572,53 @@ def test_csv_reads_only_the_chunk_that_may_hold_a_quoted_field(tmp_path, monkeyp
         assert len(rows) == 3 + corpus_module.CHUNK_LINES  # a blank line is a row []
 
 
-def test_a_decline_that_names_no_fault_is_an_internal_error(monkeypatch):
-    """The row loops only name faults: a decline of a valid corpus is a fault of
-    the program, not a second way to load it."""
-    monkeypatch.setattr(corpus_module, "_load_columns",
-                        mock.Mock(side_effect=corpus_module._Decline))
-    with pytest.raises(AssertionError, match="column path declined a faultless corpus"):
-        load_corpus_dir(MINI)
+def test_a_doubt_that_read_rows_finds_no_fault_in_leaves_it_the_rest_of_the_file(monkeypatch):
+    """A doubt of the CSV layer is named by read_rows, which reads on from the chunk that
+    raised it: where it finds no fault, its rows are the rest of the file."""
+    expected = _by_rows(MINI)
+    calls = []
+
+    def uda(text):  # refuses the first text it parses
+        calls.append(text)
+        if len(calls) == 1:
+            raise ValueError(text)
+        return int(text)
+
+    monkeypatch.setitem(RESEARCHER_COLUMNS, "uda", uda)
+    assert _loaded(MINI) == expected
+    assert len(calls) > len(expected[0].researchers)  # read_rows parsed each row's uda
 
 
-def test_a_type_error_in_the_column_path_surfaces(monkeypatch):
-    """The column path's doubts are the errors a faulty file raises; any other
-    error is a fault of the program, which falling back would hide."""
-    monkeypatch.setattr(corpus_module, "_load_columns", mock.Mock(side_effect=TypeError("bug")))
+def test_a_type_error_in_the_csv_layer_surfaces(monkeypatch):
+    """The loader's doubts are the errors a faulty file raises; any other error is a
+    fault of the program, which naming by read_rows would hide."""
+    monkeypatch.setitem(RESEARCHER_COLUMNS, "uda", mock.Mock(side_effect=TypeError("bug")))
     with pytest.raises(TypeError, match="bug"):
         load_corpus_dir(MINI)
+
+
+@pytest.mark.parametrize("chunk_lines", [512, 3])
+def test_a_corpus_whose_only_faults_break_rules_is_read_once(tmp_path, monkeypatch,
+                                                             chunk_lines):
+    """A fault in each file that breaks a rule, not the CSV layer: each file is opened
+    once and read_rows never runs, as the rows that break a rule are named from the
+    columns already parsed, in 512- and 3-line chunks."""
+    for name, row in zip(_CORPUS_FILES, ["R99,,15,3", "P99,poem,2006,false,,,,,,,,", "R01,P01,,"]):
+        (tmp_path / name).write_text((MINI / name).read_text(encoding="utf-8") + row + "\n",
+                                     encoding="utf-8")
+    expected = _by_rows(tmp_path)
+    assert expected[0] is ValidationError and expected[1].count("csv:") == 3
+    opened, real_open = [], open
+
+    def counted(file, *args, **kwargs):
+        opened.append(Path(file).name)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(corpus_module, "CHUNK_LINES", chunk_lines)
+    monkeypatch.setattr(corpus_module, "open", counted, raising=False)
+    _with_rows_refused(monkeypatch)
+    assert _loaded(tmp_path) == expected
+    assert opened == _CORPUS_FILES
 
 
 # Each fault puts one text into one field of the first data row (or of every row, for
@@ -596,6 +628,8 @@ def test_a_type_error_in_the_column_path_surfaces(monkeypatch):
 _FAULTS = {
     "empty-researcher-id": ("researchers", "row", ",MAT/05,1,3"),
     "duplicate-researcher-id": ("researchers", "row", "R1,,3,3"),
+    # a row that breaks a rule that ends its checks: its later rules are not named
+    "duplicate-id-out-of-range": ("researchers", "row", "R1,CHIM/06,15,9"),
     "quota-above-max": ("researchers", "quota", "7"),
     "quota-negative": ("researchers", "quota", "-1"),
     "uda-above-14": ("researchers", "uda", "15"),
@@ -606,6 +640,7 @@ _FAULTS = {
     "unknown-kind": ("products", "kind", "poster"),
     "empty-product-id": ("products", "row", ",book,2006,,,,,,,,,"),
     "duplicate-product-id": ("products", "row", "P1,book,2006,,,,,,,,,"),
+    "empty-id-of-unknown-kind-negative": ("products", "row", ",poster,2006,,X,-0.5,-1,,,,,"),
     "year-not-an-integer": ("products", "year", "soon"),
     "year-empty": ("products", "year", ""),
     "bad-boolean": ("products", "fraud_flag", "yes"),
@@ -620,6 +655,7 @@ _FAULTS = {
     "infinite-metric": ("products", "scopus_metric", "1e400"),
     "metric-not-a-number": ("products", "wos_metric", "2,5"),
     "journal-alone": ("products", "*scopus_journal_id", "J9"),
+    "short-product-row": ("products", "row", "P9,book,2006"),  # after a record's ParseError
     "unknown-researcher": ("authorships", "researcher_id", "R99"),
     "unknown-product": ("authorships", "product_id", "P99"),
     "duplicate-pair": ("authorships", "copy", ""),
@@ -639,9 +675,10 @@ _CATEGORIES = ["A", "A;B", ";A;", "Chemistry, Organic;Physics", 'The "Journal"',
 
 
 @st.composite
-def _corpus_texts(draw, *faults: str | None) -> dict[str, str]:
+def _corpus_texts(draw, *faults: str | None, quote_faulty: bool = False) -> dict[str, str]:
     """The three files of a corpus with the given faults (None adds none): quoted fields,
-    with commas, quotes or line breaks, blank lines, a byte-order mark, CRLF line ends."""
+    with commas, quotes or line breaks, blank lines, a byte-order mark, CRLF line ends.
+    With quote_faulty, each row that a fault edits or adds has every field quoted."""
     def pick(values: list):
         return draw(st.sampled_from(values))
 
@@ -672,6 +709,7 @@ def _corpus_texts(draw, *faults: str | None) -> dict[str, str]:
             ranks[rid] += 1
         rows["authorships"].append([rid, pid, priority, pick(["", "1", "9"])])
     headers = {name: list(schema) for name, schema in _SCHEMAS.items()}
+    faulty = {name: [] for name in _SCHEMAS}  # the rows a fault edits or adds
     for fault in filter(None, faults):
         name, where, text = _FAULTS[fault]
         if where == "row":
@@ -684,14 +722,17 @@ def _corpus_texts(draw, *faults: str | None) -> dict[str, str]:
             column = list(_SCHEMAS[name]).index(where.lstrip("*"))
             for row in rows[name] if where.startswith("*") else rows[name][:1]:
                 row[column] = text
+                faulty[name].append(row)
+        faulty[name] += rows[name][-1:] if where in ("row", "copy") else []
     texts = {}
     for name in _SCHEMAS:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator=pick(["\n", "\r\n"]),
+        out, end = io.StringIO(), pick(["\n", "\r\n"])
+        writer = csv.writer(out, lineterminator=end,
                             quoting=pick([csv.QUOTE_MINIMAL, csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+        quoted = csv.writer(out, lineterminator=end, quoting=csv.QUOTE_ALL)
         writer.writerow(headers[name])
         for row in rows[name]:
-            writer.writerow(row)
+            (quoted if quote_faulty and row in faulty[name] else writer).writerow(row)
             out.write(pick(["", "", "", "\n", "\r\n\n"]))  # blank lines
         texts[name] = pick(["", "\ufeff"]) + out.getvalue()
     return texts
@@ -717,6 +758,24 @@ def test_the_column_path_loads_as_the_row_loops_in_3_line_chunks(tmp_path_factor
     """As above, every drawn file read in 3-line chunks, each by the split path or by csv."""
     monkeypatch.setattr(corpus_module, "CHUNK_LINES", 3)
     test_the_column_path_loads_as_the_row_loops(tmp_path_factory, fault)
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
+def test_a_fault_in_a_chunk_that_csv_reads_is_named_as_the_row_loops_name_it(
+        tmp_path_factory, monkeypatch, fault):
+    """As above, in 3-line chunks, with each row that the fault edits or adds quoted, so
+    that csv reads the chunk that holds it, and its rows' lines are csv's."""
+    monkeypatch.setattr(corpus_module, "CHUNK_LINES", 3)
+    _quoted_faults_load_as_the_row_loops(tmp_path_factory, fault)
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def _quoted_faults_load_as_the_row_loops(tmp_path_factory, fault, data):
+    root = tmp_path_factory.mktemp("corpus")
+    for name, text in data.draw(_corpus_texts(fault, quote_faulty=True)).items():
+        (root / f"{name}.csv").write_bytes(text.encode("utf-8"))
+    assert _loaded(root) == _by_rows(root)
 
 
 @pytest.mark.parametrize("first, second", list(itertools.combinations(_FAULTS, 2)))

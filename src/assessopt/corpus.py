@@ -2,10 +2,9 @@
 
 Every CSV the program reads goes through read_lines: read_rows reads a file by rows, _chunks a
 corpus file by chunks of lines, worldvalues a worldvalues.csv by runs of lines of one key.
-Every CSV it writes goes through write_rows. load_corpus reads each corpus file once, builds
-the corpus from _chunks' columns and tests each rule of _rules over a chunk's distinct values;
-only where one breaks are the chunk's rows named, and read_rows reads a file again only to
-name a fault of the CSV layer.
+Every CSV it writes goes through write_rows. load_corpus reads each corpus file once: it builds
+the corpus from _chunks' columns, each chunk tested by _checked against the rules of _rules,
+and read_rows reads a file again only to name a fault of the CSV layer.
 
 A corpus is the institution's data only, immutable after loading; the rules
 of the exercise that judge it (its years, the kinds each panel accepts) live in
@@ -18,24 +17,16 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import deque
 from contextlib import contextmanager, suppress
-from functools import partial
-from itertools import chain, compress, dropwhile, islice, repeat, starmap
-from operator import itemgetter, not_
+from itertools import chain, compress, dropwhile, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError, ValidationError
 
 PRODUCT_KINDS = (
-    "journal-article",
-    "review",
-    "conference-proceeding",
-    "book",
-    "chapter",
-    "patent",
-    "other",
+    "journal-article", "review", "conference-proceeding", "book", "chapter", "patent", "other",
 )
 
 MAX_QUOTA = 6
@@ -117,8 +108,8 @@ class Corpus(NamedTuple):
 # --- CSV layer ---------------------------------------------------------------
 # A schema maps each column of a file to the parser of its fields, which returns
 # the field's value or raises ValueError. str marks a text column and costs no
-# call. float accepts nan and inf: a column parsed by it needs a range check. A
-# typed field's text is a numeral first.
+# call. float accepts nan and inf: a column parsed by it needs a range check. The
+# text of a numeric field is a numeral first.
 
 
 def numeral(text: str) -> str:
@@ -166,15 +157,11 @@ def echo(text: str) -> str:
 
 @contextmanager
 def read_lines(path: Path, schema: dict) -> Iterator[tuple[Iterator, Callable, int]]:
-    """A CSV's lines after its header, line ends kept, as the file object yields them;
-    with rows_from(line, lines), which yields the rows that read_rows yields from that
-    line on, a csv.reader reading lines, whose first is that line; and
-    csv.field_size_limit().
-
-    A leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped. A
-    missing or empty file, a header other than the schema's columns and text that is
-    not UTF-8 are ParseErrors.
-    """
+    """A CSV's lines after its header, line ends kept, as the file object yields them; with
+    rows_from(line, lines), which yields the rows that read_rows yields from that line on, a
+    csv.reader reading lines, whose first is that line; and csv.field_size_limit(). A leading
+    UTF-8 byte-order mark, as spreadsheet exports write, is skipped. A missing or empty file, a
+    header other than the schema's columns and text that is not UTF-8 are ParseErrors."""
     file, columns, width = str(path), list(schema), len(schema)
     typed = [(i, parse) for i, parse in enumerate(schema.values()) if parse is not str]
     if not path.exists():
@@ -191,7 +178,7 @@ def read_lines(path: Path, schema: dict) -> Iterator[tuple[Iterator, Callable, i
                                      file, offset + reader.line_num)
                 for i, parse in typed:
                     try:
-                        row[i] = parse(numeral(row[i]))
+                        row[i] = parse(row[i] if parse is boolean else numeral(row[i]))
                     except ValueError:
                         message = f"{columns[i]} is not {_EXPECTED[parse]}: {echo(repr(row[i]))}"
                         raise ParseError(message, file, offset + reader.line_num) from None
@@ -218,11 +205,10 @@ def read_lines(path: Path, schema: dict) -> Iterator[tuple[Iterator, Callable, i
 
 
 def read_rows(path: Path, schema: dict) -> Iterator[tuple[int, list]]:
-    """Yield a CSV's rows as (line, fields) pairs, one at a time, enforcing the
-    schema's exact header as read_lines does. fields is a list of the parsed fields
-    in schema order. Blank lines are skipped. A field its parser rejects is a
-    ParseError naming the file, line and column.
-    """
+    """Yield a CSV's rows as (line, fields) pairs, one at a time, enforcing the schema's exact
+    header as read_lines does. fields is a list of the parsed fields in schema order. Blank
+    lines are skipped. A field its parser rejects is a ParseError naming the file, line and
+    column."""
     with read_lines(path, schema) as (lines, rows_from, _):
         yield from rows_from(2, lines)
 
@@ -282,116 +268,109 @@ def _record_fields(record: IndexRecord | None) -> tuple:
 
 # --- corpus rules --------------------------------------------------------------
 # Each corpus file's rules, in the order a row's are checked: (columns, test, message, *how).
-# test takes the row's fields in columns and returns a falsy value where the row keeps the
-# rule, else the {what} of message, which is formatted with the row's fields by column name.
-# how may hold "ends" (a row that breaks the rule is checked no further), "parse" (the first
-# row that breaks it is a ParseError) and "earlier" (test takes first a dict that it keeps of
-# the file's earlier rows).
-
-
-def _again(seen: dict, key, value=True):
-    """seen[key] as the earlier rows left it, None on the key's first row; value from now on."""
-    earlier, seen[key] = seen.get(key), value
-    return earlier
+# test takes a chunk's fields of the columns, a list for each, and returns the values that
+# break the rule, a row's value being its field of one column, else the tuple of its fields:
+# a set, or a dict to the {what} of message, which is formatted with the row's fields by column
+# name. how may hold "ends" (a row that breaks the rule is checked no further), "parse" (the
+# first row that breaks it is a ParseError) and "unique": test then returns each row's key,
+# falsy for none; a row with the key of an earlier row of the file breaks the rule, and {what}
+# is the last such row's field of the rule's last column.
 
 
 def _outside(low: float, high: float) -> Callable:
-    return lambda value: value is not None and not low <= value <= high
+    return lambda values: {v for v in values if v is not None and not low <= v <= high}
 
 
-def _foreign_area(sds: str, uda: int) -> int | bool:
-    return (area := SDS_AREA_BY_PREFIX.get(sds.split("/")[0], uda)) != uda and area
-
-
-def _unknown_kind(kind: str) -> bool:
-    return kind not in PRODUCT_KINDS
-
-
-def _lacks(categories: str, metric, citations, journal_id: str) -> str | bool:
-    """What a product row's index record lacks; nothing where its four fields are empty."""
-    if not categories.strip(";"):
-        return (categories, metric, citations, journal_id) != _ABSENT and "subject categories"
-    return citations is None and "citation count"
+def _lacking(*fields: list) -> dict:  # four empty prefix_ fields are no record
+    return {r: "citation count" if r[0].strip(";") else "subject categories"
+            for r in zip(*fields) if (r[2] is None or not r[0].strip(";")) and r != _ABSENT}
 
 
 def _rules(researchers: dict, products: dict) -> tuple[tuple[tuple, ...], ...]:
-    """The rules of researchers.csv, products.csv and authorships.csv, for a load that
-    registers ids in researchers and products."""
-    wos, scopus = ((f"{p}_categories", f"{p}_metric", f"{p}_citations", f"{p}_journal_id")
-                   for p in ("wos", "scopus"))
+    """The rules of the three corpus files, for a load that registers ids in the two dicts."""
     return ((
-        (("id",), not_, "empty researcher id", "ends"),
-        (("id",), _again, "duplicate researcher id {id!r}", "ends", "earlier"),
+        (("id",), {""}.intersection, "empty researcher id", "ends"),
+        (("id",), list, "duplicate researcher id {id!r}", "ends", "unique"),
         (("quota",), _outside(0, MAX_QUOTA), f"quota {{quota}} outside 0..{MAX_QUOTA}"),
         (("uda",), _outside(1, 14), "uda {uda} outside 1..14"),
-        (("sds", "uda"), _foreign_area, "sds {sds!r} belongs to area {what}, not {uda}"),
+        (("sds", "uda"), lambda *fields: {(sds, uda): area for sds, uda in zip(*fields) if (
+            area := SDS_AREA_BY_PREFIX.get(sds.split("/")[0], uda)) != uda},
+         "sds {sds!r} belongs to area {what}, not {uda}"),
     ), (
-        (("kind",), _unknown_kind, "unknown product kind {kind!r}"),
-        (wos, _lacks, "wos record present but has no {what}", "parse"),
-        (scopus, _lacks, "scopus record present but has no {what}", "parse"),
-        (("id",), not_, "empty product id", "ends"),
-        (("id",), _again, "duplicate product id {id!r}", "ends", "earlier"),
+        (("kind",), lambda kinds: {*kinds} - {*PRODUCT_KINDS}, "unknown product kind {kind!r}"),
+        *(((f"{p}_categories", f"{p}_metric", f"{p}_citations", f"{p}_journal_id"), _lacking,
+           f"{p} record present but has no {{what}}", "parse") for p in ("wos", "scopus")),
+        (("id",), {""}.intersection, "empty product id", "ends"),
+        (("id",), list, "duplicate product id {id!r}", "ends", "unique"),
         *(((f"{p}_{field}",), _outside(0, math.inf), f"{p} {field} {{{p}_{field}}} negative")
           for p in ("wos", "scopus") for field in ("citations", "metric")),
     ), (
-        (("researcher_id",), lambda rid: rid not in researchers,
+        (("researcher_id",), lambda ids: {*ids}.difference(researchers),
          "unknown researcher id {researcher_id!r}"),
-        (("product_id",), lambda pid: pid not in products, "unknown product id {product_id!r}"),
-        (("researcher_id", "product_id"), lambda seen, *pair: _again(seen, pair, pair),
-         "duplicate authorship {what!r}", "earlier"),
+        (("product_id",), lambda ids: {*ids}.difference(products),
+         "unknown product id {product_id!r}"),
+        (("researcher_id", "product_id"), lambda *fields: [*zip(*fields)],
+         "duplicate authorship ({researcher_id!r}, {product_id!r})", "unique"),
         (("declared_priority",), _outside(1, math.inf),
          "declared_priority {declared_priority} < 1"),
         (("researcher_id", "declared_priority", "product_id"),
-         lambda seen, rid, rank, pid: (rank or 0) > 0 and _again(seen, (rid, rank), pid),
-         "researcher {researcher_id!r} already declared priority {declared_priority} on {what!r}",
-         "earlier"),
+         lambda ids, ranks, _: [(rank or 0) > 0 and (rid, rank) for rid, rank in zip(ids, ranks)],
+         "researcher {researcher_id!r} already declared priority {declared_priority} on "
+         "{what!r}", "unique"),
         (("gev_override",), _outside(1, 9), "gev_override {gev_override} outside 1..9"),
     ))
 
 
-def _name(path: Path, schema: dict, rules: tuple, lines: Sequence[int], columns: list,
-          earlier: dict) -> list[str]:
-    """The violations of a chunk's rows, row i at lines[i], in line and rule order, save a row's
-    after a rule that ends it. earlier gives the file's rows before the chunk by column."""
-    fields, faults, violations, ended = dict(zip(schema, columns)), [], [], 0
-    for order, (names, test, _, *how) in enumerate(rules):
-        if "earlier" in how:
-            test = partial(test, {})
-            deque(map(test, *map(earlier.get, names, repeat(()))), 0)
-        faults += ((lines[k], order, k, what)
-                   for k, what in enumerate(map(test, *map(fields.get, names))) if what)
-    for line, order, k, what in sorted(faults):
-        if line != ended:
-            _, _, message, *how = rules[order]
-            message = message.format(what=what, **{name: f[k] for name, f in fields.items()})
-            if "parse" in how:
-                raise ParseError(message, str(path), line)
-            violations.append(f"{path}:{line}: {message}")
-            ended = line if "ends" in how else 0
-    return violations
+def _checked(path: Path, schema: dict, rules: tuple, violations: list, texts: dict) -> Iterator:
+    """_chunks' columns of a corpus file, texts as _chunks takes it. Before a chunk's are
+    yielded, its rows' violations of rules go to violations in line and rule order, save a
+    row's after a rule that ends it; the first row that breaks a "parse" rule is a ParseError."""
+    keys = {}  # each "unique" rule's: {key: what the last row with the key gives}
+    for columns, lines in _chunks(path, schema, texts):
+        fields, faults, ended = dict(zip(schema, columns)), [], 0
+        for order, (names, test, _, *how) in enumerate(rules):
+            found = test(*map(fields.get, names))
+            if "unique" in how:
+                seen, last = keys.setdefault(order, {}), fields[names[-1]]
+                new = dict(filter(itemgetter(0), zip(found, last)))
+                if len(new) < sum(map(bool, found)) or not seen.keys().isdisjoint(new):
+                    for k, key in compress(enumerate(found), found):
+                        if key in seen:
+                            faults.append((lines[k], order, k, seen[key]))
+                        seen[key] = last[k]
+                seen.update(new)
+            elif found:
+                values = zip(*map(fields.get, names)) if names[1:] else fields[names[0]]
+                faults += ((lines[k], order, k, found[v] if type(found) is dict else v)
+                           for k, v in enumerate(values) if v in found)
+        for line, order, k, what in sorted(faults):
+            if line != ended:
+                _, _, message, *how = rules[order]
+                message = message.format(what=what, **{n: f[k] for n, f in fields.items()})
+                if "parse" in how:
+                    raise ParseError(message, str(path), line)
+                violations.append(f"{path}:{line}: {message}")
+                ended = line if "ends" in how else 0
+        yield columns
 
 
 CHUNK_LINES = 512  # 2,048 loaded bench wide in 39.6 ms against 32.9, peak memory 1.8 MB higher
 
 
-def _chunks(path: Path, schema: dict, rules: tuple) -> Iterator[tuple[list, Sequence, bool]]:
+def _chunks(path: Path, schema: dict, texts: dict) -> Iterator[tuple[list, Sequence[int]]]:
     """A CSV's rows after its header, CHUNK_LINES lines at a time, as (columns, each row's
-    line, doubt): each distinct typed text is parsed, and tested by the rule of its column
-    alone, once, and doubt is whether the chunk holds a text that breaks such a rule. A blank
-    row is dropped.
-
-    A chunk that csv would read as split at "," and "\\n" is split so: lines ending in "\\n",
-    each of len(schema) fields, with no '"', "\\r" or NUL, in all within csv's field limit. csv
-    reads every other chunk, on to the end of a record that runs past its last line. At a fault
-    of the CSV layer (a width, a field its parser refuses, an error of csv, text that is not
-    UTF-8), read_rows reads the file: its rows from the chunk on to its ParseError are a last,
-    doubtful chunk, then the ParseError is raised."""
-    typed = [(i, {}, set(), parse, next((test for names, test, *how in rules if names == (column,)
-                                         and "earlier" not in how), lambda value: False))
-             for i, (column, parse) in enumerate(schema.items()) if parse is not str]
+    line): each distinct typed text parsed once, a text of a column in texts ({column: {text:
+    str}}) taken from there, and a blank row dropped. A chunk that csv would read as split at
+    "," and "\\n" is split so: lines ending in "\\n", each of len(schema) fields, with no '"',
+    "\\r" or NUL, in all within csv's field limit. csv reads every other chunk, on to the end
+    of a record that runs past its last line. read_rows names a fault of the CSV layer (a width,
+    a field its parser refuses, an error of csv, text that is not UTF-8): its rows from the
+    chunk on to its ParseError are a last chunk, then the ParseError is raised."""
+    typed = [(i, texts.get(column, {}), parse) for i, (column, parse) in enumerate(schema.items())
+             if parse is not str or column in texts]
     width, first = len(schema), 2
     with read_lines(path, schema) as (fh, _, limit):
-        try:
+        with suppress(ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
             while lines := list(islice(fh, CHUNK_LINES)):
                 block, count, fields, firsts = "".join(lines), len(lines), [], []
                 if (block[-1] == "\n" and len(block) <= limit
@@ -416,93 +395,54 @@ def _chunks(path: Path, schema: dict, rules: tuple) -> Iterator[tuple[list, Sequ
                     if set(map(len, rows)) - {width}:
                         break
                     columns, count = [*zip(*rows)] or [()] * width, reader.line_num
-                doubt = False
-                for i, known, bad, parse, test in typed:  # bad: each text whose value breaks test
-                    distinct = set(columns[i])
-                    if new := distinct.difference(known):
-                        numeral("".join(new))
+                for i, known, parse in typed:
+                    if new := set(columns[i]).difference(known):
+                        parse in (str, boolean) or numeral("".join(new))
                         known.update(zip(new, map(parse, new)))
-                        bad.update(compress(new, map(test, map(known.__getitem__, new))))
-                    if bad and not bad.isdisjoint(distinct):
-                        doubt = True
                     columns[i] = list(map(known.__getitem__, columns[i]))
-                yield columns, numbers, doubt
+                yield columns, numbers
                 first += count
             else:
                 return
-        except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
-            pass
-    rows, fault = [], None
+    rows = []
     try:
         rows.extend(dropwhile(lambda row: row[0] < first, read_rows(path, schema)))
-    except ParseError as exc:
-        fault = exc
-    if rows:
-        numbers, fields = zip(*rows)
-        yield list(map(list, zip(*fields))), numbers, True
-    if fault:
-        raise fault
+    except ParseError:
+        if rows:  # a "parse" rule may break on one of them, before the fault
+            yield [*zip(*map(itemgetter(1), rows))], [*map(itemgetter(0), rows)]
+        raise
+    raise AssertionError(f"{path}: read_rows found no fault in a chunk that _chunks refused")
 
 
 def load_corpus(researchers_path: str | Path, products_path: str | Path,
                 authorships_path: str | Path) -> Corpus:
-    """Load and fully validate a corpus from its three CSV files.
-
-    Raises ParseError for unreadable input, the first in file and line order, else
-    ValidationError with every violation, each naming file and line, in file, line and rule
-    order. Each rule of _rules is tested over a chunk's distinct values, or by the records and
-    ids that the load builds; only a chunk (or authorships.csv) that breaks one has its rows
-    named by _name.
-    """
-    researchers, products, categories, texts_of, authorships = {}, {}, {}, {}, []
-    files = list(zip(map(Path, (researchers_path, products_path, authorships_path)),
-                     (RESEARCHER_COLUMNS, PRODUCT_COLUMNS, AUTHORSHIP_COLUMNS),
-                     _rules(researchers, products)))  # (path, schema, rules) of each file
-    violations, runs, doubtful = [], [], False  # runs: each authorships chunk's row lines
-    for columns, lines, doubt in _chunks(*files[0]):
-        ids, sds, udas, quotas = columns
-        size = len(researchers)
+    """Load and fully validate a corpus from its three CSV files, by the rules of _rules: a
+    ParseError for unreadable input, the first in file and line order, else a ValidationError
+    with every violation, each naming file and line, in file, line and rule order."""
+    researchers, products, categories, texts_of, authorships, violations = {}, {}, {}, {}, [], []
+    files = zip(map(Path, (researchers_path, products_path, authorships_path)),
+                (RESEARCHER_COLUMNS, PRODUCT_COLUMNS, AUTHORSHIP_COLUMNS),
+                _rules(researchers, products), repeat(violations))
+    for ids, sds, udas, quotas in _checked(*next(files), {}):
         researchers.update(zip(ids, map(tuple.__new__, repeat(Researcher), zip(ids, sds, udas, map(
             {None: Researcher._field_defaults["quota"]}.get, quotas, quotas)))))
-        if (doubt or not all(ids) or len(researchers) - size < len(ids)
-                or any(starmap(_foreign_area, set(zip(sds, udas))))):
-            violations += _name(*files[0], lines, columns, {"id": islice(researchers, size)})
     researchers.pop("", None)  # an empty id registers no researcher
-    for columns, lines, doubt in _chunks(*files[1]):
-        ids, kinds, years, flags, *texts = columns
+    for ids, kinds, years, flags, *texts in _checked(*next(files), {}):
         categories.update((text, names) for text in set(texts[0] + texts[4]).difference(categories)
                           if (names := tuple(filter(None, text.split(";")))))
         texts_of.update((text, text or None)  # one str per kind and journal id, None for ""
                         for text in set(kinds + texts[3] + texts[7]).difference(texts_of))
-        try:  # a record with no subject categories is a KeyError, with no citation count True
-            wos, scopus = ([tuple.__new__(IndexRecord, (categories[c], n, m, texts_of[j]))
-                            if n is not None else (c, m, n, j) != _ABSENT or None
-                            for c, m, n, j in zip(*texts[i:i + 4])] for i in (0, 4))
-        except KeyError:
-            wos = scopus = [True]
-        size = len(products)
+        wos, scopus = ([tuple.__new__(IndexRecord, (categories[c], n, m, texts_of[j]))
+                        if n is not None else None  # _checked passes only whole records
+                        for c, m, n, j in zip(*texts[i:i + 4])] for i in (0, 4))
         products.update(zip(ids, map(tuple.__new__, repeat(Product), zip(
             ids, map(texts_of.__getitem__, kinds), years, flags, wos, scopus))))
-        if (doubt or True in wos or True in scopus or not all(ids)
-                or len(products) - size < len(ids) or any(map(_unknown_kind, set(kinds)))):
-            violations += _name(*files[1], lines, columns, {"id": islice(products, size)})
     products.pop("", None)
-    columns = ids = kinds = texts = wos = scopus = None  # the last chunk's texts, freed
-    for (rid, pid, ranks, overrides), lines, doubt in _chunks(*files[2]):
-        try:
-            authorships += list(map(tuple.__new__, repeat(Authorship), zip(  # one str per id
-                map(itemgetter(0), map(researchers.__getitem__, rid)),
-                map(itemgetter(0), map(products.__getitem__, pid)), ranks, overrides)))
-        except KeyError:  # an unknown id: the chunk's own texts stand in
-            doubt = True
-            authorships += map(tuple.__new__, repeat(Authorship), zip(rid, pid, ranks, overrides))
-        runs.append(lines)
-        doubtful = doubtful or doubt
-    rid = pid = None  # the last chunk's texts, freed before the sets below are built
-    claims = list(compress(map(itemgetter(0, 2), authorships), map(itemgetter(2), authorships)))
-    if (doubtful or len(set(map(itemgetter(0, 1), authorships))) < len(authorships)
-            or len(set(claims)) < len(claims)):  # the whole file is named, from its rows
-        violations += _name(*files[2], [*chain.from_iterable(runs)], [*zip(*authorships)], {})
+    ids = kinds = texts = wos = scopus = None  # the last chunk's texts, freed
+    interned = {"researcher_id": dict(zip(researchers, researchers)),  # one str per id
+                "product_id": dict(zip(products, products))}
+    for columns in _checked(*next(files), interned):
+        authorships += map(tuple.__new__, repeat(Authorship), zip(*columns))
     if violations:
         raise ValidationError(violations)
     authorships.sort()  # the pairs are unique, so no later field is compared
@@ -511,12 +451,8 @@ def load_corpus(researchers_path: str | Path, products_path: str | Path,
 
 def load_corpus_dir(directory: str | Path) -> Corpus:
     """Load a corpus from a directory holding the three conventionally named files."""
-    directory = Path(directory)
-    return load_corpus(
-        directory / "researchers.csv",
-        directory / "products.csv",
-        directory / "authorships.csv",
-    )
+    names = ("researchers.csv", "products.csv", "authorships.csv")
+    return load_corpus(*map(Path(directory).joinpath, names))
 
 
 def save_corpus(corpus: Corpus, directory: str | Path) -> None:

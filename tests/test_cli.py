@@ -495,6 +495,16 @@ def test_validate_rejects_python_only_numerals(tmp_path, capsys, name, column, t
     assert capsys.readouterr().err == f"error: {path}:2: {column} is not {what}: {text!r}\n"
 
 
+def test_a_boolean_field_is_not_held_to_numerals(tmp_path):
+    """Only numeric fields must be numerals: a boolean is read with its surrounding
+    whitespace stripped, a no-break space (U+00A0) too."""
+    root = _inputs(tmp_path)
+    _set_field(root / "products.csv", "fraud_flag", "true\u00a0")
+    assert load_corpus_dir(root).products["P01"].fraud_flag is True
+    [(_, fields), *_] = read_rows(root / "products.csv", PRODUCT_COLUMNS)
+    assert fields[list(PRODUCT_COLUMNS).index("fraud_flag")] is True
+
+
 def test_validate_missing_file(tmp_path):
     assert main([
         "validate", "--corpus", str(tmp_path),

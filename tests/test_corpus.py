@@ -572,10 +572,9 @@ def test_csv_reads_only_the_chunk_that_may_hold_a_quoted_field(tmp_path, monkeyp
         assert len(rows) == 3 + corpus_module.CHUNK_LINES  # a blank line is a row []
 
 
-def test_a_doubt_that_read_rows_finds_no_fault_in_leaves_it_the_rest_of_the_file(monkeypatch):
-    """A doubt of the CSV layer is named by read_rows, which reads on from the chunk that
-    raised it: where it finds no fault, its rows are the rest of the file."""
-    expected = _by_rows(MINI)
+def test_a_refused_chunk_that_read_rows_finds_no_fault_in_is_an_internal_error(monkeypatch):
+    """read_rows only names a fault of the CSV layer: a chunk that _chunks refuses where
+    read_rows finds none is a fault of the program, not a second way to load the file."""
     calls = []
 
     def uda(text):  # refuses the first text it parses
@@ -585,8 +584,8 @@ def test_a_doubt_that_read_rows_finds_no_fault_in_leaves_it_the_rest_of_the_file
         return int(text)
 
     monkeypatch.setitem(RESEARCHER_COLUMNS, "uda", uda)
-    assert _loaded(MINI) == expected
-    assert len(calls) > len(expected[0].researchers)  # read_rows parsed each row's uda
+    with pytest.raises(AssertionError, match="read_rows found no fault"):
+        load_corpus_dir(MINI)
 
 
 def test_a_type_error_in_the_csv_layer_surfaces(monkeypatch):
@@ -595,6 +594,16 @@ def test_a_type_error_in_the_csv_layer_surfaces(monkeypatch):
     monkeypatch.setitem(RESEARCHER_COLUMNS, "uda", mock.Mock(side_effect=TypeError("bug")))
     with pytest.raises(TypeError, match="bug"):
         load_corpus_dir(MINI)
+
+
+def test_the_corpus_holds_one_str_per_id():
+    """Each authorship's ids are the loaded researcher's and product's own str objects,
+    not copies read from authorships.csv."""
+    corpus = load_corpus_dir(MINI)
+    researchers, products = ({id(key) for key in ids} for ids in (corpus.researchers,
+                                                                 corpus.products))
+    assert all(id(a.researcher_id) in researchers and id(a.product_id) in products
+               for a in corpus.authorships)
 
 
 @pytest.mark.parametrize("chunk_lines", [512, 3])

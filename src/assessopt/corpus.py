@@ -2,9 +2,9 @@
 
 Every CSV the program reads goes through read_lines: read_rows reads a file by rows, _chunks a
 corpus file by chunks of lines, worldvalues a worldvalues.csv by runs of lines of one key.
-Every CSV it writes goes through write_rows. load_corpus reads each corpus file once: it builds
-the corpus from _chunks' columns, each chunk tested by _checked against the rules of _rules,
-and read_rows reads a file again only to name a fault of the CSV layer.
+Every CSV it writes goes through write_rows. load_corpus builds the corpus from _chunks'
+columns, _checked testing each rule of _rules on the file's distinct values and keys. A corpus
+file is read once; read_rows parses it again only from the chunk with a fault of the CSV layer.
 
 A corpus is the institution's data only, immutable after loading; the rules
 of the exercise that judge it (its years, the kinds each panel accepts) live in
@@ -18,7 +18,7 @@ import csv
 import io
 import math
 from contextlib import contextmanager, suppress
-from itertools import chain, compress, dropwhile, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -148,6 +148,7 @@ def boolean(text: str) -> bool:
 # What each parser expects, for the message when it raises ValueError.
 _EXPECTED = {int: "an integer", optional_int: "an integer", float: "a number",
              number: "a finite number", optional_number: "a finite number", boolean: "a boolean"}
+_IN_C = {optional_int: int, optional_number: float}  # as _chunks parses them, "" aside
 
 
 def echo(text: str) -> str:
@@ -204,13 +205,13 @@ def read_lines(path: Path, schema: dict) -> Iterator[tuple[Iterator, Callable, i
         ) from None
 
 
-def read_rows(path: Path, schema: dict) -> Iterator[tuple[int, list]]:
-    """Yield a CSV's rows as (line, fields) pairs, one at a time, enforcing the schema's exact
-    header as read_lines does. fields is a list of the parsed fields in schema order. Blank
-    lines are skipped. A field its parser rejects is a ParseError naming the file, line and
-    column."""
+def read_rows(path: Path, schema: dict, first: int = 2) -> Iterator[tuple[int, list]]:
+    """Yield a CSV's rows from line first on as (line, fields) pairs, one at a time, the lines
+    before it read but not parsed, enforcing the schema's exact header as read_lines does.
+    fields is a list of the parsed fields in schema order. Blank lines are skipped. A field its
+    parser rejects is a ParseError naming the file, line and column."""
     with read_lines(path, schema) as (lines, rows_from, _):
-        yield from rows_from(2, lines)
+        yield from rows_from(first, islice(lines, first - 2, None))
 
 
 def write_rows(path: str | Path, schema: dict, rows: Iterable[Sequence]) -> None:
@@ -267,14 +268,13 @@ def _record_fields(record: IndexRecord | None) -> tuple:
 
 
 # --- corpus rules --------------------------------------------------------------
-# Each corpus file's rules, in the order a row's are checked: (columns, test, message, *how).
-# test takes a chunk's fields of the columns, a list for each, and returns the values that
-# break the rule, a row's value being its field of one column, else the tuple of its fields:
-# a set, or a dict to the {what} of message, which is formatted with the row's fields by column
-# name. how may hold "ends" (a row that breaks the rule is checked no further), "parse" (the
-# first row that breaks it is a ParseError) and "unique": test then returns each row's key,
-# falsy for none; a row with the key of an earlier row of the file breaks the rule, and {what}
-# is the last such row's field of the rule's last column.
+# Each corpus file's rules, in the order a row's are checked: (columns, test, message, *how). test
+# returns the values that break the rule, a row's value being its field of one column, else the
+# tuple of its fields: a set, or a dict to the {what} of message, formatted with the row's fields by
+# column name. A rule of one typed column is tested on the values new to the file, any other on each
+# chunk's fields. how may hold "ends" (a row that breaks it is checked no further), "parse" (its
+# first row is a ParseError) and "unique", then a dict of the file's keys: test returns each row's
+# key, falsy for none; a repeated key breaks the rule, {what} being its latest row's last field.
 
 
 def _outside(low: float, high: float) -> Callable:
@@ -290,10 +290,10 @@ def _rules(researchers: dict, products: dict) -> tuple[tuple[tuple, ...], ...]:
     """The rules of the three corpus files, for a load that registers ids in the two dicts."""
     return ((
         (("id",), {""}.intersection, "empty researcher id", "ends"),
-        (("id",), list, "duplicate researcher id {id!r}", "ends", "unique"),
+        (("id",), list, "duplicate researcher id {id!r}", "ends", "unique", researchers),
         (("quota",), _outside(0, MAX_QUOTA), f"quota {{quota}} outside 0..{MAX_QUOTA}"),
         (("uda",), _outside(1, 14), "uda {uda} outside 1..14"),
-        (("sds", "uda"), lambda *fields: {(sds, uda): area for sds, uda in zip(*fields) if (
+        (("sds", "uda"), lambda *fields: {(sds, uda): area for sds, uda in {*zip(*fields)} if (
             area := SDS_AREA_BY_PREFIX.get(sds.split("/")[0], uda)) != uda},
          "sds {sds!r} belongs to area {what}, not {uda}"),
     ), (
@@ -301,7 +301,7 @@ def _rules(researchers: dict, products: dict) -> tuple[tuple[tuple, ...], ...]:
         *(((f"{p}_categories", f"{p}_metric", f"{p}_citations", f"{p}_journal_id"), _lacking,
            f"{p} record present but has no {{what}}", "parse") for p in ("wos", "scopus")),
         (("id",), {""}.intersection, "empty product id", "ends"),
-        (("id",), list, "duplicate product id {id!r}", "ends", "unique"),
+        (("id",), list, "duplicate product id {id!r}", "ends", "unique", products),
         *(((f"{p}_{field}",), _outside(0, math.inf), f"{p} {field} {{{p}_{field}}} negative")
           for p in ("wos", "scopus") for field in ("citations", "metric")),
     ), (
@@ -310,13 +310,13 @@ def _rules(researchers: dict, products: dict) -> tuple[tuple[tuple, ...], ...]:
         (("product_id",), lambda ids: {*ids}.difference(products),
          "unknown product id {product_id!r}"),
         (("researcher_id", "product_id"), lambda *fields: [*zip(*fields)],
-         "duplicate authorship ({researcher_id!r}, {product_id!r})", "unique"),
+         "duplicate authorship ({researcher_id!r}, {product_id!r})", "unique", {}),
         (("declared_priority",), _outside(1, math.inf),
          "declared_priority {declared_priority} < 1"),
         (("researcher_id", "declared_priority", "product_id"),
          lambda ids, ranks, _: [(rank or 0) > 0 and (rid, rank) for rid, rank in zip(ids, ranks)],
          "researcher {researcher_id!r} already declared priority {declared_priority} on "
-         "{what!r}", "unique"),
+         "{what!r}", "unique", {}),
         (("gev_override",), _outside(1, 9), "gev_override {gev_override} outside 1..9"),
     ))
 
@@ -325,24 +325,28 @@ def _checked(path: Path, schema: dict, rules: tuple, violations: list, texts: di
     """_chunks' columns of a corpus file, texts as _chunks takes it. Before a chunk's are
     yielded, its rows' violations of rules go to violations in line and rule order, save a
     row's after a rule that ends it; the first row that breaks a "parse" rule is a ParseError."""
-    keys = {}  # each "unique" rule's: {key: what the last row with the key gives}
-    for columns, lines in _chunks(path, schema, texts):
+    broken = [{} for _ in rules]  # per rule: each value that broke it in the file: its {what}
+    for columns, lines, fresh in _chunks(path, schema, texts):
         fields, faults, ended = dict(zip(schema, columns)), [], 0
-        for order, (names, test, _, *how) in enumerate(rules):
-            found = test(*map(fields.get, names))
-            if "unique" in how:
-                seen, last = keys.setdefault(order, {}), fields[names[-1]]
-                new = dict(filter(itemgetter(0), zip(found, last)))
-                if len(new) < sum(map(bool, found)) or not seen.keys().isdisjoint(new):
-                    for k, key in compress(enumerate(found), found):
-                        if key in seen:
-                            faults.append((lines[k], order, k, seen[key]))
-                        seen[key] = last[k]
-                seen.update(new)
-            elif found:
-                values = zip(*map(fields.get, names)) if names[1:] else fields[names[0]]
-                faults += ((lines[k], order, k, found[v] if type(found) is dict else v)
-                           for k, v in enumerate(values) if v in found)
+        for order, (names, test, message, *how) in enumerate(rules):
+            found = test(*map((fresh if len(names) == 1 else fields).get, names))
+            if "unique" in how:  # how[-1]: the file's keys, each to its latest row's {what},
+                seen, last, size = how[-1], fields[names[-1]], len(how[-1])  # kept from repeats
+                if "{what" not in message or seen.keys().isdisjoint(compress(found, found)):
+                    seen.update(compress(zip(found, last), found))  # a repeat grows it by
+                    if len(seen) - size == sum(map(bool, found)):  # less than the chunk's keys
+                        continue
+                    for _ in range(len(seen) - size):  # the keys new to the file, taken out
+                        seen.popitem()
+                for k, key in compress(enumerate(found), found):
+                    if key in seen:
+                        faults.append((lines[k], order, k, seen[key]))
+                    seen[key] = last[k]
+                continue
+            found and broken[order].update(found if type(found) is dict else zip(found, found))
+            if (bad := broken[order]) and not bad.keys().isdisjoint(  # the rows that hold one
+                    values := [*zip(*map(fields.get, names))] if names[1:] else fields[names[0]]):
+                faults += ((lines[k], order, k, bad[v]) for k, v in enumerate(values) if v in bad)
         for line, order, k, what in sorted(faults):
             if line != ended:
                 _, _, message, *how = rules[order]
@@ -357,22 +361,21 @@ def _checked(path: Path, schema: dict, rules: tuple, violations: list, texts: di
 CHUNK_LINES = 512  # 2,048 loaded bench wide in 39.6 ms against 32.9, peak memory 1.8 MB higher
 
 
-def _chunks(path: Path, schema: dict, texts: dict) -> Iterator[tuple[list, Sequence[int]]]:
-    """A CSV's rows after its header, CHUNK_LINES lines at a time, as (columns, each row's
-    line): each distinct typed text parsed once, a text of a column in texts ({column: {text:
-    str}}) taken from there, and a blank row dropped. A chunk that csv would read as split at
-    "," and "\\n" is split so: lines ending in "\\n", each of len(schema) fields, with no '"',
-    "\\r" or NUL, in all within csv's field limit. csv reads every other chunk, on to the end
-    of a record that runs past its last line. read_rows names a fault of the CSV layer (a width,
-    a field its parser refuses, an error of csv, text that is not UTF-8): its rows from the
-    chunk on to its ParseError are a last chunk, then the ParseError is raised."""
-    typed = [(i, texts.get(column, {}), parse) for i, (column, parse) in enumerate(schema.items())
-             if parse is not str or column in texts]
+def _chunks(path: Path, schema: dict, texts: dict) -> Iterator[tuple[list, Sequence[int], dict]]:
+    """A CSV's rows after its header, CHUNK_LINES lines at a time, as (columns, each row's line,
+    fresh), a blank row dropped: each typed text parsed, or taken from texts ({column: {text:
+    str}}), once per file; fresh maps such a column to its values new to the file, another to
+    all. A chunk that csv would read as split at "," and "\\n" is split so: lines ending in "\\n",
+    each of len(schema) fields, with no '"', "\\r" or NUL, in all within csv's field limit; csv
+    reads the rest, on to the end of a record that runs past the chunk. read_rows names a fault
+    of the CSV layer from its chunk's first line, its rows up to the ParseError a last chunk."""
+    typed = [(i, name, texts.get(name, {"": None} if parse in _IN_C else {}), parse)
+             for i, (name, parse) in enumerate(schema.items()) if parse is not str or name in texts]
     width, first = len(schema), 2
     with read_lines(path, schema) as (fh, _, limit):
         with suppress(ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
             while lines := list(islice(fh, CHUNK_LINES)):
-                block, count, fields, firsts = "".join(lines), len(lines), [], []
+                block, count, fields, firsts, fresh = "".join(lines), len(lines), [], [], {}
                 if (block[-1] == "\n" and len(block) <= limit
                         and not any(map(block.__contains__, '"\r\0'))):
                     lines = []  # freed before the split, for less peak memory
@@ -395,21 +398,28 @@ def _chunks(path: Path, schema: dict, texts: dict) -> Iterator[tuple[list, Seque
                     if set(map(len, rows)) - {width}:
                         break
                     columns, count = [*zip(*rows)] or [()] * width, reader.line_num
-                for i, known, parse in typed:
-                    if new := set(columns[i]).difference(known):
-                        parse in (str, boolean) or numeral("".join(new))
-                        known.update(zip(new, map(parse, new)))
+                for i, name, known, parse in typed:
+                    with suppress(KeyError):  # a text new to the file ends the lookup
+                        columns[i], fresh[name] = list(map(known.__getitem__, columns[i])), ()
+                        continue
+                    new = set(columns[i]).difference(known)
+                    parse in (str, boolean) or numeral("".join(new))
+                    values = fresh[name] = [*map(_IN_C.get(parse, parse), new)]  # "" is known
+                    if parse is optional_number and not all(map(math.isfinite, values)):
+                        raise ValueError(name)
+                    known.update(zip(new, values))
                     columns[i] = list(map(known.__getitem__, columns[i]))
-                yield columns, numbers
+                yield columns, numbers, {**dict(zip(schema, columns)), **fresh}
                 first += count
             else:
                 return
     rows = []
     try:
-        rows.extend(dropwhile(lambda row: row[0] < first, read_rows(path, schema)))
+        rows.extend(read_rows(path, schema, first))
     except ParseError:
         if rows:  # a "parse" rule may break on one of them, before the fault
-            yield [*zip(*map(itemgetter(1), rows))], [*map(itemgetter(0), rows)]
+            columns = [*zip(*map(itemgetter(1), rows))]
+            yield columns, [*map(itemgetter(0), rows)], dict(zip(schema, columns))
         raise
     raise AssertionError(f"{path}: read_rows found no fault in a chunk that _chunks refused")
 
@@ -427,16 +437,16 @@ def load_corpus(researchers_path: str | Path, products_path: str | Path,
         researchers.update(zip(ids, map(tuple.__new__, repeat(Researcher), zip(ids, sds, udas, map(
             {None: Researcher._field_defaults["quota"]}.get, quotas, quotas)))))
     researchers.pop("", None)  # an empty id registers no researcher
-    for ids, kinds, years, flags, *texts in _checked(*next(files), {}):
+    for ids, kinds, years, flags, *texts in _checked(*next(files), {"kind": {}}):
         categories.update((text, names) for text in set(texts[0] + texts[4]).difference(categories)
                           if (names := tuple(filter(None, text.split(";")))))
-        texts_of.update((text, text or None)  # one str per kind and journal id, None for ""
-                        for text in set(kinds + texts[3] + texts[7]).difference(texts_of))
+        texts_of.update((text, text or None)  # one str per journal id, None for ""
+                        for text in set(texts[3] + texts[7]).difference(texts_of))
         wos, scopus = ([tuple.__new__(IndexRecord, (categories[c], n, m, texts_of[j]))
                         if n is not None else None  # _checked passes only whole records
                         for c, m, n, j in zip(*texts[i:i + 4])] for i in (0, 4))
         products.update(zip(ids, map(tuple.__new__, repeat(Product), zip(
-            ids, map(texts_of.__getitem__, kinds), years, flags, wos, scopus))))
+            ids, kinds, years, flags, wos, scopus))))
     products.pop("", None)
     ids = kinds = texts = wos = scopus = None  # the last chunk's texts, freed
     interned = {"researcher_id": dict(zip(researchers, researchers)),  # one str per id

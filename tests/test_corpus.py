@@ -845,3 +845,174 @@ def test_an_edited_corpus_file_loads_or_names_its_faults_in_3_line_chunks(tmp_pa
     """As above, every edited file read in 3-line chunks, each by the split path or by csv."""
     monkeypatch.setattr(corpus_module, "CHUNK_LINES", 3)
     test_an_edited_corpus_file_loads_or_names_its_faults(tmp_path_factory)
+
+
+# --- each rule tested once per distinct value and key ---------------------------
+
+
+def _mini_with(root: Path, edits: dict[str, dict[int, str]]) -> Path:
+    """mini_university at root, with lines of a file replaced ({line: text}, line 1 the
+    header) or, past the last line, appended."""
+    for name in _CORPUS_FILES:
+        lines = (MINI / name).read_text(encoding="utf-8").splitlines(True)
+        for line, text in sorted(edits.get(name, {}).items()):
+            lines[line - 1:line] = [text + "\n"]
+        (root / name).write_text("".join(lines), encoding="utf-8")
+    return root
+
+
+def _fields(name: str, line: int, **changes: str) -> str:
+    """Line line of a mini_university file, with the given fields changed."""
+    schema = _SCHEMAS[name.removesuffix(".csv")]
+    row = (MINI / name).read_text(encoding="utf-8").splitlines()[line - 1].split(",")
+    for column, text in changes.items():
+        row[list(schema).index(column)] = text
+    return ",".join(row)
+
+
+def test_a_bad_value_in_two_chunks_is_named_in_both(tmp_path, monkeypatch):
+    """In 3-line chunks, a quota and a citation count first tested in one chunk break their
+    rules again in a later chunk, where they are no longer new: both rows are named."""
+    root = _mini_with(tmp_path, {
+        "researchers.csv": {2: _fields("researchers.csv", 2, quota="9"),
+                            9: _fields("researchers.csv", 9, quota="9")},
+        "products.csv": {3: _fields("products.csv", 3, wos_citations="-4"),
+                         33: _fields("products.csv", 33, wos_citations="-4")}})
+    monkeypatch.setattr(corpus_module, "CHUNK_LINES", 3)
+    expected = _by_rows(root)
+    assert expected == (ValidationError, "; ".join([
+        f"{root / 'researchers.csv'}:2: quota 9 outside 0..6",
+        f"{root / 'researchers.csv'}:9: quota 9 outside 0..6",
+        f"{root / 'products.csv'}:3: wos citations -4 negative",
+        f"{root / 'products.csv'}:33: wos citations -4 negative"]))
+    assert _loaded(root) == expected
+
+
+def test_a_key_first_seen_in_an_earlier_chunk_is_a_repeat(tmp_path, monkeypatch):
+    """In 3-line chunks, a product id, an authorship pair and a researcher's declared
+    priority repeated chunks after their first row are named as the row loops name them,
+    the priority with the product of its last earlier row; the chunks after are checked
+    against the keys as they stood."""
+    root = _mini_with(tmp_path, {
+        "products.csv": {41: _fields("products.csv", 2)},  # P01 again
+        "authorships.csv": {45: "R01,P01,,", 46: "R01,P05,1,", 47: "R01,P06,1,",
+                            48: "R02,P01,,", 49: "R02,P07,1,"}})
+    monkeypatch.setattr(corpus_module, "CHUNK_LINES", 3)
+    expected = _by_rows(root)
+    products, authorships = root / "products.csv", root / "authorships.csv"
+    assert expected == (ValidationError, "; ".join([
+        f"{products}:41: duplicate product id 'P01'",
+        f"{authorships}:45: duplicate authorship ('R01', 'P01')",
+        f"{authorships}:46: researcher 'R01' already declared priority 1 on 'P01'",
+        f"{authorships}:47: researcher 'R01' already declared priority 1 on 'P05'",
+        f"{authorships}:49: researcher 'R02' already declared priority 1 on 'P03'"]))
+    assert _loaded(root) == expected
+
+
+def test_a_bad_value_first_seen_in_a_chunk_that_csv_reads(tmp_path, monkeypatch):
+    """In 3-line chunks, a negative citation count first seen in a chunk that csv reads,
+    as a field on one of its lines is quoted, and again in a later split chunk."""
+    quoted = _fields("products.csv", 21, id='"P20"', wos_citations="-7")
+    root = _mini_with(tmp_path, {"products.csv": {
+        21: quoted, 30: _fields("products.csv", 30, wos_citations="-7")}})
+    monkeypatch.setattr(corpus_module, "CHUNK_LINES", 3)
+    expected = _by_rows(root)
+    assert expected == (ValidationError, "; ".join(
+        f"{root / 'products.csv'}:{line}: wos citations -7 negative" for line in (21, 30)))
+    assert _loaded(root) == expected
+
+
+@pytest.mark.parametrize("chunk_lines", [512, 3])
+def test_each_rule_tests_each_distinct_value_once_per_file(tmp_path, monkeypatch, chunk_lines):
+    """900 researchers and products with four quotas and three citation counts: the test
+    of each one-column rule receives each value at most once per file."""
+    (tmp_path / "researchers.csv").write_text("id,sds,uda,quota\n" + "".join(
+        f"R{i},MAT/05,1,{('', '1', '2', '3')[i % 4]}\n" for i in range(900)), encoding="utf-8")
+    (tmp_path / "products.csv").write_text(",".join(PRODUCT_COLUMNS) + "\n" + "".join(
+        f"P{i},book,2006,false,A,,{i % 3},,B,,{i % 2 * 5},\n" for i in range(900)),
+        encoding="utf-8")
+    (tmp_path / "authorships.csv").write_text(
+        "researcher_id,product_id,declared_priority,gev_override\n" + "".join(
+            f"R{i},P{i},{i % 2 or ''},\n" for i in range(900)), encoding="utf-8")
+    expected = _by_rows(tmp_path)
+    assert isinstance(expected[0], Corpus)
+    received, rules = {}, corpus_module._rules
+
+    def recorded(researchers, products):
+        def test(key, test):
+            return lambda *fields: received.setdefault(key, []).extend(fields[0]) or test(
+                *fields)
+
+        return tuple(tuple((names, test((f, names), t), *rest) if len(names) == 1 else (
+            names, t, *rest) for names, t, *rest in file) for f, file in enumerate(
+            rules(researchers, products)))
+
+    monkeypatch.setattr(corpus_module, "CHUNK_LINES", chunk_lines)
+    monkeypatch.setattr(corpus_module, "_rules", recorded)
+    assert _loaded(tmp_path) == expected
+    for column in ("quota", "wos_citations", "scopus_citations", "declared_priority"):
+        values = next(v for (_, names), v in received.items() if names == (column,))
+        assert sorted(values, key=str) == sorted(set(values), key=str), column
+        assert len(set(values)) <= 4, column
+
+
+def test_a_fault_of_the_csv_layer_is_named_from_its_chunk_on(tmp_path, monkeypatch):
+    """A year that is not an integer on the last line of products.csv, in 3-line chunks:
+    csv parses the header each time a file is opened and the rows of the refused chunk
+    alone, and the fault is named as the row loops name it; authorships.csv is not read."""
+    root = _mini_with(tmp_path, {"products.csv": {40: _fields("products.csv", 40, year="20x6")}})
+    monkeypatch.setattr(corpus_module, "CHUNK_LINES", 3)
+    expected = _by_rows(root)
+    assert expected == (ParseError, f"{root / 'products.csv'}:40: year is not an integer: '20x6'")
+    rows, reader = [], csv.reader
+
+    class Reader:
+        def __init__(self, lines):
+            self.reader = reader(lines)
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            rows.append([*next(self.reader)])  # before rows_from parses its fields
+            return rows[-1][:]
+
+        line_num = property(lambda self: self.reader.line_num)
+
+    monkeypatch.setattr(csv, "reader", Reader)
+    assert _loaded(root) == expected
+    monkeypatch.undo()
+    lines = (root / "products.csv").read_text(encoding="utf-8").splitlines()
+    assert rows == [list(RESEARCHER_COLUMNS), list(PRODUCT_COLUMNS), list(PRODUCT_COLUMNS),
+                    *(line.split(",") for line in lines[37:40])]
+
+
+_PRODUCT_LINE = "P{},journal-article,2006,false,A,2.5,{},J1,,,,\n"
+
+
+@pytest.mark.parametrize("chunk_lines", [512, 3])
+@pytest.mark.parametrize("before", ["", "lacking", "open-quote"])
+def test_text_that_is_not_utf8_is_named_after_the_rows_before_it(tmp_path, monkeypatch,
+                                                                chunk_lines, before):
+    """A byte that is not UTF-8 past the first 8 KB of products.csv, after a record with no
+    citation count, or after a quoted field whose line break is read with that 8 KB: the
+    load names what the row loops name, the record's fault before the byte's."""
+    for name in ("researchers.csv", "authorships.csv"):
+        shutil.copy(MINI / name, tmp_path / name)
+    head = ",".join(PRODUCT_COLUMNS) + "\n" + "".join(
+        _PRODUCT_LINE.format(i, i) for i in range(1, 140))
+    if before == "lacking":
+        head += _PRODUCT_LINE.format(140, "")
+    if before == "open-quote":  # its second line runs past byte 8,192
+        head += '"P400\n' + "x" * (8292 - len(head)) + '",journal-article,2006,false,,,,,,,,\n'
+        assert head.index('"P400\n') + 6 < 8192 < len(head) - 40
+    while len(head) < 8300:
+        head += _PRODUCT_LINE.format(len(head), 1)
+    data = head.encode("utf-8") + b"P\xe9,book,2006,false,,,,,,,,\n"
+    assert 8192 < data.index(b"\xe9") < 16384
+    (tmp_path / "products.csv").write_bytes(data)
+    monkeypatch.setattr(corpus_module, "CHUNK_LINES", chunk_lines)
+    expected = _by_rows(tmp_path)
+    assert expected[0] is ParseError
+    assert ("citation count" in expected[1]) == (before == "lacking")
+    assert _loaded(tmp_path) == expected

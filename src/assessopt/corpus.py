@@ -19,7 +19,6 @@ import io
 import math
 from contextlib import contextmanager, suppress
 from itertools import chain, compress, islice, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -268,12 +267,11 @@ def _record_fields(record: IndexRecord | None) -> tuple:
 
 
 # --- corpus rules --------------------------------------------------------------
-# Each corpus file's rules, in the order a row's are checked: (columns, test, message, *how). test
+# Each corpus file's rules, in the order a row's are checked: (columns, test, message, *keys). test
 # returns the values that break the rule, a row's value being its field of one column, else the
 # tuple of its fields: a set, or a dict to the {what} of message, formatted with the row's fields by
 # column name. A rule of one typed column is tested on the values new to the file, any other on each
-# chunk's fields. how may hold "ends" (a row that breaks it is checked no further), "parse" (its
-# first row is a ParseError) and "unique", then a dict of the file's keys: test returns each row's
+# chunk's fields. A uniqueness rule adds keys, a dict of the file's keys: test returns each row's
 # key, falsy for none; a repeated key breaks the rule, {what} being its latest row's last field.
 
 
@@ -289,8 +287,8 @@ def _lacking(*fields: list) -> dict:  # four empty prefix_ fields are no record
 def _rules(researchers: dict, products: dict) -> tuple[tuple[tuple, ...], ...]:
     """The rules of the three corpus files, for a load that registers ids in the two dicts."""
     return ((
-        (("id",), {""}.intersection, "empty researcher id", "ends"),
-        (("id",), list, "duplicate researcher id {id!r}", "ends", "unique", researchers),
+        (("id",), {""}.intersection, "empty researcher id"),
+        (("id",), list, "duplicate researcher id {id!r}", researchers),
         (("quota",), _outside(0, MAX_QUOTA), f"quota {{quota}} outside 0..{MAX_QUOTA}"),
         (("uda",), _outside(1, 14), "uda {uda} outside 1..14"),
         (("sds", "uda"), lambda *fields: {(sds, uda): area for sds, uda in {*zip(*fields)} if (
@@ -299,9 +297,9 @@ def _rules(researchers: dict, products: dict) -> tuple[tuple[tuple, ...], ...]:
     ), (
         (("kind",), lambda kinds: {*kinds} - {*PRODUCT_KINDS}, "unknown product kind {kind!r}"),
         *(((f"{p}_categories", f"{p}_metric", f"{p}_citations", f"{p}_journal_id"), _lacking,
-           f"{p} record present but has no {{what}}", "parse") for p in ("wos", "scopus")),
-        (("id",), {""}.intersection, "empty product id", "ends"),
-        (("id",), list, "duplicate product id {id!r}", "ends", "unique", products),
+           f"{p} record present but has no {{what}}") for p in ("wos", "scopus")),
+        (("id",), {""}.intersection, "empty product id"),
+        (("id",), list, "duplicate product id {id!r}", products),
         *(((f"{p}_{field}",), _outside(0, math.inf), f"{p} {field} {{{p}_{field}}} negative")
           for p in ("wos", "scopus") for field in ("citations", "metric")),
     ), (
@@ -310,28 +308,27 @@ def _rules(researchers: dict, products: dict) -> tuple[tuple[tuple, ...], ...]:
         (("product_id",), lambda ids: {*ids}.difference(products),
          "unknown product id {product_id!r}"),
         (("researcher_id", "product_id"), lambda *fields: [*zip(*fields)],
-         "duplicate authorship ({researcher_id!r}, {product_id!r})", "unique", {}),
+         "duplicate authorship ({researcher_id!r}, {product_id!r})", {}),
         (("declared_priority",), _outside(1, math.inf),
          "declared_priority {declared_priority} < 1"),
         (("researcher_id", "declared_priority", "product_id"),
          lambda ids, ranks, _: [(rank or 0) > 0 and (rid, rank) for rid, rank in zip(ids, ranks)],
          "researcher {researcher_id!r} already declared priority {declared_priority} on "
-         "{what!r}", "unique", {}),
+         "{what!r}", {}),
         (("gev_override",), _outside(1, 9), "gev_override {gev_override} outside 1..9"),
     ))
 
 
 def _checked(path: Path, schema: dict, rules: tuple, violations: list, texts: dict) -> Iterator:
     """_chunks' columns of a corpus file, texts as _chunks takes it. Before a chunk's are
-    yielded, its rows' violations of rules go to violations in line and rule order, save a
-    row's after a rule that ends it; the first row that breaks a "parse" rule is a ParseError."""
+    yielded, its rows' violations of rules go to violations in line and rule order."""
     broken = [{} for _ in rules]  # per rule: each value that broke it in the file: its {what}
     for columns, lines, fresh in _chunks(path, schema, texts):
-        fields, faults, ended = dict(zip(schema, columns)), [], 0
-        for order, (names, test, message, *how) in enumerate(rules):
+        fields, faults = dict(zip(schema, columns)), []
+        for order, (names, test, message, *keys) in enumerate(rules):
             found = test(*map((fresh if len(names) == 1 else fields).get, names))
-            if "unique" in how:  # how[-1]: the file's keys, each to its latest row's {what},
-                seen, last, size = how[-1], fields[names[-1]], len(how[-1])  # kept from repeats
+            if keys:  # the file's keys, each to its latest row's {what}, kept from repeats
+                seen, last, size = keys[0], fields[names[-1]], len(keys[0])
                 if "{what" not in message or seen.keys().isdisjoint(compress(found, found)):
                     seen.update(compress(zip(found, last), found))  # a repeat grows it by
                     if len(seen) - size == sum(map(bool, found)):  # less than the chunk's keys
@@ -348,13 +345,8 @@ def _checked(path: Path, schema: dict, rules: tuple, violations: list, texts: di
                     values := [*zip(*map(fields.get, names))] if names[1:] else fields[names[0]]):
                 faults += ((lines[k], order, k, bad[v]) for k, v in enumerate(values) if v in bad)
         for line, order, k, what in sorted(faults):
-            if line != ended:
-                _, _, message, *how = rules[order]
-                message = message.format(what=what, **{n: f[k] for n, f in fields.items()})
-                if "parse" in how:
-                    raise ParseError(message, str(path), line)
-                violations.append(f"{path}:{line}: {message}")
-                ended = line if "ends" in how else 0
+            message = rules[order][2].format(what=what, **{n: f[k] for n, f in fields.items()})
+            violations.append(f"{path}:{line}: {message}")
         yield columns
 
 
@@ -368,7 +360,7 @@ def _chunks(path: Path, schema: dict, texts: dict) -> Iterator[tuple[list, Seque
     all. A chunk that csv would read as split at "," and "\\n" is split so: lines ending in "\\n",
     each of len(schema) fields, with no '"', "\\r" or NUL, in all within csv's field limit; csv
     reads the rest, on to the end of a record that runs past the chunk. read_rows names a fault
-    of the CSV layer from its chunk's first line, its rows up to the ParseError a last chunk."""
+    of the CSV layer, reading from its chunk's first line."""
     typed = [(i, name, texts.get(name, {"": None} if parse in _IN_C else {}), parse)
              for i, (name, parse) in enumerate(schema.items()) if parse is not str or name in texts]
     width, first = len(schema), 2
@@ -413,14 +405,8 @@ def _chunks(path: Path, schema: dict, texts: dict) -> Iterator[tuple[list, Seque
                 first += count
             else:
                 return
-    rows = []
-    try:
-        rows.extend(read_rows(path, schema, first))
-    except ParseError:
-        if rows:  # a "parse" rule may break on one of them, before the fault
-            columns = [*zip(*map(itemgetter(1), rows))]
-            yield columns, [*map(itemgetter(0), rows)], dict(zip(schema, columns))
-        raise
+    for _ in read_rows(path, schema, first):  # on to the ParseError that names the fault
+        pass
     raise AssertionError(f"{path}: read_rows found no fault in a chunk that _chunks refused")
 
 
@@ -442,8 +428,8 @@ def load_corpus(researchers_path: str | Path, products_path: str | Path,
                           if (names := tuple(filter(None, text.split(";")))))
         texts_of.update((text, text or None)  # one str per journal id, None for ""
                         for text in set(texts[3] + texts[7]).difference(texts_of))
-        wos, scopus = ([tuple.__new__(IndexRecord, (categories[c], n, m, texts_of[j]))
-                        if n is not None else None  # _checked passes only whole records
+        wos, scopus = ([tuple.__new__(IndexRecord, (categories.get(c, ()), n, m, texts_of[j]))
+                        if n is not None else None  # a part record's violation discards the corpus
                         for c, m, n, j in zip(*texts[i:i + 4])] for i in (0, 4))
         products.update(zip(ids, map(tuple.__new__, repeat(Product), zip(
             ids, kinds, years, flags, wos, scopus))))

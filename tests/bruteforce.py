@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from functools import partial
 from pathlib import Path
 
 from assessopt.corpus import (
@@ -25,7 +26,7 @@ from assessopt.corpus import (
     SDS_AREA_BY_PREFIX, Authorship, Corpus, IndexRecord, Product, Researcher, format_number,
     read_rows,
 )
-from assessopt.errors import ParseError, ValidationError
+from assessopt.errors import ValidationError
 from assessopt.gev import ScoredProduct
 from assessopt.reference import DistributionKey
 
@@ -368,18 +369,15 @@ def selection_rows(corpus: Corpus, scored, assignments: dict) -> list[list[str]]
     return rows
 
 
-def _index_record(fields, prefix: str, file: str, line: int) -> IndexRecord:
-    """The index record in a product row's four prefix_ fields, not all empty."""
+def _index_record(fields, prefix: str, violation) -> IndexRecord:
+    """The index record in a product row's four prefix_ fields, not all empty; an
+    incomplete one is also reported to violation."""
     text, metric, citations, journal_id = fields
     categories = tuple(filter(None, text.split(";")))
     if not categories:
-        raise ParseError(
-            f"{prefix} record present but has no subject categories", file=file, line=line
-        )
-    if citations is None:
-        raise ParseError(
-            f"{prefix} record present but has no citation count", file=file, line=line
-        )
+        violation(f"{prefix} record present but has no subject categories")
+    elif citations is None:
+        violation(f"{prefix} record present but has no citation count")
     return IndexRecord(categories, citations, metric, journal_id or None)
 
 
@@ -387,7 +385,7 @@ def load_corpus_by_rows(researchers_path, products_path, authorships_path) -> Co
     """load_corpus as one pass of row loops over read_rows, each loop building
     its records and naming each fault per row: the corpus, or a ParseError at
     the first unreadable row, or a ValidationError with every violation in file
-    then line order."""
+    then line order. An empty id registers nothing."""
     researchers_path = Path(researchers_path)
     products_path = Path(products_path)
     authorships_path = Path(authorships_path)
@@ -403,10 +401,8 @@ def load_corpus_by_rows(researchers_path, products_path, authorships_path) -> Co
         r = Researcher(*row)
         if not r.id:
             violation(researchers_path, line, "empty researcher id")
-            continue
         if r.id in researchers:
             violation(researchers_path, line, f"duplicate researcher id {r.id!r}")
-            continue
         if not 0 <= r.quota <= MAX_QUOTA:
             violation(researchers_path, line, f"quota {r.quota} outside 0..{MAX_QUOTA}")
         if not 1 <= r.uda <= 14:
@@ -416,33 +412,29 @@ def load_corpus_by_rows(researchers_path, products_path, authorships_path) -> Co
             if expected is not None and expected != r.uda:
                 violation(researchers_path, line,
                           f"sds {r.sds!r} belongs to area {expected}, not {r.uda}")
-        researchers[r.id] = r
+        if r.id:
+            researchers[r.id] = r
 
     products: dict[str, Product] = {}
-    products_file = str(products_path)
     absent = ["", None, None, ""]
     for line, row in read_rows(products_path, PRODUCT_COLUMNS):
         if row[1] not in PRODUCT_KINDS:  # the product is still registered, below
             violation(products_path, line, f"unknown product kind {row[1]!r}")
         wos, scopus = row[4:8], row[8:]
-        p = Product(*row[:4],
-                    None if wos == absent else _index_record(wos, "wos", products_file, line),
-                    None if scopus == absent
-                    else _index_record(scopus, "scopus", products_file, line))
+        here = partial(violation, products_path, line)
+        p = Product(*row[:4], None if wos == absent else _index_record(wos, "wos", here),
+                    None if scopus == absent else _index_record(scopus, "scopus", here))
         if not p.id:
             violation(products_path, line, "empty product id")
-            continue
         if p.id in products:
             violation(products_path, line, f"duplicate product id {p.id!r}")
-            continue
-        for label, record in (("wos", p.wos_record), ("scopus", p.scopus_record)):
-            if record is None:
-                continue
-            if record.citations < 0:
-                violation(products_path, line, f"{label} citations {record.citations} negative")
-            if record.journal_metric is not None and record.journal_metric < 0:
-                violation(products_path, line, f"{label} metric {record.journal_metric} negative")
-        products[p.id] = p
+        for label, (_, metric, citations, _) in (("wos", wos), ("scopus", scopus)):
+            if citations is not None and citations < 0:
+                violation(products_path, line, f"{label} citations {citations} negative")
+            if metric is not None and metric < 0:
+                violation(products_path, line, f"{label} metric {metric} negative")
+        if p.id:
+            products[p.id] = p
 
     authorships: list[Authorship] = []
     seen_pairs: set[tuple[str, str]] = set()

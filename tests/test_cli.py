@@ -258,8 +258,15 @@ INPUT_CHECKS = {
     "empty-csv": (_write("researchers.csv", ""), 2,
                   "error: {root}/researchers.csv: empty file, header row required\n"),
     "record-without-citations": (
-        _replace("products.csv", _P01, _P01.replace(",12,", ",,")), 2,
-        "error: {root}/products.csv:2: wos record present but has no citation count\n"),
+        _replace("products.csv", _P01, _P01.replace(",12,", ",,")), 1,
+        "validation: {root}/products.csv:2: wos record present but has no citation count\n"),
+    "record-without-citations-and-a-row-of-three-faults": (  # each named, in file order
+        lambda root: (_replace("products.csv", _P01, _P01.replace(",12,", ",,"))(root),
+                      _append("researchers.csv", "R01,MAT/05,15,3\n")(root)), 1,
+        "validation: {root}/researchers.csv:14: duplicate researcher id 'R01'\n"
+        "validation: {root}/researchers.csv:14: uda 15 outside 1..14\n"
+        "validation: {root}/researchers.csv:14: sds 'MAT/05' belongs to area 1, not 15\n"
+        "validation: {root}/products.csv:2: wos record present but has no citation count\n"),
     "hundred-character-year": (  # the echo stops at 60 characters of the quoted text
         _replace("products.csv", _P01, _P01.replace(",2006,", "," + "soon" * 25 + ",")), 2,
         "error: {root}/products.csv:2: year is not an integer: "
@@ -360,6 +367,23 @@ def test_validate_reports_each_input_check(tmp_path, capsys, mutate, code, stder
                  "--profiles", str(root / "profiles.json"), "--ref", str(root / "ref")]) == code
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", stderr.format(root=root))
+
+
+def test_incomplete_records_in_two_chunks_are_named_with_a_negative_count(tmp_path, capsys,
+                                                                         monkeypatch):
+    """In 3-line chunks of products.csv: records with no citation count (chunk 1) and no
+    subject categories (chunk 3), and a negative citation count (chunk 2), in line order."""
+    monkeypatch.setattr("assessopt.corpus.CHUNK_LINES", 3)
+    test_validate_reports_each_input_check(tmp_path, capsys, lambda root: (
+        _replace("products.csv", "P02,journal-article,2006,false,MATH-APPL,,40,",
+                 "P02,journal-article,2006,false,MATH-APPL,,,")(root),
+        _replace("products.csv", "P05,journal-article,2006,false,MATH-APPL,2.5,15,",
+                 "P05,journal-article,2006,false,MATH-APPL,2.5,-4,")(root),
+        _replace("products.csv", "P08,journal-article,2006,false,MATH-APPL,",
+                 "P08,journal-article,2006,false,,")(root)), 1,
+        "validation: {root}/products.csv:3: wos record present but has no citation count\n"
+        "validation: {root}/products.csv:6: wos citations -4 negative\n"
+        "validation: {root}/products.csv:9: wos record present but has no subject categories\n")
 
 
 def test_an_empty_quota_loads_as_three(tmp_path):

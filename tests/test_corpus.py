@@ -433,9 +433,10 @@ def test_bad_header(tmp_path):
 
 def test_record_needs_categories(tmp_path):
     bad = PRODUCTS + "P4,journal-article,2006,false,,2.5,14,J9,,,,\n"
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(ValidationError) as exc:
         load_corpus_dir(write_corpus(tmp_path, products=bad))
-    assert "subject categories" in str(exc.value)
+    assert exc.value.violations == [
+        f"{tmp_path / 'products.csv'}:5: wos record present but has no subject categories"]
 
 
 def test_unknown_kind(tmp_path):
@@ -637,7 +638,7 @@ def test_a_corpus_whose_only_faults_break_rules_is_read_once(tmp_path, monkeypat
 _FAULTS = {
     "empty-researcher-id": ("researchers", "row", ",MAT/05,1,3"),
     "duplicate-researcher-id": ("researchers", "row", "R1,,3,3"),
-    # a row that breaks a rule that ends its checks: its later rules are not named
+    # a row with a repeated id: its other faults are named too
     "duplicate-id-out-of-range": ("researchers", "row", "R1,CHIM/06,15,9"),
     "quota-above-max": ("researchers", "quota", "7"),
     "quota-negative": ("researchers", "quota", "-1"),
@@ -664,7 +665,7 @@ _FAULTS = {
     "infinite-metric": ("products", "scopus_metric", "1e400"),
     "metric-not-a-number": ("products", "wos_metric", "2,5"),
     "journal-alone": ("products", "*scopus_journal_id", "J9"),
-    "short-product-row": ("products", "row", "P9,book,2006"),  # after a record's ParseError
+    "short-product-row": ("products", "row", "P9,book,2006"),  # wins over a record's violation
     "unknown-researcher": ("authorships", "researcher_id", "R99"),
     "unknown-product": ("authorships", "product_id", "P99"),
     "duplicate-pair": ("authorships", "copy", ""),
@@ -996,7 +997,7 @@ def test_text_that_is_not_utf8_is_named_after_the_rows_before_it(tmp_path, monke
                                                                 chunk_lines, before):
     """A byte that is not UTF-8 past the first 8 KB of products.csv, after a record with no
     citation count, or after a quoted field whose line break is read with that 8 KB: the
-    load names what the row loops name, the record's fault before the byte's."""
+    load names what the row loops name, the byte's fault, which wins over the record's."""
     for name in ("researchers.csv", "authorships.csv"):
         shutil.copy(MINI / name, tmp_path / name)
     head = ",".join(PRODUCT_COLUMNS) + "\n" + "".join(
@@ -1014,5 +1015,5 @@ def test_text_that_is_not_utf8_is_named_after_the_rows_before_it(tmp_path, monke
     monkeypatch.setattr(corpus_module, "CHUNK_LINES", chunk_lines)
     expected = _by_rows(tmp_path)
     assert expected[0] is ParseError
-    assert ("citation count" in expected[1]) == (before == "lacking")
+    assert "not UTF-8" in expected[1]
     assert _loaded(tmp_path) == expected
